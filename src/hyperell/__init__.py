@@ -27,7 +27,6 @@ from .ensemble import (
     expected_value,
     expected_value_sieved,
     first_moment,
-    sample_ensemble,
 )
 from .field import PrimeField
 from .lfunction import (
@@ -85,7 +84,6 @@ __all__ = [
     "rh_root_check",
     "rh_root_deviation",
     "run_identity_suite",
-    "sample_ensemble",
     "sampled_moment",
     "shared_table",
     "square_block_main_term",

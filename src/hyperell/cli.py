@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import asymptotics, curve, lfunction, polyring, scan, verify
-from .ensemble import EnsembleSpec
+from .characters import jacobi
+from .field import check_odd_prime
 from .polyring import CutoffExceededError, Poly
 from .sqrtq import SqrtQRational
 
@@ -225,7 +226,12 @@ def cmd_moment(args) -> int:
         ec = asymptotics.euler_constants(args.q, args.cutoff)
         main = asymptotics.first_moment_main_term(args.q, g, ec)
         t0 = time.monotonic()
-        if args.mode == "exhaustive":
+        sampled = args.mode == "sample"
+        if sampled:
+            sm = scan.sampled_moment(args.q, g, args.sample_size, args.seed)
+            size, total, stderr = sm.ensemble_size, sm.total_estimate, sm.stderr
+            square = sm.square_mean.scale(size)
+        else:
             acc, _ = scan.moment_scan(
                 args.q,
                 g,
@@ -234,44 +240,24 @@ def cmd_moment(args) -> int:
                 resume=args.resume,
                 force=args.force,
             )
-            rows.append(
-                MomentReport(
-                    q=args.q,
-                    g=g,
-                    ensemble_size=acc.count,
-                    mode="exhaustive",
-                    sample_size=None,
-                    seed=None,
-                    cutoff=ec.cutoff,
-                    moment=acc.total,
-                    square_part=acc.square_part,
-                    nonsquare_part=acc.nonsquare_part,
-                    main_term=main,
-                    stderr=None,
-                    runtime=time.monotonic() - t0,
-                )
+            size, total, square, stderr = acc.count, acc.total, acc.square_part, None
+        rows.append(
+            MomentReport(
+                q=args.q,
+                g=g,
+                ensemble_size=size,
+                mode=args.mode,
+                sample_size=args.sample_size if sampled else None,
+                seed=args.seed if sampled else None,
+                cutoff=ec.cutoff,
+                moment=total,
+                square_part=square,
+                nonsquare_part=total - square,
+                main_term=main,
+                stderr=stderr,
+                runtime=time.monotonic() - t0,
             )
-        else:
-            sm = scan.sampled_moment(args.q, g, args.sample_size, args.seed)
-            total = sm.total_estimate
-            square = sm.square_mean.scale(sm.ensemble_size)
-            rows.append(
-                MomentReport(
-                    q=args.q,
-                    g=g,
-                    ensemble_size=sm.ensemble_size,
-                    mode="sample",
-                    sample_size=sm.sample_size,
-                    seed=sm.seed,
-                    cutoff=ec.cutoff,
-                    moment=total,
-                    square_part=square,
-                    nonsquare_part=total - square,
-                    main_term=main,
-                    stderr=sm.stderr,
-                    runtime=time.monotonic() - t0,
-                )
-            )
+        )
     if args.format == "csv":
         lines = [CSV_HEADER, CSV_COLUMNS]
         lines += [r.to_csv_row() for r in rows]
@@ -325,8 +311,6 @@ def cmd_lpoly(args) -> int:
 
 
 def cmd_symbol(args) -> int:
-    from .characters import jacobi
-
     f = parse_poly(args.numerator, args.q)
     Q = parse_poly(args.denominator, args.q)
     val = jacobi(f, Q, args.q)
@@ -427,10 +411,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        from .field import is_prime
-
-        if args.q < 3 or args.q % 2 == 0 or not is_prime(args.q):
-            raise ValueError(f"--q must be an odd prime, got {args.q}")
+        check_odd_prime(args.q)
         return args.func(args)
     except PolyParseError as e:
         print(f"error: parse error at position {e.pos}: {e}", file=sys.stderr)

@@ -19,7 +19,8 @@ from fractions import Fraction
 from math import comb
 
 from .characters import chi
-from .lfunction import afe_central_value, dirichlet_coefficient
+from .field import check_odd_prime
+from .lfunction import afe_central_value, center_value, dirichlet_coefficient, two_block_weights
 from .polyring import (
     IrreducibleTable,
     Poly,
@@ -46,8 +47,7 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.g < 1:
             raise ValueError("genus must be >= 1")
-        if self.q < 3 or self.q % 2 == 0:
-            raise ValueError("q must be an odd prime >= 3")
+        check_odd_prime(self.q)
 
     @property
     def poly_degree(self) -> int:
@@ -69,14 +69,6 @@ def enumerate_ensemble(q: int, g: int):
     for f in monic_polys(spec.poly_degree, q):
         if squarefree(f, q):
             yield f
-
-
-def sample_ensemble(q: int, g: int, count: int, seed: int) -> list:
-    """Seeded uniform sample (with replacement) from the ensemble."""
-    from . import scan  # local import; scan builds on this module
-
-    d = 2 * g + 1
-    return [scan.monic_of_code(c, d, q) for c in scan.sample_codes(q, d, count, seed)]
 
 
 @dataclass(frozen=True)
@@ -116,16 +108,11 @@ def central_value_square_split(D: Poly, q: int):
     gcd(D, l) = 1, so their share is a count of coprime l, all at even n:
     a plain rational.
     """
-    d = degree(D)
-    g = (d - 1) // 2
-    total = afe_central_value(D, q)
-    sq = Fraction(0)
-    for n in range(0, g + 1, 2):
-        w = 2 if n <= g - 1 else 1
-        cnt = sum(1 for l in monic_polys(n // 2, q) if degree(gcd(D, l, q)) == 0)
-        sq += Fraction(w * cnt, q ** (n // 2))
-    sq_val = SqrtQRational(sq, Fraction(0), q)
-    return sq_val, total
+    g = (degree(D) - 1) // 2
+    counts = [0] * (g + 1)
+    for h in range(g // 2 + 1):
+        counts[2 * h] = sum(1 for l in monic_polys(h, q) if degree(gcd(D, l, q)) == 0)
+    return center_value(counts, q, two_block_weights(g)), afe_central_value(D, q)
 
 
 def first_moment(q: int, g: int) -> MomentAccumulator:
@@ -193,9 +180,10 @@ def coprime_monic_count(d: int, l: Poly, q: int, table: IrreducibleTable | None 
         raise ValueError(
             f"closed form needs d >= deg rad(l) = {rad_deg}, got d = {d}"
         )
-    val = Fraction(q**d * euler_phi(l, q, table), norm(l, q))
-    assert val.denominator == 1
-    return int(val)
+    count, left = divmod(q**d * euler_phi(l, q, table), norm(l, q))
+    if left:
+        raise ArithmeticError(f"q^d Phi(l)/|l| is not an integer for d = {d}")
+    return count
 
 
 def char_sum_over_ensemble(f: Poly, q: int, g: int) -> int:

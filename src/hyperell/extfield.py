@@ -87,19 +87,6 @@ class ExtField:
         q = self.q
         return tuple((x + y) % q for x, y in zip(a, b))
 
-    def sub(self, a: tuple, b: tuple) -> tuple:
-        q = self.q
-        return tuple((x - y) % q for x, y in zip(a, b))
-
-    def neg(self, a: tuple) -> tuple:
-        q = self.q
-        return tuple((-x) % q for x in a)
-
-    def scalar_mul(self, c: int, a: tuple) -> tuple:
-        q = self.q
-        c %= q
-        return tuple((c * x) % q for x in a)
-
     def mul(self, a: tuple, b: tuple) -> tuple:
         q, n = self.q, self.n
         if n == 1:

@@ -7,6 +7,8 @@ reduced residues stay well inside 64 bits for every q we scan.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 
 def is_prime(n: int) -> bool:
     """Deterministic trial division, fine at desk scale."""
@@ -22,6 +24,17 @@ def is_prime(n: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=64)
+def check_odd_prime(q: int) -> None:
+    """Raise ValueError unless q is an odd prime.
+
+    The one boundary check on field sizes; cached because every exact value
+    in Q(sqrt q) runs it.
+    """
+    if q < 3 or not is_prime(q):
+        raise ValueError(f"q must be an odd prime, got {q}")
+
+
 class PrimeField:
     """The prime field F_q for an odd prime q >= 3.
 
@@ -32,8 +45,7 @@ class PrimeField:
     __slots__ = ("q", "residue_mod_4")
 
     def __init__(self, q: int):
-        if not is_prime(q) or q < 3:
-            raise ValueError(f"field order must be an odd prime >= 3, got {q}")
+        check_odd_prime(q)
         self.q = q
         self.residue_mod_4 = q % 4
 
@@ -48,9 +60,6 @@ class PrimeField:
 
     def elements(self):
         return range(self.q)
-
-    def units(self):
-        return range(1, self.q)
 
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.q
@@ -78,18 +87,14 @@ class PrimeField:
 
     def legendre(self, a: int) -> int:
         """Quadratic-residue symbol of a scalar: +1 square unit, -1 non-square, 0 at zero."""
-        a %= self.q
-        if a == 0:
-            return 0
-        s = pow(a, (self.q - 1) // 2, self.q)
-        return 1 if s == 1 else -1
+        return legendre_scalar(a, self.q)
 
     def is_square(self, a: int) -> bool:
         return self.legendre(a) >= 0
 
 
 def legendre_scalar(a: int, q: int) -> int:
-    """Convenience wrapper when no field object is at hand."""
+    """Euler's criterion a^((q-1)/2): +1 square unit, -1 non-square, 0 at zero."""
     a %= q
     if a == 0:
         return 0

@@ -23,6 +23,12 @@ The value at the center can also be written as two finite character sums,
 an identity (not an approximation) that only needs coefficients up to g.
 `afe_central_value` computes that form independently of `l_polynomial`, and
 the test suite holds the two routes equal.
+
+Every central value and moment in the package is a weighted sum
+sum_n w_n v_n q^(-n/2).  The weight rule (2, ..., 2, 1) lives only in
+`two_block_weights`, and the split of q^(-n/2) into the rational and the
+sqrt(q) coordinate lives only in `scaled_center_coords`; `center_value` turns
+the split into an exact element of Q(sqrt q).
 """
 
 from __future__ import annotations
@@ -109,18 +115,47 @@ def functional_equation_holds(L: LPolynomial) -> bool:
     return all(a[n] * q ** (d - n) == a[2 * d - n] for n in range(d + 1))
 
 
+def two_block_weights(g: int) -> tuple:
+    """Weights of A_D(0..g) in the two-block central value: 2 below g, 1 at g.
+
+    The block of length g contributes every n <= g once, the block of length
+    g - 1 every n <= g - 1 once more.
+    """
+    return (2,) * g + (1,)
+
+
+def scaled_center_coords(values, q: int, scale: int, weights=None):
+    """(rat, irr) with sum_n w_n values[n] q^(-n/2) = (rat + irr sqrt(q)) / q^scale.
+
+    q^(-n/2) is q^(-n/2) for even n and q^(-(n+1)/2) * sqrt(q) for odd n, so
+    every term lands on an integer multiple of q^(-scale) in one coordinate;
+    scale must be at least ceil((len(values) - 1) / 2).  values[n] may be an
+    int or a numpy vector (one entry per curve); vectors are summed as Python
+    ints, so the coordinates never wrap around.  weights defaults to all ones.
+    """
+    if weights is None:
+        weights = (1,) * len(values)
+    rat = irr = 0
+    for n, (w, v) in enumerate(zip(weights, values, strict=True)):
+        if isinstance(v, np.ndarray):
+            v = v.astype(object)
+        if n % 2 == 0:
+            rat = rat + w * v * q ** (scale - n // 2)
+        else:
+            irr = irr + w * v * q ** (scale - (n + 1) // 2)
+    return rat, irr
+
+
+def center_value(values, q: int, weights=None) -> SqrtQRational:
+    """sum_n w_n values[n] q^(-n/2) for integer values, exactly."""
+    scale = len(values) // 2
+    rat, irr = scaled_center_coords(values, q, scale, weights)
+    return SqrtQRational(Fraction(rat, q**scale), Fraction(irr, q**scale), q)
+
+
 def evaluate_center(L: LPolynomial) -> SqrtQRational:
     """Value of the completed polynomial at u = q^(-1/2), exactly."""
-    q = L.q
-    a = Fraction(0)
-    b = Fraction(0)
-    for n, c in enumerate(L.coeffs):
-        if n % 2 == 0:
-            a += Fraction(c, q ** (n // 2))
-        else:
-            # q^(-n/2) = q^(-(n+1)/2) * sqrt(q)
-            b += Fraction(c, q ** ((n + 1) // 2))
-    return SqrtQRational(a, b, q)
+    return center_value(L.coeffs, L.q)
 
 
 def afe_central_value(D: Poly, q: int) -> SqrtQRational:
@@ -135,16 +170,8 @@ def afe_central_value(D: Poly, q: int) -> SqrtQRational:
     if not is_monic(D) or d < 1 or d % 2 == 0:
         raise ValueError("D must be monic of odd positive degree")
     g = (d - 1) // 2
-    a = Fraction(0)
-    b = Fraction(0)
-    for n in range(g + 1):
-        w = 2 if n <= g - 1 else 1
-        c = dirichlet_coefficient(D, n, q)
-        if n % 2 == 0:
-            a += Fraction(w * c, q ** (n // 2))
-        else:
-            b += Fraction(w * c, q ** ((n + 1) // 2))
-    return SqrtQRational(a, b, q)
+    coeffs = [dirichlet_coefficient(D, n, q) for n in range(g + 1)]
+    return center_value(coeffs, q, two_block_weights(g))
 
 
 def rh_root_deviation(L: LPolynomial) -> float:

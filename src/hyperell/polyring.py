@@ -45,19 +45,8 @@ def norm(f: Poly, q: int) -> int:
     return q ** (len(f) - 1)
 
 
-def leading(f: Poly) -> int:
-    if not f:
-        raise ValueError("zero polynomial has no leading coefficient")
-    return f[-1]
-
-
 def is_monic(f: Poly) -> bool:
     return bool(f) and f[-1] == 1
-
-
-def constant(c: int, q: int) -> Poly:
-    c %= q
-    return (c,) if c else ()
 
 
 X: Poly = (0, 1)
@@ -80,13 +69,6 @@ def sub(f: Poly, g: Poly, q: int) -> Poly:
     return add(f, neg(g, q), q)
 
 
-def scalar_mul(c: int, f: Poly, q: int) -> Poly:
-    c %= q
-    if c == 0:
-        return ()
-    return normalize((c * a) % q for a in f)
-
-
 def mul(f: Poly, g: Poly, q: int) -> Poly:
     if not f or not g:
         return ()
@@ -97,13 +79,6 @@ def mul(f: Poly, g: Poly, q: int) -> Poly:
                 out[i + j] += a * b
     # leading product of two nonzero leads never vanishes over a field
     return tuple(c % q for c in out)
-
-
-def mul_many(fs, q: int) -> Poly:
-    out: Poly = (1,)
-    for f in fs:
-        out = mul(out, f, q)
-    return out
 
 
 def divmod_(f: Poly, g: Poly, q: int):
@@ -131,7 +106,7 @@ def rem(f: Poly, g: Poly, q: int) -> Poly:
 
 
 def monic(f: Poly, q: int) -> Poly:
-    """Monic normalization f / leading(f); monic(0) = 0."""
+    """f divided by its leading coefficient; monic(0) = 0."""
     if not f:
         return ()
     if f[-1] == 1:
@@ -145,13 +120,6 @@ def gcd(f: Poly, g: Poly, q: int) -> Poly:
     while g:
         f, g = g, rem(f, g, q)
     return monic(f, q)
-
-
-def eval_at(f: Poly, a: int, q: int) -> int:
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * a + c) % q
-    return acc
 
 
 def derivative(f: Poly, q: int) -> Poly:
@@ -329,10 +297,6 @@ class IrreducibleTable:
             )
         return self.by_degree[d]
 
-    def primes_upto(self, d: int):
-        for k in range(1, d + 1):
-            yield from self.irreducibles(k)
-
     def count(self, d: int) -> int:
         return len(self.irreducibles(d))
 
@@ -470,26 +434,8 @@ def irreducible_count(q: int, n: int) -> int:
     if n < 1:
         raise ValueError("degree must be >= 1")
     total = sum(_int_mobius(d) * q ** (n // d) for d in range(1, n + 1) if n % d == 0)
-    assert total % n == 0
-    return total // n
+    count, left = divmod(total, n)
+    if left:
+        raise ArithmeticError(f"necklace sum for degree {n} at q={q} is not divisible by {n}")
+    return count
 
-
-# ---------------------------------------------------------------------------
-# display
-
-
-def to_string(f: Poly, var: str = "x") -> str:
-    if not f:
-        return "0"
-    parts = []
-    for i in range(len(f) - 1, -1, -1):
-        c = f[i]
-        if not c:
-            continue
-        if i == 0:
-            parts.append(str(c))
-        elif i == 1:
-            parts.append(f"{var}" if c == 1 else f"{c}{var}")
-        else:
-            parts.append(f"{var}^{i}" if c == 1 else f"{c}{var}^{i}")
-    return "+".join(parts)

@@ -33,6 +33,7 @@ import numpy as np
 
 from . import polyring
 from .ensemble import EnsembleSpec, MomentAccumulator
+from .lfunction import center_value, two_block_weights
 from .polyring import (
     IrreducibleTable,
     Poly,
@@ -47,15 +48,12 @@ from .polyring import (
 from .sqrtq import SqrtQRational
 
 DEFAULT_SIZE_CAP = 10**7
+CHECKPOINT_VERSION = 1
 _MAX_TABLE = 2_000_000  # largest q^n residue table we are willing to build
 
 
 class ResourceCapError(RuntimeError):
     """A scan would exceed the configured size cap; pass force to override."""
-
-
-def monic_of_code(code: int, d: int, q: int) -> Poly:
-    return monic_by_code(code, d, q)
 
 
 def _qpow(q: int, n: int) -> np.ndarray:
@@ -68,6 +66,13 @@ def _digit_matrix(codes: np.ndarray, q: int, d: int) -> np.ndarray:
     for j in range(d):
         out[:, j] = c % q
         c //= q
+    return out
+
+
+def _monic_digit_matrix(codes: np.ndarray, q: int, d: int) -> np.ndarray:
+    """Digits of monic degree-d codes with the leading 1 appended: (len, d+1)."""
+    out = np.ones((len(codes), d + 1), dtype=np.int64)
+    out[:, :d] = _digit_matrix(codes, q, d)
     return out
 
 
@@ -87,6 +92,12 @@ def _reduction_rows(f: Poly, q: int, upto: int) -> np.ndarray:
     return rows
 
 
+def _residue_codes(dig: np.ndarray, f: Poly, q: int, shift: int = 0) -> np.ndarray:
+    """Residue code mod f of x^shift * r for each digit row r (constant first)."""
+    rows = _reduction_rows(f, q, shift + dig.shape[1] - 1)[shift:]
+    return (dig @ rows % q) @ _qpow(q, degree(f))
+
+
 def squarefree_mask(q: int, d: int, table: IrreducibleTable | None = None) -> np.ndarray:
     """Boolean mask over monic codes of degree d, True at square-free D.
 
@@ -100,9 +111,7 @@ def squarefree_mask(q: int, d: int, table: IrreducibleTable | None = None) -> np
     qp = _qpow(q, d)
     for dp in range(1, d // 2 + 1):
         k = d - 2 * dp
-        mdig = np.ones((q**k, k + 1), dtype=np.int64)
-        if k:
-            mdig[:, :k] = _digit_matrix(np.arange(q**k), q, k)
+        mdig = _monic_digit_matrix(np.arange(q**k), q, k)
         for p in table.irreducibles(dp):
             psq = mul(p, p, q)
             conv = np.zeros((k + 1, d), dtype=np.int64)
@@ -146,9 +155,7 @@ def prime_residue_table(P: Poly, q: int) -> np.ndarray:
         di = dig[:, i]
         for j in range(m):
             conv[:, i + j] += di * dig[:, j]
-    rows = _reduction_rows(P, q, 2 * m - 2)
-    res = (conv % q) @ rows % q
-    codes = res @ _qpow(q, m)
+    codes = _residue_codes(conv % q, P, q)
     out = np.full(M, -1, dtype=np.int8)
     out[codes] = 1
     out[0] = 0
@@ -164,10 +171,7 @@ def jacobi_residue_table(f: Poly, q: int, table: IrreducibleTable) -> np.ndarray
     dig = _digit_matrix(np.arange(N), q, n)
     out = np.ones(N, dtype=np.int8)
     for P, e in table.factorize(f)[1]:
-        m = degree(P)
-        rows = _reduction_rows(P, q, n - 1)
-        codes = (dig @ rows % q) @ _qpow(q, m)
-        vals = prime_residue_table(P, q)[codes]
+        vals = prime_residue_table(P, q)[_residue_codes(dig, P, q)]
         out *= vals if e % 2 else np.abs(vals)
     return out
 
@@ -187,13 +191,7 @@ def _high_reduction_table(f: Poly, q: int, d: int) -> np.ndarray:
     """Residue code of x^n * H mod f for every monic high part H of degree d-n."""
     n = degree(f)
     k = d - n
-    K = q**k
-    hdig = np.ones((K, k + 1), dtype=np.int64)
-    if k:
-        hdig[:, :k] = _digit_matrix(np.arange(K), q, k)
-    rows = _reduction_rows(f, q, d)[n : d + 1]
-    res = (hdig @ rows) % q
-    return (res @ _qpow(q, n)).astype(np.int64)
+    return _residue_codes(_monic_digit_matrix(np.arange(q**k), q, k), f, q, shift=n)
 
 
 def char_sum_table_scan(f: Poly, q: int, d: int, mask: np.ndarray, table: IrreducibleTable) -> int:
@@ -231,20 +229,9 @@ class ScanMeta:
 
 
 def _assemble(q: int, g: int, count: int, sq: list, nonsq: list) -> MomentAccumulator:
-    qf = Fraction(q)
-    sq_a = Fraction(0)
-    ns_a = Fraction(0)
-    ns_b = Fraction(0)
-    for n in range(g + 1):
-        w = 2 if n <= g - 1 else 1
-        if n % 2 == 0:
-            sq_a += w * Fraction(sq[n], q ** (n // 2))
-            ns_a += w * Fraction(nonsq[n], q ** (n // 2))
-        else:
-            ns_b += w * Fraction(nonsq[n], q ** ((n + 1) // 2))
-            assert sq[n] == 0
-    square = SqrtQRational(sq_a, Fraction(0), q)
-    nonsquare = SqrtQRational(ns_a, ns_b, q)
+    weights = two_block_weights(g)
+    square = center_value(sq, q, weights)
+    nonsquare = center_value(nonsq, q, weights)
     return MomentAccumulator(
         q=q,
         total=square + nonsquare,
@@ -281,7 +268,10 @@ def moment_scan(
     table = shared_table(q, max(1, d // 2))
     mask = squarefree_mask(q, d, table)
     count = int(mask.sum())
-    assert count == spec.size, "square-free count disagrees with the closed form"
+    if count != spec.size:
+        raise ArithmeticError(
+            f"square-free count {count} disagrees with the closed form {spec.size}"
+        )
 
     fs = [(n, code) for n in range(1, g + 1) for code in range(q**n)]
     chunks = [fs[i : i + chunk_size] for i in range(0, len(fs), chunk_size)]
@@ -302,6 +292,10 @@ def moment_scan(
     if resume and checkpoint_path and os.path.exists(checkpoint_path):
         with open(checkpoint_path) as fh:
             state = json.load(fh)
+        if state.get("version") != CHECKPOINT_VERSION:
+            raise ValueError(
+                f"checkpoint version {state.get('version')!r} is not {CHECKPOINT_VERSION}"
+            )
         if (state.get("q"), state.get("g"), state.get("chunk_size")) != (q, g, chunk_size):
             raise ValueError("checkpoint does not match this scan configuration")
         done = {int(c) for c in state["done"]}
@@ -311,6 +305,8 @@ def moment_scan(
         nonsq = [int(v) for v in state["nonsquare_sums"]]
         if len(sq) != g + 1 or len(nonsq) != g + 1:
             raise ValueError("checkpoint sum vectors have the wrong length")
+        if any(sq[1::2]):
+            raise ValueError("checkpoint has square sums at odd degree, where no square lies")
 
     def work(chunk_id: int):
         c_sq = [0] * (g + 1)
@@ -352,7 +348,7 @@ def moment_scan(
 
 def _write_checkpoint(path, q, g, chunk_size, done, sq, nonsq):
     state = {
-        "version": 1,
+        "version": CHECKPOINT_VERSION,
         "q": q,
         "g": g,
         "chunk_size": chunk_size,
@@ -395,15 +391,12 @@ def batch_coefficients(
         )
     codes = np.asarray(codes, dtype=np.int64)
     k = len(codes)
-    dig = np.ones((k, d + 1), dtype=np.int64)
-    dig[:, :d] = _digit_matrix(codes, q, d)
+    dig = _monic_digit_matrix(codes, q, d)
 
     chi_prime: dict = {}
     for dp in range(1, n_max + 1):
         for P in table.irreducibles(dp):
-            rows = _reduction_rows(P, q, d)
-            res_codes = (dig @ rows % q) @ _qpow(q, dp)
-            chi_prime[P] = prime_residue_table(P, q)[res_codes]
+            chi_prime[P] = prime_residue_table(P, q)[_residue_codes(dig, P, q)]
 
     out = np.zeros((k, n_max + 1), dtype=np.int64)
     out[:, 0] = 1
@@ -434,14 +427,11 @@ def batch_coprime_counts(
     k = len(codes)
     if half_deg == 0:
         return np.ones(k, dtype=np.int64)
-    dig = np.ones((k, d + 1), dtype=np.int64)
-    dig[:, :d] = _digit_matrix(codes, q, d)
+    dig = _monic_digit_matrix(codes, q, d)
     nonzero: dict = {}
     for dp in range(1, half_deg + 1):
         for P in table.irreducibles(dp):
-            rows = _reduction_rows(P, q, d)
-            res_codes = (dig @ rows % q) @ _qpow(q, dp)
-            nonzero[P] = (res_codes != 0).astype(np.int64)
+            nonzero[P] = (_residue_codes(dig, P, q) != 0).astype(np.int64)
     out = np.zeros(k, dtype=np.int64)
     for code in range(q**half_deg):
         l = monic_by_code(code, half_deg, q)
@@ -497,32 +487,25 @@ def sampled_moment(q: int, g: int, count: int, seed: int) -> SampleMoment:
     codes = sample_codes(q, d, count, seed)
     table = shared_table(q, max(1, g))
     a = batch_coefficients(q, d, codes, g, table)
-    # exact mean of the two-block central value
-    mean_a = Fraction(0)
-    mean_b = Fraction(0)
-    sq_a = Fraction(0)
-    for n in range(g + 1):
-        w = 2 if n <= g - 1 else 1
-        col = int(a[:, n].sum())
-        if n % 2 == 0:
-            mean_a += Fraction(w * col, count * q ** (n // 2))
-            cnt = int(batch_coprime_counts(q, d, codes, n // 2, table).sum())
-            sq_a += Fraction(w * cnt, count * q ** (n // 2))
-        else:
-            mean_b += Fraction(w * col, count * q ** ((n + 1) // 2))
+    weights = two_block_weights(g)
+    # exact means of the two-block central value and of its square summands,
+    # which sit at even n = 2h and count the l of degree h coprime to D
+    mean = center_value(a.sum(axis=0).tolist(), q, weights).scale(Fraction(1, count))
+    coprime = [0] * (g + 1)
+    for h in range(g // 2 + 1):
+        coprime[2 * h] = int(batch_coprime_counts(q, d, codes, h, table).sum())
+    square_mean = center_value(coprime, q, weights).scale(Fraction(1, count))
     # float spread for the standard error
-    weights = np.array(
-        [(2 if n <= g - 1 else 1) * float(q) ** (-n / 2) for n in range(g + 1)]
-    )
-    vals = a.astype(np.float64) @ weights
+    float_weights = np.array([w * float(q) ** (-n / 2) for n, w in enumerate(weights)])
+    vals = a.astype(np.float64) @ float_weights
     stderr = float(vals.std(ddof=1) / np.sqrt(count)) if count > 1 else 0.0
     return SampleMoment(
         q=q,
         g=g,
         sample_size=count,
         seed=seed,
-        mean=SqrtQRational(mean_a, mean_b, q),
-        square_mean=SqrtQRational(sq_a, Fraction(0), q),
+        mean=mean,
+        square_mean=square_mean,
         stderr=stderr,
         ensemble_size=spec.size,
     )

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .field import check_odd_prime
+
 
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
@@ -31,8 +33,7 @@ class SqrtQRational:
     def __post_init__(self):
         object.__setattr__(self, "a", _frac(self.a))
         object.__setattr__(self, "b", _frac(self.b))
-        if self.q < 3 or self.q % 2 == 0:
-            raise ValueError("q must be an odd prime")
+        check_odd_prime(self.q)
 
     @staticmethod
     def zero(q: int) -> "SqrtQRational":

@@ -12,16 +12,20 @@ carries a pinned tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from . import curve, scan
 from .characters import reciprocity_holds
 from .ensemble import EnsembleSpec, expected_value, expected_value_sieved
-from .lfunction import LPolynomial, afe_central_value, rh_root_deviation
+from .lfunction import (
+    LPolynomial,
+    afe_central_value,
+    rh_root_deviation,
+    scaled_center_coords,
+    two_block_weights,
+)
 from .polyring import degree, gcd, monic_by_code, shared_table
-from .sqrtq import SqrtQRational
 
 EXHAUSTIVE_LIMIT = 10_000
 
@@ -31,35 +35,6 @@ class CheckResult:
     name: str
     passed: bool
     details: dict
-
-
-def scaled_center_coords(a: np.ndarray, q: int, g: int):
-    """(rational, sqrt-q) coordinates of the center value, scaled by q^g.
-
-    Integer arithmetic throughout: coefficient n contributes q^(g - n/2)
-    (even n) to the rational part or q^(g - (n+1)/2) * sqrt(q) (odd n).
-    """
-    rat = np.zeros(len(a), dtype=np.int64)
-    irr = np.zeros(len(a), dtype=np.int64)
-    for n in range(2 * g + 1):
-        if n % 2 == 0:
-            rat += a[:, n] * q ** (g - n // 2)
-        else:
-            irr += a[:, n] * q ** (g - (n + 1) // 2)
-    return rat, irr
-
-
-def scaled_afe_coords(a: np.ndarray, q: int, g: int):
-    """Same coordinates from the two-block formula (coefficients up to g only)."""
-    rat = np.zeros(len(a), dtype=np.int64)
-    irr = np.zeros(len(a), dtype=np.int64)
-    for n in range(g + 1):
-        w = 2 if n <= g - 1 else 1
-        if n % 2 == 0:
-            rat += w * a[:, n] * q ** (g - n // 2)
-        else:
-            irr += w * a[:, n] * q ** (g - (n + 1) // 2)
-    return rat, irr
 
 
 def run_identity_suite(
@@ -118,9 +93,11 @@ def run_identity_suite(
         )
     )
 
-    c_rat, c_irr = scaled_center_coords(a, q, g)
-    f_rat, f_irr = scaled_afe_coords(a, q, g)
-    afe_ok = bool((c_rat == f_rat).all() and (c_irr == f_irr).all())
+    # both routes scaled by q^g: the full polynomial at the center, and the
+    # two-block formula on the coefficients up to g
+    center = scaled_center_coords(a.T, q, g)
+    afe = scaled_center_coords(a.T[: g + 1], q, g, two_block_weights(g))
+    afe_ok = all(bool((c == f).all()) for c, f in zip(center, afe))
     results.append(
         CheckResult(
             name="two_block_center_identity",

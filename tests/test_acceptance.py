@@ -34,6 +34,8 @@ from hyperell.lfunction import (
     functional_equation_holds,
     l_polynomial,
     rh_root_check,
+    scaled_center_coords,
+    two_block_weights,
 )
 from hyperell.polyring import (
     euler_phi,
@@ -53,7 +55,6 @@ from hyperell.scan import (
     sample_codes,
     squarefree_mask,
 )
-from hyperell.verify import scaled_afe_coords, scaled_center_coords
 
 # exhaustive families: degree-3 and degree-5 discriminants over F_3, degree-3
 # over F_5; the degree-5 family over F_7 is covered by a fixed-seed sample
@@ -117,8 +118,8 @@ def test_criterion_2_functional_equation(exhaustive_sets, sampled_set):
 def test_criterion_3_two_block_identity(exhaustive_sets, sampled_set):
     checked = 0
     for q, g, codes, coef in all_families(exhaustive_sets, sampled_set):
-        rat_c, irr_c = scaled_center_coords(coef, q, g)
-        rat_a, irr_a = scaled_afe_coords(coef, q, g)
+        rat_c, irr_c = scaled_center_coords(coef.T, q, g)
+        rat_a, irr_a = scaled_center_coords(coef.T[: g + 1], q, g, two_block_weights(g))
         assert np.array_equal(rat_c, rat_a), (q, g)
         assert np.array_equal(irr_c, irr_a), (q, g)
         checked += len(codes)

@@ -19,8 +19,10 @@ from hyperell.ensemble import (
     fixed_degree_bound_holds,
     fixed_degree_char_sum,
 )
+from hyperell.field import PrimeField
 from hyperell.lfunction import afe_central_value
 from hyperell.polyring import mul, squarefree
+from hyperell.scan import moment_scan
 from hyperell.sqrtq import SqrtQRational
 
 X = (0, 1)
@@ -38,6 +40,18 @@ def test_ensemble_spec_rejects_bad_input():
         EnsembleSpec(4, 1)
     with pytest.raises(ValueError):
         EnsembleSpec(3, 0)
+
+
+def test_non_prime_q_rejected_at_library_boundary():
+    # 9 is odd and >= 3, so only a primality test catches it
+    with pytest.raises(ValueError):
+        PrimeField(9)
+    with pytest.raises(ValueError):
+        EnsembleSpec(9, 1)
+    with pytest.raises(ValueError):
+        SqrtQRational(1, 0, 9)
+    with pytest.raises(ValueError):
+        moment_scan(9, 1)
 
 
 @pytest.mark.parametrize("q,g", [(3, 1), (3, 2), (5, 1)])

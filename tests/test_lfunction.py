@@ -1,16 +1,22 @@
 """Tests for the character-sum L-polynomial and the central-value identity."""
 
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
 from hyperell.lfunction import (
     LPolynomial,
     afe_central_value,
+    center_value,
     dirichlet_coefficient,
     evaluate_center,
     functional_equation_holds,
     l_polynomial,
     rh_root_check,
     rh_root_deviation,
+    scaled_center_coords,
+    two_block_weights,
 )
 from hyperell.ensemble import enumerate_ensemble
 from hyperell.polyring import monic_polys, mul
@@ -138,3 +144,29 @@ def test_coefficient_window_matches_polynomial():
         L = l_polynomial(D, 3)
         for n in range(5):
             assert L.coeffs[n] == dirichlet_coefficient(D, n, 3)
+
+
+def test_center_value_matches_powers_of_the_center():
+    q = 5
+    u = SqrtQRational(0, Fraction(1, q), q)  # q^(-1/2), by field multiplication
+    values = [3, -1, 4, 1, -5, 9]
+    for weights in (None, (2, 2, 2, 2, 2, 1)):
+        expected = SqrtQRational.zero(q)
+        power = SqrtQRational.of(1, q)
+        for n, v in enumerate(values):
+            expected = expected + power * (v * (1 if weights is None else weights[n]))
+            power = power * u
+        assert center_value(values, q, weights) == expected
+    assert two_block_weights(5) == (2, 2, 2, 2, 2, 1)
+    assert two_block_weights(1) == (2, 1)
+
+
+def test_scaled_center_coords_do_not_wrap_int64():
+    # 10^12 * 7^12 is past 2^63: the coordinates must come out as exact ints
+    q, g = 7, 12
+    a = np.full((2 * g + 1, 3), 10**12, dtype=np.int64)
+    rat, irr = scaled_center_coords(a, q, g)
+    want_rat = sum(10**12 * q ** (g - n // 2) for n in range(0, 2 * g + 1, 2))
+    want_irr = sum(10**12 * q ** (g - (n + 1) // 2) for n in range(1, 2 * g + 1, 2))
+    assert list(rat) == [want_rat] * 3
+    assert list(irr) == [want_irr] * 3

@@ -152,6 +152,29 @@ def test_checkpoint_config_mismatch(tmp_path):
         moment_scan(3, 2, checkpoint_path=cp, resume=True)
 
 
+def _tamper_checkpoint(path, **changes):
+    state = json.load(open(path))
+    state.update(changes)
+    with open(path, "w") as fh:
+        json.dump(state, fh)
+
+
+def test_checkpoint_rejects_other_version(tmp_path):
+    cp = str(tmp_path / "ck.json")
+    moment_scan(3, 1, checkpoint_path=cp)
+    _tamper_checkpoint(cp, version=99)
+    with pytest.raises(ValueError, match="version"):
+        moment_scan(3, 1, checkpoint_path=cp, resume=True)
+
+
+def test_checkpoint_rejects_square_sums_at_odd_degree(tmp_path):
+    cp = str(tmp_path / "ck.json")
+    moment_scan(3, 2, checkpoint_path=cp)
+    _tamper_checkpoint(cp, square_sums=[0, 7, 0])
+    with pytest.raises(ValueError, match="odd degree"):
+        moment_scan(3, 2, checkpoint_path=cp, resume=True)
+
+
 def test_checkpoint_rejects_bad_chunk_ids(tmp_path):
     cp = str(tmp_path / "ck.json")
     moment_scan(3, 1, checkpoint_path=cp)
