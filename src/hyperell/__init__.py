@@ -39,7 +39,7 @@ from .lfunction import (
     rh_root_check,
     rh_root_deviation,
 )
-from .polyring import CutoffExceededError, IrreducibleTable, irreducible_count, shared_table
+from .polyring import IrreducibleTable, irreducible_count, shared_table
 from .scan import ResourceCapError, SampleMoment, moment_scan, sampled_moment
 from .sqrtq import SqrtQRational
 from .verify import CheckResult, run_identity_suite, suite_passed
@@ -48,7 +48,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CheckResult",
-    "CutoffExceededError",
     "EnsembleSpec",
     "EulerConstants",
     "IrreducibleTable",

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .polyring import (
-    IrreducibleTable,
     Poly,
     factorize,
     irreducible_count,
@@ -186,23 +185,21 @@ def average_leading_term(q: int, g: int, ec: EulerConstants) -> Fraction:
 # density-factor identities used by the sieve bookkeeping
 
 
-def density_factor(l: Poly, q: int, table: IrreducibleTable | None = None) -> Fraction:
+def density_factor(l: Poly, q: int) -> Fraction:
     """prod over P | l of (1 + 1/|P|)^(-1)."""
     out = Fraction(1)
-    for p, _ in factorize(l, q, table)[1]:
+    for p, _ in factorize(l, q)[1]:
         out /= 1 + Fraction(1, norm(p, q))
     return out
 
 
-def mobius_expansion_identity_holds(
-    l: Poly, q: int, table: IrreducibleTable | None = None
-) -> bool:
+def mobius_expansion_identity_holds(l: Poly, q: int) -> bool:
     """density_factor(l) == sum over monic d | l of mu(d) prod_{P|d} 1/(|P|+1).
 
     Only square-free divisors survive, so the right side runs over subsets
     of the distinct primes of l.
     """
-    primes = [p for p, _ in factorize(l, q, table)[1]]
+    primes = [p for p, _ in factorize(l, q)[1]]
     total = Fraction(0)
     for mask in range(1 << len(primes)):
         term = Fraction(1)
@@ -212,12 +209,10 @@ def mobius_expansion_identity_holds(
                 bits += 1
                 term *= Fraction(1, norm(p, q) + 1)
         total += (-1) ** bits * term
-    return total == density_factor(l, q, table)
+    return total == density_factor(l, q)
 
 
-def aggregated_density_identity_holds(
-    n: int, q: int, table: IrreducibleTable | None = None
-) -> bool:
+def aggregated_density_identity_holds(n: int, q: int) -> bool:
     """Degree-aggregated form, for even n:
 
     sum_{deg l = n/2} density_factor(l)
@@ -226,15 +221,15 @@ def aggregated_density_identity_holds(
     if n % 2:
         raise ValueError("aggregated identity applies to even n")
     m = n // 2
-    lhs = sum((density_factor(l, q, table) for l in monic_polys(m, q)), Fraction(0))
+    lhs = sum((density_factor(l, q) for l in monic_polys(m, q)), Fraction(0))
     rhs = Fraction(0)
     for d in range(m + 1):
         for e in monic_polys(d, q):
-            mu = mobius(e, q, table)
+            mu = mobius(e, q)
             if mu == 0:
                 continue
             term = Fraction(mu, norm(e, q))
-            for p, _ in factorize(e, q, table)[1]:
+            for p, _ in factorize(e, q)[1]:
                 term *= Fraction(1, norm(p, q) + 1)
             rhs += term
     rhs *= q**m

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from .field import legendre_scalar
 from .polyring import (
-    IrreducibleTable,
     Poly,
     degree,
     factorize,
@@ -58,14 +57,12 @@ def residue_symbol_prime(f: Poly, P: Poly, q: int) -> int:
     raise ValueError("Euler criterion gave a non-scalar value: modulus is not irreducible")
 
 
-def jacobi_factorization(
-    f: Poly, Q: Poly, q: int, table: IrreducibleTable | None = None
-) -> int:
+def jacobi_factorization(f: Poly, Q: Poly, q: int) -> int:
     """(f/Q) from the definition: product of prime symbols over Q's factorization."""
     if not is_monic(Q):
         raise ValueError("denominator must be monic and nonzero")
     out = 1
-    for P, e in factorize(Q, q, table)[1]:
+    for P, e in factorize(Q, q)[1]:
         if e % 2 == 0:
             # even powers only matter through the zero case
             if not rem(f, P, q):

@@ -22,7 +22,6 @@ from .characters import chi
 from .field import check_odd_prime
 from .lfunction import afe_central_value, center_value, dirichlet_coefficient, two_block_weights
 from .polyring import (
-    IrreducibleTable,
     Poly,
     degree,
     euler_phi,
@@ -139,7 +138,7 @@ def expected_value(F, q: int, g: int) -> SqrtQRational:
     return acc.scale(Fraction(1, spec.size))
 
 
-def expected_value_sieved(F, q: int, g: int, table: IrreducibleTable | None = None) -> SqrtQRational:
+def expected_value_sieved(F, q: int, g: int) -> SqrtQRational:
     """Same average through the square-divisor Moebius sieve.
 
     sum over square-free D of F(D)
@@ -152,7 +151,7 @@ def expected_value_sieved(F, q: int, g: int, table: IrreducibleTable | None = No
     acc = SqrtQRational.zero(q)
     for alpha in range(g + 1):
         for A in monic_polys(alpha, q):
-            m = mobius(A, q, table)
+            m = mobius(A, q)
             if m == 0:
                 continue
             A2 = mul(A, A, q)
@@ -163,7 +162,7 @@ def expected_value_sieved(F, q: int, g: int, table: IrreducibleTable | None = No
     return acc.scale(Fraction(1, spec.size))
 
 
-def coprime_monic_count(d: int, l: Poly, q: int, table: IrreducibleTable | None = None) -> int:
+def coprime_monic_count(d: int, l: Poly, q: int) -> int:
     """#{monic N of degree d with gcd(N, l) = 1} = q^d Phi(l)/|l|.
 
     The closed form is exact precisely when d is at least the degree of the
@@ -175,12 +174,12 @@ def coprime_monic_count(d: int, l: Poly, q: int, table: IrreducibleTable | None 
         raise ValueError("l must be nonzero")
     if d < 0:
         raise ValueError("degree must be >= 0")
-    rad_deg = degree(radical(l, q, table))
+    rad_deg = degree(radical(l, q))
     if d < rad_deg:
         raise ValueError(
             f"closed form needs d >= deg rad(l) = {rad_deg}, got d = {d}"
         )
-    count, left = divmod(q**d * euler_phi(l, q, table), norm(l, q))
+    count, left = divmod(q**d * euler_phi(l, q), norm(l, q))
     if left:
         raise ArithmeticError(f"q^d Phi(l)/|l| is not an integer for d = {d}")
     return count
@@ -191,9 +190,7 @@ def char_sum_over_ensemble(f: Poly, q: int, g: int) -> int:
     return sum(chi(D, f, q) for D in enumerate_ensemble(q, g))
 
 
-def ensemble_char_sum_bound_holds(
-    f: Poly, q: int, g: int, table: IrreducibleTable | None = None
-) -> tuple:
+def ensemble_char_sum_bound_holds(f: Poly, q: int, g: int) -> tuple:
     """For monic non-square f: |S(f)| <= 2^(deg f - 1) q^(g + 1/2).
 
     Exact check via squares: S^2 <= 4^(deg f - 1) q^(2g+1).  Returns
@@ -201,7 +198,7 @@ def ensemble_char_sum_bound_holds(
     """
     if not is_monic(f) or degree(f) < 1:
         raise ValueError("f must be monic of positive degree")
-    if is_perfect_square(f, q, table):
+    if is_perfect_square(f, q):
         raise ValueError("bound applies to non-square f only")
     s = char_sum_over_ensemble(f, q, g)
     df = degree(f)
@@ -213,7 +210,7 @@ def fixed_degree_char_sum(f: Poly, n: int, q: int) -> int:
     return sum(chi(B, f, q) for B in monic_polys(n, q))
 
 
-def fixed_degree_bound_holds(f: Poly, n: int, q: int, table: IrreducibleTable | None = None):
+def fixed_degree_bound_holds(f: Poly, n: int, q: int):
     """Short-sum bound for non-square monic f.
 
     The sum vanishes for n >= deg f; below that it is at most
@@ -222,7 +219,7 @@ def fixed_degree_bound_holds(f: Poly, n: int, q: int, table: IrreducibleTable | 
     """
     if not is_monic(f) or degree(f) < 1:
         raise ValueError("f must be monic of positive degree")
-    if is_perfect_square(f, q, table):
+    if is_perfect_square(f, q):
         raise ValueError("bound applies to non-square f only")
     t = fixed_degree_char_sum(f, n, q)
     if n >= degree(f):

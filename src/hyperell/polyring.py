@@ -12,13 +12,12 @@ and every deterministic scan in the package relies on it.
 
 from __future__ import annotations
 
+import threading
 from functools import lru_cache
 
+from .field import check_odd_prime
+
 Poly = tuple
-
-
-class CutoffExceededError(ValueError):
-    """Raised when a factorization needs irreducibles beyond the table cutoff."""
 
 
 # ---------------------------------------------------------------------------
@@ -258,30 +257,33 @@ def is_irreducible(f: Poly, q: int) -> bool:
 
 
 class IrreducibleTable:
-    """All monic irreducibles up to a degree cutoff, in code order per degree.
+    """All monic irreducibles of each degree built so far, in code order per degree.
 
-    Built by trial division against smaller table entries, so construction
-    doubles as a consistency check on the division routine.
+    A degree is built the first time something asks for it, by trial
+    division against smaller table entries, so construction doubles as a
+    consistency check on the division routine.  Any thread may grow the
+    table: `extend` builds under a lock and publishes `by_degree[d]` before
+    it advances `cutoff`, so a reader that sees `cutoff >= d` finds degree d.
     """
 
-    def __init__(self, q: int, cutoff: int):
-        if cutoff < 1:
-            raise ValueError("cutoff must be >= 1")
+    def __init__(self, q: int):
+        check_odd_prime(q)
         self.q = q
         self.cutoff = 0
         self.by_degree: dict[int, tuple] = {}
-        self.extend(cutoff)
+        self._lock = threading.Lock()
 
     def extend(self, cutoff: int) -> None:
-        q = self.q
-        for d in range(self.cutoff + 1, cutoff + 1):
-            found = []
-            for f in monic_polys(d, q):
-                if self._has_small_factor(f, d // 2):
-                    continue
-                found.append(f)
-            self.by_degree[d] = tuple(found)
-            self.cutoff = d
+        with self._lock:
+            q = self.q
+            for d in range(self.cutoff + 1, cutoff + 1):
+                found = []
+                for f in monic_polys(d, q):
+                    if self._has_small_factor(f, d // 2):
+                        continue
+                    found.append(f)
+                self.by_degree[d] = tuple(found)
+                self.cutoff = d
 
     def _has_small_factor(self, f: Poly, max_deg: int) -> bool:
         for d in range(1, max_deg + 1):
@@ -292,9 +294,7 @@ class IrreducibleTable:
 
     def irreducibles(self, d: int) -> tuple:
         if d > self.cutoff:
-            raise CutoffExceededError(
-                f"cutoff exceeded: table holds degrees <= {self.cutoff}, asked for {d}"
-            )
+            self.extend(d)
         return self.by_degree[d]
 
     def count(self, d: int) -> int:
@@ -303,27 +303,18 @@ class IrreducibleTable:
     def factorize(self, f: Poly):
         """(unit, ((P, e), ...)) with P monic irreducible, sorted by (degree, code).
 
-        Needs table entries up to deg(f) // 2; beyond that the remaining
-        cofactor is itself irreducible.
+        Trial division by irreducibles up to half the degree of what is left;
+        beyond that the remaining cofactor is itself irreducible.
         """
         if not f:
             raise ValueError("cannot factor the zero polynomial")
         q = self.q
         unit = f[-1]
         g = monic(f, q)
-        if degree(g) == 0:
-            return unit, ()
-        need = degree(g) // 2
-        if need > self.cutoff:
-            raise CutoffExceededError(
-                f"cutoff exceeded: factoring degree {degree(g)} needs irreducibles "
-                f"to degree {need}, table stops at {self.cutoff}"
-            )
         factors = []
-        for d in range(1, need + 1):
-            if degree(g) < 2 * d:
-                break
-            for p in self.by_degree[d]:
+        d = 1
+        while degree(g) >= 2 * d:
+            for p in self.irreducibles(d):
                 if degree(g) < 2 * d:
                     break
                 e = 0
@@ -335,6 +326,7 @@ class IrreducibleTable:
                     e += 1
                 if e:
                     factors.append((p, e))
+            d += 1
         if degree(g) >= 1:
             # every divisor of smaller degree was divided out, so what is left
             # cannot split into two factors and is irreducible
@@ -346,68 +338,54 @@ class IrreducibleTable:
 _TABLE_CACHE: dict[int, IrreducibleTable] = {}
 
 
-def shared_table(q: int, cutoff: int) -> IrreducibleTable:
-    """Process-wide table per q, grown on demand.  Grow before spawning threads."""
+def shared_table(q: int) -> IrreducibleTable:
+    """The process-wide table for q; it grows as callers ask for degrees."""
     t = _TABLE_CACHE.get(q)
     if t is None:
-        t = IrreducibleTable(q, cutoff)
-        _TABLE_CACHE[q] = t
-    elif t.cutoff < cutoff:
-        t.extend(cutoff)
+        t = _TABLE_CACHE.setdefault(q, IrreducibleTable(q))
     return t
 
 
-def _table_for(f: Poly, q: int, table: IrreducibleTable | None) -> IrreducibleTable:
-    need = max(1, degree(f) // 2)
-    if table is None:
-        return shared_table(q, need)
-    if table.cutoff < need:
-        raise CutoffExceededError(
-            f"cutoff exceeded: need degree {need}, table stops at {table.cutoff}"
-        )
-    return table
+def factorize(f: Poly, q: int):
+    return shared_table(q).factorize(f)
 
 
-def factorize(f: Poly, q: int, table: IrreducibleTable | None = None):
-    return _table_for(f, q, table).factorize(f)
-
-
-def mobius(f: Poly, q: int, table: IrreducibleTable | None = None) -> int:
+def mobius(f: Poly, q: int) -> int:
     """(-1)^(number of distinct primes) on square-free f, else 0; units give +1."""
     if not f:
         raise ValueError("mobius undefined at zero")
-    _, factors = factorize(f, q, table)
+    _, factors = factorize(f, q)
     if any(e > 1 for _, e in factors):
         return 0
     return -1 if len(factors) % 2 else 1
 
 
-def euler_phi(f: Poly, q: int, table: IrreducibleTable | None = None) -> int:
+def euler_phi(f: Poly, q: int) -> int:
     """Order of the unit group of F_q[x]/(f): |f| * prod over P|f of (1 - 1/|P|)."""
     if not f:
         raise ValueError("euler_phi undefined at zero")
     out = 1
-    for p, e in factorize(f, q, table)[1]:
+    for p, e in factorize(f, q)[1]:
         np_ = norm(p, q)
         out *= np_ ** (e - 1) * (np_ - 1)
     return out
 
 
-def radical(f: Poly, q: int, table: IrreducibleTable | None = None) -> Poly:
+def radical(f: Poly, q: int) -> Poly:
     """Product of the distinct monic irreducible divisors."""
     out: Poly = (1,)
-    for p, _ in factorize(f, q, table)[1]:
+    for p, _ in factorize(f, q)[1]:
         out = mul(out, p, q)
     return out
 
 
-def is_perfect_square(f: Poly, q: int, table: IrreducibleTable | None = None) -> bool:
+def is_perfect_square(f: Poly, q: int) -> bool:
     """Whether f = g^2 for some g in F_q[x]."""
     if not f:
         return True
     if degree(f) % 2:
         return False
-    unit, factors = factorize(f, q, table)
+    unit, factors = factorize(f, q)
     if pow(unit, (q - 1) // 2, q) != 1:
         return False
     return all(e % 2 == 0 for _, e in factors)

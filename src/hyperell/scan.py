@@ -31,13 +31,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import polyring
 from .ensemble import EnsembleSpec, MomentAccumulator
 from .lfunction import center_value, two_block_weights
 from .polyring import (
-    IrreducibleTable,
     Poly,
     degree,
+    factorize,
     monic_by_code,
     monic_code,
     monic_polys,
@@ -98,21 +97,19 @@ def _residue_codes(dig: np.ndarray, f: Poly, q: int, shift: int = 0) -> np.ndarr
     return (dig @ rows % q) @ _qpow(q, degree(f))
 
 
-def squarefree_mask(q: int, d: int, table: IrreducibleTable | None = None) -> np.ndarray:
+def squarefree_mask(q: int, d: int) -> np.ndarray:
     """Boolean mask over monic codes of degree d, True at square-free D.
 
     Non-square-free codes are marked by enumerating P^2 * M directly; the
     coefficients of the product are linear in M's, so each prime is one
     matrix product.
     """
-    if table is None:
-        table = shared_table(q, max(1, d // 2))
     mask = np.ones(q**d, dtype=bool)
     qp = _qpow(q, d)
     for dp in range(1, d // 2 + 1):
         k = d - 2 * dp
         mdig = _monic_digit_matrix(np.arange(q**k), q, k)
-        for p in table.irreducibles(dp):
+        for p in shared_table(q).irreducibles(dp):
             psq = mul(p, p, q)
             conv = np.zeros((k + 1, d), dtype=np.int64)
             for i in range(k + 1):
@@ -164,13 +161,13 @@ def prime_residue_table(P: Poly, q: int) -> np.ndarray:
     return out
 
 
-def jacobi_residue_table(f: Poly, q: int, table: IrreducibleTable) -> np.ndarray:
+def jacobi_residue_table(f: Poly, q: int) -> np.ndarray:
     """(r/f) for every residue code r mod f, via the factorization of f."""
     n = degree(f)
     N = q**n
     dig = _digit_matrix(np.arange(N), q, n)
     out = np.ones(N, dtype=np.int8)
-    for P, e in table.factorize(f)[1]:
+    for P, e in factorize(f, q)[1]:
         vals = prime_residue_table(P, q)[_residue_codes(dig, P, q)]
         out *= vals if e % 2 else np.abs(vals)
     return out
@@ -194,11 +191,11 @@ def _high_reduction_table(f: Poly, q: int, d: int) -> np.ndarray:
     return _residue_codes(_monic_digit_matrix(np.arange(q**k), q, k), f, q, shift=n)
 
 
-def char_sum_table_scan(f: Poly, q: int, d: int, mask: np.ndarray, table: IrreducibleTable) -> int:
+def char_sum_table_scan(f: Poly, q: int, d: int, mask: np.ndarray) -> int:
     """S(f) = sum over masked monic D of degree d of (D/f), exactly."""
     n = degree(f)
     qn = q**n
-    t = jacobi_residue_table(f, q, table)
+    t = jacobi_residue_table(f, q)
     ta = t[_digitwise_add_flat(q, n)]
     u = _high_reduction_table(f, q, d)
     idx = np.add.outer((u * qn).astype(np.int64), np.arange(qn, dtype=np.int64))
@@ -261,12 +258,13 @@ def moment_scan(
     """
     spec = EnsembleSpec(q, g)
     d = spec.poly_degree
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     if spec.monic_count > size_cap and not force:
         raise ResourceCapError(
             f"scan size {spec.monic_count} exceeds cap {size_cap}; use force to override"
         )
-    table = shared_table(q, max(1, d // 2))
-    mask = squarefree_mask(q, d, table)
+    mask = squarefree_mask(q, d)
     count = int(mask.sum())
     if count != spec.size:
         raise ArithmeticError(
@@ -281,7 +279,7 @@ def moment_scan(
     for n in range(1, g + 1):
         _digitwise_add_flat(q, n)
     for dp in range(1, g + 1):
-        for P in table.irreducibles(dp):
+        for P in shared_table(q).irreducibles(dp):
             prime_residue_table(P, q)
 
     sq = [0] * (g + 1)
@@ -313,7 +311,7 @@ def moment_scan(
         c_ns = [0] * (g + 1)
         for n, code in chunks[chunk_id]:
             f = monic_by_code(code, n, q)
-            s = char_sum_table_scan(f, q, d, mask, table)
+            s = char_sum_table_scan(f, q, d, mask)
             if code in square_codes[n]:
                 c_sq[n] += s
             else:
@@ -367,13 +365,7 @@ def _write_checkpoint(path, q, g, chunk_size, done, sq, nonsq):
 # batch coefficients for explicit curve lists
 
 
-def batch_coefficients(
-    q: int,
-    d: int,
-    codes: np.ndarray,
-    n_max: int,
-    table: IrreducibleTable | None = None,
-) -> np.ndarray:
+def batch_coefficients(q: int, d: int, codes: np.ndarray, n_max: int) -> np.ndarray:
     """A_D(n) for n = 0..n_max for each monic degree-d code, as int64 (len, n_max+1).
 
     Per-prime character values are computed once by residue lookup; each
@@ -383,12 +375,7 @@ def batch_coefficients(
         raise ValueError("n_max must be >= 0")
     if q**n_max > _MAX_TABLE:
         raise ResourceCapError(f"coefficient tables for degree {n_max} at q={q} are too large")
-    if table is None:
-        table = shared_table(q, max(1, n_max))
-    elif table.cutoff < n_max:
-        raise polyring.CutoffExceededError(
-            f"cutoff exceeded: batch needs irreducibles to degree {n_max}"
-        )
+    table = shared_table(q)
     codes = np.asarray(codes, dtype=np.int64)
     k = len(codes)
     dig = _monic_digit_matrix(codes, q, d)
@@ -413,16 +400,9 @@ def batch_coefficients(
     return out
 
 
-def batch_coprime_counts(
-    q: int,
-    d: int,
-    codes: np.ndarray,
-    half_deg: int,
-    table: IrreducibleTable | None = None,
-) -> np.ndarray:
+def batch_coprime_counts(q: int, d: int, codes: np.ndarray, half_deg: int) -> np.ndarray:
     """#{monic l of degree half_deg : gcd(D, l) = 1} per code, vectorized."""
-    if table is None:
-        table = shared_table(q, max(1, half_deg))
+    table = shared_table(q)
     codes = np.asarray(codes, dtype=np.int64)
     k = len(codes)
     if half_deg == 0:
@@ -485,15 +465,14 @@ def sampled_moment(q: int, g: int, count: int, seed: int) -> SampleMoment:
     spec = EnsembleSpec(q, g)
     d = spec.poly_degree
     codes = sample_codes(q, d, count, seed)
-    table = shared_table(q, max(1, g))
-    a = batch_coefficients(q, d, codes, g, table)
+    a = batch_coefficients(q, d, codes, g)
     weights = two_block_weights(g)
     # exact means of the two-block central value and of its square summands,
     # which sit at even n = 2h and count the l of degree h coprime to D
     mean = center_value(a.sum(axis=0).tolist(), q, weights).scale(Fraction(1, count))
     coprime = [0] * (g + 1)
     for h in range(g // 2 + 1):
-        coprime[2 * h] = int(batch_coprime_counts(q, d, codes, h, table).sum())
+        coprime[2 * h] = int(batch_coprime_counts(q, d, codes, h).sum())
     square_mean = center_value(coprime, q, weights).scale(Fraction(1, count))
     # float spread for the standard error
     float_weights = np.array([w * float(q) ** (-n / 2) for n, w in enumerate(weights)])

@@ -25,9 +25,11 @@ from .lfunction import (
     scaled_center_coords,
     two_block_weights,
 )
-from .polyring import degree, gcd, monic_by_code, shared_table
+from .polyring import degree, gcd, monic_by_code
 
 EXHAUSTIVE_LIMIT = 10_000
+ORACLE_LIMIT = 100  # curves checked against the point-count oracle
+RH_TOL = 1e-9  # pinned tolerance of the root-modulus diagnostic
 
 
 @dataclass(frozen=True)
@@ -43,19 +45,16 @@ def run_identity_suite(
     *,
     sample_size: int = 2000,
     seed: int = 1,
-    oracle_limit: int = 100,
-    rh_tol: float = 1e-9,
     inject_fault: bool = False,
 ) -> list:
     """Run every applicable cross-check for one (q, g); returns CheckResults."""
     spec = EnsembleSpec(q, g)
     d = spec.poly_degree
-    table = shared_table(q, max(1, d // 2, 2 * g))
     results: list = []
 
     exhaustive = spec.size <= EXHAUSTIVE_LIMIT
     if exhaustive:
-        mask = scan.squarefree_mask(q, d, table)
+        mask = scan.squarefree_mask(q, d)
         codes = np.nonzero(mask)[0].astype(np.int64)
         results.append(
             CheckResult(
@@ -67,7 +66,7 @@ def run_identity_suite(
     else:
         codes = scan.sample_codes(q, d, sample_size, seed)
 
-    a = scan.batch_coefficients(q, d, codes, 2 * g, table)
+    a = scan.batch_coefficients(q, d, codes, 2 * g)
     if inject_fault:
         a = a.copy()
         a[0, 1] += 1  # negative control: corrupt one coefficient
@@ -113,19 +112,19 @@ def run_identity_suite(
     results.append(
         CheckResult(
             name="root_modulus",
-            passed=worst <= rh_tol,
-            details={"worst_relative_deviation": worst, "tolerance": rh_tol},
+            passed=worst <= RH_TOL,
+            details={"worst_relative_deviation": worst, "tolerance": RH_TOL},
         )
     )
 
     if g <= 6:
-        if exhaustive and len(codes) <= oracle_limit:
+        if exhaustive and len(codes) <= ORACLE_LIMIT:
             oracle_codes = codes
         elif exhaustive:
             rng = np.random.Generator(np.random.PCG64(seed))
-            oracle_codes = rng.choice(codes, size=oracle_limit, replace=False)
+            oracle_codes = rng.choice(codes, size=ORACLE_LIMIT, replace=False)
         else:
-            oracle_codes = codes[:oracle_limit]
+            oracle_codes = codes[:ORACLE_LIMIT]
         code_index = {int(c): i for i, c in enumerate(codes)}
         mismatches = 0
         for code in oracle_codes:
@@ -145,7 +144,7 @@ def run_identity_suite(
 
     if spec.monic_count <= 2500:
         direct = expected_value(lambda D: afe_central_value(D, q), q, g)
-        sieved = expected_value_sieved(lambda D: afe_central_value(D, q), q, g, table)
+        sieved = expected_value_sieved(lambda D: afe_central_value(D, q), q, g)
         results.append(
             CheckResult(
                 name="square_sieve_identity",

@@ -162,34 +162,34 @@ def test_criterion_5_root_modulus(exhaustive_sets, sampled_set):
 def test_criterion_6_exact_identity_suites():
     # totient sums over fixed degree
     for q in (3, 5):
-        table = shared_table(q, 4)
+        table = shared_table(q)
         for n in range(1, 5):
-            total = sum(euler_phi(f, q, table) for f in monic_polys(n, q))
+            total = sum(euler_phi(f, q) for f in monic_polys(n, q))
             assert total == q ** (2 * n) - q ** (2 * n - 1), (q, n)
 
     # coprime counts: closed form against direct enumeration
     for q, max_dl, max_d in ((3, 3, 4), (5, 2, 3)):
-        table = shared_table(q, max_dl)
+        table = shared_table(q)
         for dl in range(1, max_dl + 1):
             for l in monic_polys(dl, q):
-                for d in range(degree(radical(l, q, table)), max_d + 1):
+                for d in range(degree(radical(l, q)), max_d + 1):
                     direct = sum(
                         1 for N in monic_polys(d, q) if degree(gcd(N, l, q)) == 0
                     )
-                    assert coprime_monic_count(d, l, q, table) == direct, (q, l, d)
+                    assert coprime_monic_count(d, l, q) == direct, (q, l, d)
 
     # divisor expansion of the per-modulus density factor
     for q in (3, 5):
-        table = shared_table(q, 4)
+        table = shared_table(q)
         for dl in range(1, 5):
             for l in monic_polys(dl, q):
-                assert mobius_expansion_identity_holds(l, q, table), (q, l)
+                assert mobius_expansion_identity_holds(l, q), (q, l)
 
     # degree-aggregated density identity
     for q in (3, 5):
-        table = shared_table(q, 3)
+        table = shared_table(q)
         for n in (0, 2, 4, 6):
-            assert aggregated_density_identity_holds(n, q, table), (q, n)
+            assert aggregated_density_identity_holds(n, q), (q, n)
 
     # quadratic reciprocity, exhaustive on coprime pairs of low degree
     for q in (3, 5):
@@ -202,7 +202,7 @@ def test_criterion_6_exact_identity_suites():
     # Euclidean and factorization Jacobi algorithms agree
     rng = np.random.default_rng(4)
     for q in (3, 5):
-        table = shared_table(q, 4)
+        table = shared_table(q)
         pairs = [
             (f, Q)
             for nf in range(1, 3)
@@ -218,27 +218,27 @@ def test_criterion_6_exact_identity_suites():
             for _ in range(200)
         ]
         for f, Q in pairs:
-            assert jacobi(f, Q, q) == jacobi_factorization(f, Q, q, table), (q, f, Q)
+            assert jacobi(f, Q, q) == jacobi_factorization(f, Q, q), (q, f, Q)
 
     # short character-sum bound, plus forced vanishing past the modulus degree
     for q in (3, 5):
-        table = shared_table(q, 2)
+        table = shared_table(q)
         for df in range(1, 5):
             for f in monic_polys(df, q):
-                if is_perfect_square(f, q, table):
+                if is_perfect_square(f, q):
                     continue
                 for n in range(0, 5):
-                    holds, _ = fixed_degree_bound_holds(f, n, q, table)
+                    holds, _ = fixed_degree_bound_holds(f, n, q)
                     assert holds, (q, f, n)
 
     # ensemble character-sum bound at genus 1
     for q in (3, 5):
-        table = shared_table(q, 2)
+        table = shared_table(q)
         for df in range(1, 4):
             for f in monic_polys(df, q):
-                if is_perfect_square(f, q, table):
+                if is_perfect_square(f, q):
                     continue
-                holds, _ = ensemble_char_sum_bound_holds(f, q, 1, table)
+                holds, _ = ensemble_char_sum_bound_holds(f, q, 1)
                 assert holds, (q, f)
 
     print("PASS criterion-6 exact identity suites (totient sums, coprime counts, densities, reciprocity, dual Jacobi, character-sum bounds)")

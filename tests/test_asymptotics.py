@@ -78,10 +78,9 @@ def test_log_deriv_exact_matches_prime_sum():
     # recompute the exact sum using the sieved irreducible counts instead of
     # the closed-form counts the constants route uses
     q = 3
-    table = shared_table(q, 4)
     expect = Fraction(0)
     for d in range(1, 5):
-        expect += table.count(d) * Fraction(d, q**d * (q**d + 1) - 1)
+        expect += shared_table(q).count(d) * Fraction(d, q**d * (q**d + 1) - 1)
     assert euler_constants(q, 4).log_deriv == expect
 
 
@@ -142,10 +141,7 @@ def test_aggregated_density_identity(q):
 
 def test_aggregated_density_pin():
     # closed-form cross-check at (q, n) = (3, 2): both sides are 9/4
-    table = shared_table(3, 1)
-    lhs = sum(
-        (density_factor(l, 3, table) for l in monic_polys(1, 3)), Fraction(0)
-    )
+    lhs = sum((density_factor(l, 3) for l in monic_polys(1, 3)), Fraction(0))
     assert lhs == Fraction(9, 4)
 
 

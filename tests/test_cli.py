@@ -174,6 +174,13 @@ def test_g_max_validation(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("threads", ["0", "-4"])
+def test_threads_below_one_exit_2(capsys, threads):
+    code, _, err = run_cli(capsys, "moment", "--q", "3", "--g", "1", "--threads", threads)
+    assert code == 2
+    assert "threads" in err
+
+
 # ---------------------------------------------------------------------------
 # determinism
 

@@ -21,7 +21,7 @@ from hyperell.ensemble import (
 )
 from hyperell.field import PrimeField
 from hyperell.lfunction import afe_central_value
-from hyperell.polyring import mul, squarefree
+from hyperell.polyring import IrreducibleTable, mul, shared_table, squarefree
 from hyperell.scan import moment_scan
 from hyperell.sqrtq import SqrtQRational
 
@@ -52,6 +52,10 @@ def test_non_prime_q_rejected_at_library_boundary():
         SqrtQRational(1, 0, 9)
     with pytest.raises(ValueError):
         moment_scan(9, 1)
+    with pytest.raises(ValueError):
+        IrreducibleTable(9)
+    with pytest.raises(ValueError):
+        shared_table(4)
 
 
 @pytest.mark.parametrize("q,g", [(3, 1), (3, 2), (5, 1)])

@@ -1,11 +1,13 @@
 """Tests for dense polynomial arithmetic and the irreducible sieve."""
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperell import polyring as pr
 from hyperell.polyring import (
-    CutoffExceededError,
     IrreducibleTable,
     degree,
     divmod_,
@@ -131,7 +133,7 @@ def test_is_irreducible_small():
 
 @pytest.mark.parametrize("q", [3, 5])
 def test_table_matches_direct_test(q):
-    table = IrreducibleTable(q, cutoff=4)
+    table = IrreducibleTable(q)
     for d in range(1, 5):
         listed = set(table.irreducibles(d))
         for f in monic_polys(d, q):
@@ -141,22 +143,56 @@ def test_table_matches_direct_test(q):
 @pytest.mark.parametrize("q", [3, 5, 7])
 def test_gauss_count_identity(q):
     # sum over d|n of d * (number of degree-d irreducibles) = q^n
-    table = shared_table(q, 4)
+    table = shared_table(q)
     for n in range(1, 5):
         total = sum(d * table.count(d) for d in range(1, n + 1) if n % d == 0)
         assert total == q**n
         assert table.count(n) == irreducible_count(q, n)
+    assert shared_table(q) is table  # one table per q
 
 
-def test_cutoff_guard():
-    table = IrreducibleTable(3, cutoff=2)
-    with pytest.raises(CutoffExceededError):
-        table.irreducibles(3)
+def test_table_grows_only_as_far_as_asked():
+    # x^3 - x + 1 and x^3 - x - 1 are irreducible over F_3 (Artin-Schreier)
+    P, Q = (1, 2, 0, 1), (2, 2, 0, 1)
+    table = IrreducibleTable(3)
+    assert table.cutoff == 0
+    assert table.factorize(mul(P, Q, 3)) == (1, ((P, 1), (Q, 1)))
+    assert table.cutoff == 3
+    for d in (1, 2, 3):
+        assert table.count(d) == irreducible_count(3, d)
+    assert table.cutoff == 3
+
+
+def test_concurrent_growth_matches_serial():
+    serial = IrreducibleTable(3)
+    serial.extend(7)
+    table = IrreducibleTable(3)
+    start = threading.Barrier(4)
+    got = {}
+
+    def grow(d):
+        start.wait()
+        got[d] = table.irreducibles(d)
+
+    workers = [threading.Thread(target=grow, args=(d,)) for d in (4, 7, 5, 6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the builders as much as possible
+    try:
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert table.cutoff == 7
+    assert table.by_degree == serial.by_degree
+    # each degree is built once, so every caller holds the tuple the table keeps
+    assert all(got[d] is table.by_degree[d] for d in got)
 
 
 def test_factorize_round_trip():
     q = 5
-    table = shared_table(q, 3)
+    table = shared_table(q)
     import random
 
     rng = random.Random(11)
@@ -164,7 +200,7 @@ def test_factorize_round_trip():
     for _ in range(40):
         parts = rng.sample(pool, rng.randint(1, 3))
         f = product(parts, q)
-        unit, factors = factorize(f, q, table)
+        unit, factors = factorize(f, q)
         assert unit == 1
         rebuilt = product([P for P, e in factors for _ in range(e)], q)
         assert rebuilt == f
@@ -225,10 +261,3 @@ def test_radical_and_square():
     assert not is_perfect_square((2, 1), q)
     assert not is_perfect_square(mul(sq, X, q), q)
     assert is_perfect_square((1,), q)
-
-
-def test_shared_table_grows():
-    t1 = shared_table(3, 2)
-    t2 = shared_table(3, 3)
-    assert t2 is t1 or t2.cutoff >= 3
-    assert len(t2.irreducibles(3)) == irreducible_count(3, 3)

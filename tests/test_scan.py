@@ -35,13 +35,13 @@ from hyperell.scan import (
 @pytest.mark.parametrize("q,g", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2)])
 def test_squarefree_mask_count(q, g):
     d = 2 * g + 1
-    mask = squarefree_mask(q, d, shared_table(q, max(1, d // 2)))
+    mask = squarefree_mask(q, d)
     assert int(mask.sum()) == EnsembleSpec(q, g).size
 
 
 def test_squarefree_mask_agrees_pointwise():
     q, d = 3, 5
-    mask = squarefree_mask(q, d, shared_table(q, 2))
+    mask = squarefree_mask(q, d)
     for code in range(q**d):
         D = monic_by_code(code, d, q)
         assert bool(mask[code]) == squarefree(D, q)
@@ -49,9 +49,8 @@ def test_squarefree_mask_agrees_pointwise():
 
 @pytest.mark.parametrize("q", [3, 5])
 def test_prime_residue_table_matches_symbol(q):
-    table = shared_table(q, 2)
     for dp in (1, 2):
-        for P in table.irreducibles(dp):
+        for P in shared_table(q).irreducibles(dp):
             t = prime_residue_table(P, q)
             for code in range(q**dp):
                 from hyperell.polyring import poly_of_code
@@ -62,10 +61,9 @@ def test_prime_residue_table_matches_symbol(q):
 
 def test_jacobi_residue_table_matches_jacobi():
     q = 3
-    table = shared_table(q, 2)
     for dn in (1, 2, 3):
         for f in monic_polys(dn, q):
-            t = jacobi_residue_table(f, q, table)
+            t = jacobi_residue_table(f, q)
             from hyperell.polyring import poly_of_code
 
             for code in range(q**dn):
@@ -78,8 +76,7 @@ def test_char_sum_table_scan_matches_brute_force():
 
     q, g = 3, 2
     d = 2 * g + 1
-    table = shared_table(q, 2)
-    mask = squarefree_mask(q, d, table)
+    mask = squarefree_mask(q, d)
     for n in (1, 2):
         for f in monic_polys(n, q):
             brute = 0
@@ -88,7 +85,7 @@ def test_char_sum_table_scan_matches_brute_force():
                     continue
                 D = monic_by_code(code, d, q)
                 brute += chi(D, f, q)
-            assert char_sum_table_scan(f, q, d, mask, table) == brute
+            assert char_sum_table_scan(f, q, d, mask) == brute
 
 
 @pytest.mark.parametrize("q,g", [(3, 1), (3, 2), (5, 1)])
@@ -113,6 +110,12 @@ def test_size_cap_refusal():
         moment_scan(3, 2, size_cap=10)
     acc, _ = moment_scan(3, 2, size_cap=10, force=True)
     assert acc == first_moment(3, 2)
+
+
+@pytest.mark.parametrize("threads", [0, -4])
+def test_threads_below_one_rejected(threads):
+    with pytest.raises(ValueError, match="threads"):
+        moment_scan(3, 1, threads=threads)
 
 
 def test_checkpoint_resume(tmp_path):
@@ -189,10 +192,9 @@ def test_checkpoint_rejects_bad_chunk_ids(tmp_path):
 def test_batch_coefficients_match_naive():
     q, g = 3, 1
     d = 2 * g + 1
-    table = shared_table(q, 1)
-    mask = squarefree_mask(q, d, table)
+    mask = squarefree_mask(q, d)
     codes = np.nonzero(mask)[0]
-    a = batch_coefficients(q, d, codes, 2 * g, table)
+    a = batch_coefficients(q, d, codes, 2 * g)
     for row, code in enumerate(codes):
         D = monic_by_code(int(code), d, q)
         for n in range(2 * g + 1):
@@ -202,10 +204,9 @@ def test_batch_coefficients_match_naive():
 def test_batch_coefficients_match_naive_q5():
     q, g = 5, 1
     d = 2 * g + 1
-    table = shared_table(q, 1)
-    mask = squarefree_mask(q, d, table)
+    mask = squarefree_mask(q, d)
     codes = np.nonzero(mask)[0][:40]
-    a = batch_coefficients(q, d, codes, 2, table)
+    a = batch_coefficients(q, d, codes, 2)
     for row, code in enumerate(codes):
         D = monic_by_code(int(code), d, q)
         for n in range(3):
@@ -216,11 +217,10 @@ def test_batch_coprime_counts():
     from hyperell.polyring import degree, gcd
 
     q, d = 3, 3
-    table = shared_table(q, 1)
-    mask = squarefree_mask(q, d, table)
+    mask = squarefree_mask(q, d)
     codes = np.nonzero(mask)[0]
-    counts = batch_coprime_counts(q, d, codes, 1, table)
-    zero_deg = batch_coprime_counts(q, d, codes, 0, table)
+    counts = batch_coprime_counts(q, d, codes, 1)
+    zero_deg = batch_coprime_counts(q, d, codes, 0)
     for row, code in enumerate(codes):
         D = monic_by_code(int(code), d, q)
         direct = sum(
