@@ -151,7 +151,8 @@ def test_gauss_count_identity(q):
     assert shared_table(q) is table  # one table per q
 
 
-def test_table_grows_only_as_far_as_asked():
+def test_cutoff_guard():
+    # the cutoff advances only as far as a caller asks, never past it;
     # x^3 - x + 1 and x^3 - x - 1 are irreducible over F_3 (Artin-Schreier)
     P, Q = (1, 2, 0, 1), (2, 2, 0, 1)
     table = IrreducibleTable(3)
@@ -261,3 +262,10 @@ def test_radical_and_square():
     assert not is_perfect_square((2, 1), q)
     assert not is_perfect_square(mul(sq, X, q), q)
     assert is_perfect_square((1,), q)
+
+
+def test_shared_table_grows():
+    t = shared_table(3)
+    assert len(t.irreducibles(3)) == irreducible_count(3, 3)
+    assert t.cutoff >= 3
+    assert shared_table(3) is t  # grown in place, not replaced
