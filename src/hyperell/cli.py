@@ -221,6 +221,10 @@ def cmd_moment(args) -> int:
         raise ValueError("--g-max must be >= --g")
     if args.mode == "sample" and args.seed is None:
         raise ValueError("sample mode requires --seed")
+    if args.mode == "sample" and (args.checkpoint or args.resume):
+        raise ValueError("--checkpoint and --resume apply to the exhaustive mode only")
+    if args.resume and not args.checkpoint:
+        raise ValueError("--resume requires --checkpoint")
     ec = asymptotics.euler_constants(args.q, args.cutoff)
     rows = []
     for g in range(args.g, g_max + 1):
@@ -232,11 +236,12 @@ def cmd_moment(args) -> int:
             size, total, stderr = sm.ensemble_size, sm.total_estimate, sm.stderr
             square = sm.square_mean.scale(size)
         else:
+            # a checkpoint file holds one genus: the last, costliest one
             acc, _ = scan.moment_scan(
                 args.q,
                 g,
                 threads=args.threads,
-                checkpoint_path=args.checkpoint,
+                checkpoint_path=args.checkpoint if g == g_max else None,
                 resume=args.resume,
                 force=args.force,
             )

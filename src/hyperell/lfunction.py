@@ -42,6 +42,8 @@ from .characters import chi
 from .polyring import Poly, degree, is_monic, monic_polys, squarefree
 from .sqrtq import SqrtQRational
 
+RH_TOL = 1e-9  # pinned tolerance of the root-modulus diagnostic
+
 
 @dataclass(frozen=True)
 class LPolynomial:
@@ -207,7 +209,7 @@ def rh_root_deviation(L: LPolynomial) -> float:
         return float(max(abs(abs(r) - mtarget) / mtarget for r in mproots))
 
 
-def rh_root_check(L: LPolynomial, tol: float = 1e-9):
-    """(holds, worst relative deviation) for the root-modulus test."""
+def rh_root_check(L: LPolynomial):
+    """(holds, worst relative deviation) for the root-modulus test at RH_TOL."""
     dev = rh_root_deviation(L)
-    return dev <= tol, dev
+    return dev <= RH_TOL, dev

@@ -1,22 +1,29 @@
 """Vectorized scans over the ensemble: exact aggregates at numpy speed.
 
 The moment over the whole ensemble is assembled from the per-summand
-aggregates S(f) = sum over square-free D of chi_D(f), so the scan inverts
-the loops: for each monic f up to degree g it evaluates chi_D(f) for every
-monic D of degree 2g+1 at once through lookup tables, and accumulates plain
-(thread-count independent) integer sums.  The naive per-curve loop in
-`ensemble` stays the reference; equality of the two routes is tested.
+aggregates S(f) = sum over square-free monic D of degree d of chi_D(f), so
+the scan inverts the loops: for each monic f up to degree g it computes S(f)
+in one short sum, and accumulates plain (thread-count independent) integer
+sums.  The naive per-curve loop in `ensemble` stays the reference; equality
+of the two routes is tested.
 
-Table scheme for one f of degree n, scanning all monic D of degree d:
+S(f) comes from the square-free sieve of the approximate functional
+equation.  Write the indicator of square-free D as sum_{A^2 | D} mu(A), so
+D = A^2 B and (D/f) = (B/f) when gcd(A, f) = 1, else 0.  With n = deg f,
 
-  * D mod f depends on the low n digits of D's code and on (x^n * H mod f)
-    where H is the monic high part; the latter is tabulated per high code.
-  * residues combine by digitwise addition of codes, also tabulated;
-  * the residue-to-symbol table is the Jacobi symbol on F_q[x]/(f), built
-    multiplicatively from quadratic-character tables of the prime factors.
+    S(f) = sum_{a <= d/2} M(a) T(d - 2a),
 
-Everything integral is exact: int8 symbols, int64 accumulation, Fractions
-only at the very end.
+  * M(a) = sum of mu(A) over monic A of degree a coprime to f, the
+    coefficients of (1 - q u) / prod_{P | f} (1 - u^deg P);
+  * T(r) = sum of (B/f) over monic B of degree r, read off the Jacobi
+    residue table of f: a contiguous slice when r < n (such a B is its own
+    residue), and q^(r-n) times the full table sum when r >= n (B runs over
+    every residue q^(r-n) times).  That sum is zero for non-square f, the
+    vanishing of complete character sums, and Phi(f) for square f.
+
+The residue table is the Jacobi symbol on F_q[x]/(f), built multiplicatively
+from quadratic-character tables of the prime factors.  Everything integral
+is exact: int8 symbols, int64 table sums, Python ints and Fractions above.
 """
 
 from __future__ import annotations
@@ -27,7 +34,6 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -91,9 +97,9 @@ def _reduction_rows(f: Poly, q: int, upto: int) -> np.ndarray:
     return rows
 
 
-def _residue_codes(dig: np.ndarray, f: Poly, q: int, shift: int = 0) -> np.ndarray:
-    """Residue code mod f of x^shift * r for each digit row r (constant first)."""
-    rows = _reduction_rows(f, q, shift + dig.shape[1] - 1)[shift:]
+def _residue_codes(dig: np.ndarray, f: Poly, q: int) -> np.ndarray:
+    """Residue code mod f of each digit row (constant first)."""
+    rows = _reduction_rows(f, q, dig.shape[1] - 1)
     return (dig @ rows % q) @ _qpow(q, degree(f))
 
 
@@ -173,34 +179,21 @@ def jacobi_residue_table(f: Poly, q: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=32)
-def _digitwise_add_flat(q: int, n: int) -> np.ndarray:
-    """Flattened table: entry u*q^n + l -> code of digitwise (u + l) mod q."""
-    M = q**n
-    if M * M > 8 * _MAX_TABLE:
-        raise ResourceCapError(f"digit-add table q^{2*n} too large at q={q}")
-    dig = _digit_matrix(np.arange(M), q, n)
-    sums = (dig[:, None, :] + dig[None, :, :]) % q
-    return (sums @ _qpow(q, n)).reshape(-1).astype(np.int32)
-
-
-def _high_reduction_table(f: Poly, q: int, d: int) -> np.ndarray:
-    """Residue code of x^n * H mod f for every monic high part H of degree d-n."""
+def char_sum_table_scan(f: Poly, q: int, d: int) -> int:
+    """S(f) = sum over square-free monic D of degree d of (D/f), exactly, by the sieve."""
     n = degree(f)
-    k = d - n
-    return _residue_codes(_monic_digit_matrix(np.arange(q**k), q, k), f, q, shift=n)
-
-
-def char_sum_table_scan(f: Poly, q: int, d: int, mask: np.ndarray) -> int:
-    """S(f) = sum over masked monic D of degree d of (D/f), exactly."""
-    n = degree(f)
-    qn = q**n
     t = jacobi_residue_table(f, q)
-    ta = t[_digitwise_add_flat(q, n)]
-    u = _high_reduction_table(f, q, d)
-    idx = np.add.outer((u * qn).astype(np.int64), np.arange(qn, dtype=np.int64))
-    vals = ta[idx]
-    return int(vals.sum(where=mask.reshape(len(u), qn), dtype=np.int64))
+    m = [1, -q] + [0] * (d // 2)
+    for P, _ in factorize(f, q)[1]:
+        k = degree(P)
+        for a in range(k, len(m)):
+            m[a] += m[a - k]
+    total = 0
+    for a in range(d // 2 + 1):
+        r = d - 2 * a
+        T = int(t[q**r : 2 * q**r].sum()) if r < n else q ** (r - n) * int(t.sum())
+        total += m[a] * T
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +242,7 @@ def moment_scan(
     size_cap: int = DEFAULT_SIZE_CAP,
     force: bool = False,
 ):
-    """Exhaustive first moment by table scan.  Returns (accumulator, meta).
+    """Exhaustive first moment by the S(f) sieve.  Returns (accumulator, meta).
 
     Work is split into fixed chunks of summands f; chunks are merged in
     index order, so the result is bit-identical for any thread count.  With
@@ -264,8 +257,7 @@ def moment_scan(
         raise ResourceCapError(
             f"scan size {spec.monic_count} exceeds cap {size_cap}; use force to override"
         )
-    mask = squarefree_mask(q, d)
-    count = int(mask.sum())
+    count = ensemble_count(q, g)
     if count != spec.size:
         raise ArithmeticError(
             f"square-free count {count} disagrees with the closed form {spec.size}"
@@ -275,9 +267,7 @@ def moment_scan(
     chunks = [fs[i : i + chunk_size] for i in range(0, len(fs), chunk_size)]
     square_codes = {n: _square_code_set(q, n) for n in range(1, g + 1)}
 
-    # warm shared caches before any worker threads touch them
-    for n in range(1, g + 1):
-        _digitwise_add_flat(q, n)
+    # warm the shared prime tables before any worker threads touch them
     for dp in range(1, g + 1):
         for P in shared_table(q).irreducibles(dp):
             prime_residue_table(P, q)
@@ -311,7 +301,7 @@ def moment_scan(
         c_ns = [0] * (g + 1)
         for n, code in chunks[chunk_id]:
             f = monic_by_code(code, n, q)
-            s = char_sum_table_scan(f, q, d, mask)
+            s = char_sum_table_scan(f, q, d)
             if code in square_codes[n]:
                 c_sq[n] += s
             else:

@@ -19,6 +19,7 @@ from . import curve, scan
 from .characters import reciprocity_holds
 from .ensemble import EnsembleSpec, expected_value, expected_value_sieved
 from .lfunction import (
+    RH_TOL,
     LPolynomial,
     afe_central_value,
     rh_root_deviation,
@@ -29,7 +30,6 @@ from .polyring import degree, gcd, monic_by_code
 
 EXHAUSTIVE_LIMIT = 10_000
 ORACLE_LIMIT = 100  # curves checked against the point-count oracle
-RH_TOL = 1e-9  # pinned tolerance of the root-modulus diagnostic
 
 
 @dataclass(frozen=True)

@@ -153,7 +153,7 @@ def test_criterion_5_root_modulus(exhaustive_sets, sampled_set):
                 coeffs=tuple(int(c) for c in row),
                 lam=0,
             )
-            ok, dev = rh_root_check(L, tol=1e-9)
+            ok, dev = rh_root_check(L)
             assert ok, (q, g, int(code), dev)
             worst = max(worst, dev)
     print(f"PASS criterion-5 all root moduli within 1e-9 of q^(-1/2) (worst deviation {worst:.2e})")

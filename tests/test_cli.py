@@ -163,6 +163,20 @@ def test_sample_mode_requires_seed(capsys):
     assert "seed" in err
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ("--resume",),
+        ("--mode", "sample", "--seed", "1", "--checkpoint", "ck.json"),
+        ("--mode", "sample", "--seed", "1", "--resume"),
+    ],
+)
+def test_checkpoint_flags_rejected_where_unused(capsys, extra):
+    code, _, err = run_cli(capsys, "moment", "--q", "3", "--g", "1", *extra)
+    assert code == 2
+    assert "--checkpoint" in err
+
+
 def test_resource_cap_exit_3(capsys):
     code, _, err = run_cli(capsys, "moment", "--q", "3", "--g", "8")
     assert code == 3
@@ -219,3 +233,14 @@ def test_sample_mode_deterministic(tmp_path, capsys):
         assert code == 0
         outs.append(p.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_genus_range_resumes_from_checkpoint(tmp_path, capsys):
+    ck = str(tmp_path / "ck.json")
+    argv = ["moment", "--q", "3", "--g", "1", "--g-max", "2", "--checkpoint", ck]
+    code, first, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(open(ck).read())["g"] == 2
+    code, again, err = run_cli(capsys, *argv, "--resume")
+    assert code == 0, err
+    assert again == first

@@ -74,21 +74,18 @@ def test_jacobi_residue_table_matches_jacobi():
 def test_char_sum_table_scan_matches_brute_force():
     from hyperell.characters import chi
 
-    q, g = 3, 2
-    d = 2 * g + 1
-    mask = squarefree_mask(q, d)
-    for n in (1, 2):
-        for f in monic_polys(n, q):
-            brute = 0
-            for code in range(q**d):
-                if not mask[code]:
-                    continue
-                D = monic_by_code(code, d, q)
-                brute += chi(D, f, q)
-            assert char_sum_table_scan(f, q, d, mask) == brute
+    # square f, repeated primes, and both sides of deg B < deg f
+    for q, g in [(3, 2), (3, 3), (5, 2), (7, 1)]:
+        d = 2 * g + 1
+        mask = squarefree_mask(q, d)
+        Ds = [monic_by_code(code, d, q) for code in range(q**d) if mask[code]]
+        for n in range(1, g + 1):
+            for f in monic_polys(n, q):
+                brute = sum(chi(D, f, q) for D in Ds)
+                assert char_sum_table_scan(f, q, d) == brute, (q, g, f)
 
 
-@pytest.mark.parametrize("q,g", [(3, 1), (3, 2), (5, 1)])
+@pytest.mark.parametrize("q,g", [(3, 1), (3, 2), (3, 3), (5, 1), (7, 1)])
 def test_moment_scan_matches_reference(q, g):
     acc, meta = moment_scan(q, g)
     ref = first_moment(q, g)
