@@ -221,8 +221,8 @@ def cmd_moment(args) -> int:
         raise ValueError("--g-max must be >= --g")
     if args.mode == "sample" and args.seed is None:
         raise ValueError("sample mode requires --seed")
-    if args.mode == "sample" and (args.checkpoint or args.resume):
-        raise ValueError("--checkpoint and --resume apply to the exhaustive mode only")
+    if args.mode == "sample" and (args.checkpoint or args.resume or args.force or args.threads != 1):
+        raise ValueError("--checkpoint, --resume, --threads and --force are for the exhaustive mode")
     if args.resume and not args.checkpoint:
         raise ValueError("--resume requires --checkpoint")
     ec = asymptotics.euler_constants(args.q, args.cutoff)

@@ -21,9 +21,11 @@ D = A^2 B and (D/f) = (B/f) when gcd(A, f) = 1, else 0.  With n = deg f,
     every residue q^(r-n) times).  That sum is zero for non-square f, the
     vanishing of complete character sums, and Phi(f) for square f.
 
-The residue table is the Jacobi symbol on F_q[x]/(f), built multiplicatively
-from quadratic-character tables of the prime factors.  Everything integral
-is exact: int8 symbols, int64 table sums, Python ints and Fractions above.
+Every symbol is one product, chi_D being completely multiplicative:
+(x/f) = prod over P^e || f of (x/P)^e, taken by `_symbol_product` over the
+values `_prime_symbols` reads off each prime's table.  The scan factors each
+f once; f is a square iff every exponent is even.  Everything integral is
+exact: int8 symbols, int64 table sums, Python ints and Fractions above.
 """
 
 from __future__ import annotations
@@ -43,9 +45,8 @@ from .polyring import (
     Poly,
     degree,
     factorize,
+    irreducible_count,
     monic_by_code,
-    monic_code,
-    monic_polys,
     mul,
     shared_table,
     squarefree,
@@ -54,15 +55,33 @@ from .sqrtq import SqrtQRational
 
 DEFAULT_SIZE_CAP = 10**7
 CHECKPOINT_VERSION = 1
-_MAX_TABLE = 2_000_000  # largest q^n residue table we are willing to build
+_TABLE_BUDGET = 10**8  # int8 prime-table entries one call may build and the cache may hold
 
 
 class ResourceCapError(RuntimeError):
-    """A scan would exceed the configured size cap; pass force to override."""
+    """A scan would exceed the exhaustive size cap (force overrides it) or the table budget."""
+
+
+def _code_space(q: int, n: int) -> int:
+    """q^n, the number of degree-n codes; ValueError once q^n >= 2^63, where int64 codes wrap."""
+    if q**n >= 2**63:
+        raise ValueError(f"codes of degree {n} at q={q} do not fit in int64 (q^n >= 2^63)")
+    return q**n
 
 
 def _qpow(q: int, n: int) -> np.ndarray:
+    """Place values q^0..q^(n-1) of degree-n codes as int64; ValueError once q^n >= 2^63."""
+    _code_space(q, n)
     return q ** np.arange(n, dtype=np.int64)
+
+
+def _check_table_budget(q: int, n_max: int) -> None:
+    """Refuse the prime tables up to degree n_max when their total size is past the budget."""
+    entries = sum(irreducible_count(q, m) * q**m for m in range(1, n_max + 1))
+    if entries > _TABLE_BUDGET:
+        raise ResourceCapError(
+            f"prime tables to degree {n_max} at q={q} need {entries} entries, past the cap"
+        )
 
 
 def _digit_matrix(codes: np.ndarray, q: int, d: int) -> np.ndarray:
@@ -134,7 +153,8 @@ def ensemble_count(q: int, g: int) -> int:
 # ---------------------------------------------------------------------------
 # character tables
 
-_prime_table_cache: dict = {}
+_prime_table_cache: dict = {}  # (q, P) -> table, oldest first
+_prime_table_held = 0  # total entries in the cache, kept within _TABLE_BUDGET
 _prime_table_lock = threading.Lock()
 
 
@@ -150,7 +170,7 @@ def prime_residue_table(P: Poly, q: int) -> np.ndarray:
         return cached
     m = degree(P)
     M = q**m
-    if M > _MAX_TABLE:
+    if M > _TABLE_BUDGET:
         raise ResourceCapError(f"character table for degree {m} at q={q} is too large")
     dig = _digit_matrix(np.arange(M), q, m)
     conv = np.zeros((M, 2 * m - 1), dtype=np.int64)
@@ -162,49 +182,58 @@ def prime_residue_table(P: Poly, q: int) -> np.ndarray:
     out = np.full(M, -1, dtype=np.int8)
     out[codes] = 1
     out[0] = 0
+    global _prime_table_held
     with _prime_table_lock:
-        _prime_table_cache[key] = out
+        if key not in _prime_table_cache:
+            _prime_table_cache[key] = out
+            _prime_table_held += M
+        while _prime_table_held > _TABLE_BUDGET:
+            _prime_table_held -= _prime_table_cache.pop(next(iter(_prime_table_cache))).size
     return out
 
 
-def jacobi_residue_table(f: Poly, q: int) -> np.ndarray:
-    """(r/f) for every residue code r mod f, via the factorization of f."""
-    n = degree(f)
-    N = q**n
-    dig = _digit_matrix(np.arange(N), q, n)
-    out = np.ones(N, dtype=np.int8)
-    for P, e in factorize(f, q)[1]:
-        vals = prime_residue_table(P, q)[_residue_codes(dig, P, q)]
-        out *= vals if e % 2 else np.abs(vals)
+def _primes_upto(q: int, n: int) -> list:
+    return [P for m in range(1, n + 1) for P in shared_table(q).irreducibles(m)]
+
+
+def _prime_symbols(dig: np.ndarray, primes, q: int) -> dict:
+    """P -> (x/P) for each digit row x (constant first), as int8."""
+    return {P: prime_residue_table(P, q)[_residue_codes(dig, P, q)] for P in primes}
+
+
+def _symbol_product(symbols: dict, factors, size: int) -> np.ndarray:
+    """(x/f) = prod over f's factors (P, e) of (x/P)^e: (x/P) for odd e, |(x/P)| for even e."""
+    out = np.ones(size, dtype=np.int8)
+    for P, e in factors:
+        out *= symbols[P] if e % 2 else np.abs(symbols[P])
     return out
 
 
-def char_sum_table_scan(f: Poly, q: int, d: int) -> int:
-    """S(f) = sum over square-free monic D of degree d of (D/f), exactly, by the sieve."""
-    n = degree(f)
-    t = jacobi_residue_table(f, q)
+def jacobi_residue_table(factors, q: int) -> np.ndarray:
+    """(r/f) for every residue code r mod f, from f's factorization ((P, e), ...)."""
+    n = sum(degree(P) * e for P, e in factors)
+    dig = _digit_matrix(np.arange(q**n), q, n)
+    return _symbol_product(_prime_symbols(dig, (P for P, _ in factors), q), factors, q**n)
+
+
+def char_sum_table_scan(factors, q: int, d: int) -> int:
+    """S(f) = sum over square-free monic D of degree d of (D/f) by the sieve; f as ((P, e), ...)."""
+    t = jacobi_residue_table(factors, q)
     m = [1, -q] + [0] * (d // 2)
-    for P, _ in factorize(f, q)[1]:
+    for P, _ in factors:
         k = degree(P)
         for a in range(k, len(m)):
             m[a] += m[a - k]
     total = 0
     for a in range(d // 2 + 1):
-        r = d - 2 * a
-        T = int(t[q**r : 2 * q**r].sum()) if r < n else q ** (r - n) * int(t.sum())
+        R = q ** (d - 2 * a)  # q^r; r < n iff q^r < len(t) = q^n
+        T = int(t[R : 2 * R].sum()) if R < len(t) else R // len(t) * int(t.sum())
         total += m[a] * T
     return total
 
 
 # ---------------------------------------------------------------------------
 # the exhaustive moment scan
-
-
-def _square_code_set(q: int, n: int) -> set:
-    """Codes (sub-leading digits) of perfect squares l^2 among monic f of degree n."""
-    if n % 2:
-        return set()
-    return {monic_code(mul(l, l, q), q) for l in monic_polys(n // 2, q)}
 
 
 @dataclass
@@ -265,12 +294,10 @@ def moment_scan(
 
     fs = [(n, code) for n in range(1, g + 1) for code in range(q**n)]
     chunks = [fs[i : i + chunk_size] for i in range(0, len(fs), chunk_size)]
-    square_codes = {n: _square_code_set(q, n) for n in range(1, g + 1)}
 
     # warm the shared prime tables before any worker threads touch them
-    for dp in range(1, g + 1):
-        for P in shared_table(q).irreducibles(dp):
-            prime_residue_table(P, q)
+    for P in _primes_upto(q, g):
+        prime_residue_table(P, q)
 
     sq = [0] * (g + 1)
     nonsq = [0] * (g + 1)
@@ -300,9 +327,9 @@ def moment_scan(
         c_sq = [0] * (g + 1)
         c_ns = [0] * (g + 1)
         for n, code in chunks[chunk_id]:
-            f = monic_by_code(code, n, q)
-            s = char_sum_table_scan(f, q, d)
-            if code in square_codes[n]:
+            factors = factorize(monic_by_code(code, n, q), q)[1]
+            s = char_sum_table_scan(factors, q, d)
+            if all(e % 2 == 0 for _, e in factors):  # monic f is a square
                 c_sq[n] += s
             else:
                 c_ns[n] += s
@@ -363,52 +390,32 @@ def batch_coefficients(q: int, d: int, codes: np.ndarray, n_max: int) -> np.ndar
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if q**n_max > _MAX_TABLE:
-        raise ResourceCapError(f"coefficient tables for degree {n_max} at q={q} are too large")
-    table = shared_table(q)
+    _check_table_budget(q, n_max)
     codes = np.asarray(codes, dtype=np.int64)
     k = len(codes)
     dig = _monic_digit_matrix(codes, q, d)
-
-    chi_prime: dict = {}
-    for dp in range(1, n_max + 1):
-        for P in table.irreducibles(dp):
-            chi_prime[P] = prime_residue_table(P, q)[_residue_codes(dig, P, q)]
+    symbols = _prime_symbols(dig, _primes_upto(q, n_max), q)
 
     out = np.zeros((k, n_max + 1), dtype=np.int64)
     out[:, 0] = 1
     for n in range(1, n_max + 1):
         acc = np.zeros(k, dtype=np.int64)
         for code in range(q**n):
-            f = monic_by_code(code, n, q)
-            vals: np.ndarray | None = None
-            for P, e in table.factorize(f)[1]:
-                v = chi_prime[P] if e % 2 else np.abs(chi_prime[P])
-                vals = v.copy() if vals is None else vals * v
-            acc += vals
+            acc += _symbol_product(symbols, factorize(monic_by_code(code, n, q), q)[1], k)
         out[:, n] = acc
     return out
 
 
 def batch_coprime_counts(q: int, d: int, codes: np.ndarray, half_deg: int) -> np.ndarray:
-    """#{monic l of degree half_deg : gcd(D, l) = 1} per code, vectorized."""
-    table = shared_table(q)
+    """#{monic l of degree half_deg : gcd(D, l) = 1} per code: the sum of |chi_D(l)|."""
     codes = np.asarray(codes, dtype=np.int64)
     k = len(codes)
-    if half_deg == 0:
-        return np.ones(k, dtype=np.int64)
     dig = _monic_digit_matrix(codes, q, d)
-    nonzero: dict = {}
-    for dp in range(1, half_deg + 1):
-        for P in table.irreducibles(dp):
-            nonzero[P] = (_residue_codes(dig, P, q) != 0).astype(np.int64)
+    symbols = _prime_symbols(dig, _primes_upto(q, half_deg), q)
     out = np.zeros(k, dtype=np.int64)
     for code in range(q**half_deg):
         l = monic_by_code(code, half_deg, q)
-        ind = np.ones(k, dtype=np.int64)
-        for P, _ in table.factorize(l)[1]:
-            ind *= nonzero[P]
-        out += ind
+        out += np.abs(_symbol_product(symbols, factorize(l, q)[1], k))
     return out
 
 
@@ -421,7 +428,7 @@ def sample_codes(q: int, d: int, count: int, seed: int) -> np.ndarray:
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))
-    space = q**d
+    space = _code_space(q, d)
     out: list = []
     while len(out) < count:
         batch = rng.integers(0, space, size=max(64, count), dtype=np.int64)
@@ -454,6 +461,7 @@ class SampleMoment:
 def sampled_moment(q: int, g: int, count: int, seed: int) -> SampleMoment:
     spec = EnsembleSpec(q, g)
     d = spec.poly_degree
+    _check_table_budget(q, g)
     codes = sample_codes(q, d, count, seed)
     a = batch_coefficients(q, d, codes, g)
     weights = two_block_weights(g)

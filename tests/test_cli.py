@@ -177,6 +177,24 @@ def test_checkpoint_flags_rejected_where_unused(capsys, extra):
     assert "--checkpoint" in err
 
 
+@pytest.mark.parametrize("extra", [("--threads", "2"), ("--force",)], ids=["threads", "force"])
+def test_exhaustive_flags_rejected_in_sample_mode(capsys, extra):
+    argv = ("moment", "--q", "3", "--g", "1", "--mode", "sample", "--seed", "1")
+    code, _, err = run_cli(capsys, *argv, *extra)
+    assert code == 2
+    assert extra[0] in err
+
+
+def test_sample_table_cap_exit_3(capsys):
+    # the prime tables to degree 9 at q=5 need about 4.4e11 entries
+    code, _, err = run_cli(
+        capsys, "moment", "--q", "5", "--g", "9", "--mode", "sample",
+        "--sample-size", "10", "--seed", "1",
+    )
+    assert code == 3
+    assert "cap" in err
+
+
 def test_resource_cap_exit_3(capsys):
     code, _, err = run_cli(capsys, "moment", "--q", "3", "--g", "8")
     assert code == 3

@@ -12,6 +12,7 @@ from hyperell.characters import jacobi, residue_symbol_prime
 from hyperell.ensemble import EnsembleSpec, first_moment
 from hyperell.lfunction import afe_central_value, dirichlet_coefficient
 from hyperell.polyring import (
+    factorize,
     monic_by_code,
     monic_polys,
     poly_code,
@@ -63,7 +64,7 @@ def test_jacobi_residue_table_matches_jacobi():
     q = 3
     for dn in (1, 2, 3):
         for f in monic_polys(dn, q):
-            t = jacobi_residue_table(f, q)
+            t = jacobi_residue_table(factorize(f, q)[1], q)
             from hyperell.polyring import poly_of_code
 
             for code in range(q**dn):
@@ -82,7 +83,7 @@ def test_char_sum_table_scan_matches_brute_force():
         for n in range(1, g + 1):
             for f in monic_polys(n, q):
                 brute = sum(chi(D, f, q) for D in Ds)
-                assert char_sum_table_scan(f, q, d) == brute, (q, g, f)
+                assert char_sum_table_scan(factorize(f, q)[1], q, d) == brute, (q, g, f)
 
 
 @pytest.mark.parametrize("q,g", [(3, 1), (3, 2), (3, 3), (5, 1), (7, 1)])
@@ -213,18 +214,49 @@ def test_batch_coefficients_match_naive_q5():
 def test_batch_coprime_counts():
     from hyperell.polyring import degree, gcd
 
-    q, d = 3, 3
-    mask = squarefree_mask(q, d)
-    codes = np.nonzero(mask)[0]
-    counts = batch_coprime_counts(q, d, codes, 1)
-    zero_deg = batch_coprime_counts(q, d, codes, 0)
-    for row, code in enumerate(codes):
-        D = monic_by_code(int(code), d, q)
-        direct = sum(
-            1 for l in monic_polys(1, q) if degree(gcd(D, l, q)) == 0
-        )
-        assert counts[row] == direct
-        assert zero_deg[row] == 1
+    # half_deg 2 reaches l = P^2, the even-exponent branch of the symbol product
+    for q in (3, 5):
+        d = 3
+        mask = squarefree_mask(q, d)
+        codes = np.nonzero(mask)[0]
+        for half_deg in (0, 1, 2):
+            counts = batch_coprime_counts(q, d, codes, half_deg)
+            for row, code in enumerate(codes):
+                D = monic_by_code(int(code), d, q)
+                direct = sum(
+                    1 for l in monic_polys(half_deg, q) if degree(gcd(D, l, q)) == 0
+                )
+                assert counts[row] == direct, (q, half_deg, D)
+
+
+def test_sample_codes_refuses_codes_past_int64():
+    with pytest.raises(ValueError, match="do not fit in int64"):
+        sample_codes(5, 29, 10, 1)
+    with pytest.raises(ValueError, match="do not fit in int64"):
+        scan._qpow(5, 28)
+    assert scan._qpow(5, 27)[-1] == 5**26  # 5^27 < 2^63
+
+
+def test_sampled_moment_checks_table_budget_before_sampling(monkeypatch):
+    drawn = []
+    monkeypatch.setattr(scan, "_TABLE_BUDGET", 1000)
+    monkeypatch.setattr(scan, "sample_codes", lambda *a: drawn.append(a))
+    with pytest.raises(ResourceCapError, match="cap"):
+        sampled_moment(5, 4, 10, seed=1)
+    assert drawn == []
+
+
+def test_prime_table_cache_stays_within_budget(monkeypatch):
+    monkeypatch.setattr(scan, "_prime_table_cache", {})
+    monkeypatch.setattr(scan, "_prime_table_held", 0)
+    monkeypatch.setattr(scan, "_TABLE_BUDGET", 60)
+    primes = [P for m in (1, 2) for P in shared_table(5).irreducibles(m)]
+    for P in primes:
+        assert np.array_equal(prime_residue_table(P, 5), prime_residue_table(P, 5))
+    held = sum(t.size for t in scan._prime_table_cache.values())
+    assert held == scan._prime_table_held <= 60
+    # the newest tables stay, the oldest went first
+    assert list(scan._prime_table_cache) == [(5, P) for P in primes[-len(scan._prime_table_cache):]]
 
 
 def test_sample_codes_properties():
