@@ -7,87 +7,35 @@ or by seeded sampling, and compares the averages against truncated Euler
 product predictions with explicit tail bounds.
 """
 
-from .asymptotics import (
-    EulerConstants,
-    average_leading_term,
-    default_cutoff,
-    euler_constants,
-    first_moment_main_term,
-    square_block_main_term,
-    usp_moment,
-    zeta_ring,
-)
-from .characters import chi, jacobi, jacobi_factorization, residue_symbol_prime
-from .curve import PowerSums, count_points, power_sums, zeta_numerator
-from .ensemble import (
-    EnsembleSpec,
-    MomentAccumulator,
-    coprime_monic_count,
-    enumerate_ensemble,
-    expected_value,
-    expected_value_sieved,
-    first_moment,
-)
-from .field import PrimeField
-from .lfunction import (
-    LPolynomial,
-    afe_central_value,
-    dirichlet_coefficient,
-    evaluate_center,
-    functional_equation_holds,
-    l_polynomial,
-    rh_root_check,
-    rh_root_deviation,
-)
-from .polyring import IrreducibleTable, irreducible_count, shared_table
+from .asymptotics import EulerConstants, euler_constants, first_moment_main_term
+from .characters import jacobi
+from .curve import zeta_numerator
+from .ensemble import MomentAccumulator
+from .lfunction import LPolynomial, evaluate_center, l_polynomial
 from .scan import ResourceCapError, SampleMoment, moment_scan, sampled_moment
 from .sqrtq import SqrtQRational
-from .verify import CheckResult, run_identity_suite, suite_passed
+from .verify import CheckResult, run_identity_suite
 
 __version__ = "0.1.0"
 
+# The supported API: the library example in README.md, the entry point behind
+# each CLI subcommand, and the types they return.  Everything else is
+# importable from its own module.
 __all__ = [
     "CheckResult",
-    "EnsembleSpec",
     "EulerConstants",
-    "IrreducibleTable",
     "LPolynomial",
     "MomentAccumulator",
-    "PowerSums",
-    "PrimeField",
     "ResourceCapError",
     "SampleMoment",
     "SqrtQRational",
-    "afe_central_value",
-    "average_leading_term",
-    "chi",
-    "coprime_monic_count",
-    "count_points",
-    "default_cutoff",
-    "dirichlet_coefficient",
-    "enumerate_ensemble",
     "euler_constants",
     "evaluate_center",
-    "expected_value",
-    "expected_value_sieved",
-    "first_moment",
     "first_moment_main_term",
-    "functional_equation_holds",
-    "irreducible_count",
     "jacobi",
-    "jacobi_factorization",
     "l_polynomial",
     "moment_scan",
-    "power_sums",
-    "residue_symbol_prime",
-    "rh_root_check",
-    "rh_root_deviation",
     "run_identity_suite",
     "sampled_moment",
-    "shared_table",
-    "square_block_main_term",
-    "suite_passed",
-    "usp_moment",
     "zeta_numerator",
-    "zeta_ring",
 ]

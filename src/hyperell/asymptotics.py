@@ -168,19 +168,6 @@ def first_moment_main_term(q: int, g: int, ec: EulerConstants) -> Fraction:
     return ec.p_one / (2 * ec.zeta_a2) * Fraction(q) ** (2 * g + 1) * bracket
 
 
-def main_term_split(q: int, g: int, ec: EulerConstants) -> tuple:
-    """(window top degree g, window top degree g-1); their sum is the main term."""
-    return (
-        square_block_main_term(q, g, ec, g),
-        square_block_main_term(q, g, ec, g - 1),
-    )
-
-
-def average_leading_term(q: int, g: int, ec: EulerConstants) -> Fraction:
-    """Leading behaviour of the per-curve average central value: C/2 * (2g+1)."""
-    return ec.p_one / 2 * (2 * g + 1)
-
-
 # ---------------------------------------------------------------------------
 # density-factor identities used by the sieve bookkeeping
 

@@ -7,7 +7,7 @@ is multiplicative over the factorization of Q.
 
 Two independent evaluation routes are kept on purpose:
 
-* `jacobi_factorization` works from the definition, factoring Q;
+* `jacobi_factorization`, the oracle, works from the definition, factoring Q;
 * `jacobi` runs a Euclidean ladder using the reciprocity law
       (A/B) = (B/A) * (-1)^((q-1)/2 * deg A * deg B)
   for coprime monic A, B, together with the scalar rule
@@ -16,9 +16,10 @@ Two independent evaluation routes are kept on purpose:
 They must agree everywhere; the test suite checks that they do.  The
 Euclidean route needs no factorizations and is the production path.
 
-The character attached to a square-free D is chi_D(f) = (D/f); it is
-completely multiplicative in f.  Denominators must be monic; symbols with
-non-monic denominators are rejected rather than silently normalized.
+The character attached to a square-free D is chi_D(f) = (D/f), evaluated
+everywhere as `jacobi(D, f, q)`; it is completely multiplicative in f.
+Denominators must be monic; symbols with non-monic denominators are
+rejected rather than silently normalized.
 """
 
 from __future__ import annotations
@@ -58,7 +59,10 @@ def residue_symbol_prime(f: Poly, P: Poly, q: int) -> int:
 
 
 def jacobi_factorization(f: Poly, Q: Poly, q: int) -> int:
-    """(f/Q) from the definition: product of prime symbols over Q's factorization."""
+    """(f/Q) from the definition: product of prime symbols over Q's factorization.
+
+    The oracle for `jacobi`; it shares no code path with the reciprocity ladder.
+    """
     if not is_monic(Q):
         raise ValueError("denominator must be monic and nonzero")
     out = 1
@@ -102,11 +106,6 @@ def jacobi(f: Poly, Q: Poly, q: int) -> int:
         if flip_possible and df % 2 == 1 and dq % 2 == 1:
             s = -s
         f, Q = rem(Q, f, q), f
-
-
-def chi(D: Poly, f: Poly, q: int) -> int:
-    """The quadratic character chi_D(f) = (D/f) for monic f."""
-    return jacobi(D, f, q)
 
 
 def reciprocity_holds(A: Poly, B: Poly, q: int) -> bool:

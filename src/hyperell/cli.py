@@ -25,6 +25,7 @@ from .polyring import Poly
 from .sqrtq import SqrtQRational
 
 CSV_HEADER = "# hyperell-moment-v1"
+DEFAULT_SAMPLE_SIZE = 1000  # curves drawn by `moment --mode sample` without --sample-size
 CSV_COLUMNS = (
     "q,g,ensemble_size,mode,sample_size,seed,cutoff,"
     "moment_a,moment_b,moment_float,main_term,ratio,"
@@ -223,6 +224,9 @@ def cmd_moment(args) -> int:
         raise ValueError("sample mode requires --seed")
     if args.mode == "sample" and (args.checkpoint or args.resume or args.force or args.threads != 1):
         raise ValueError("--checkpoint, --resume, --threads and --force are for the exhaustive mode")
+    if args.mode == "exhaustive" and (args.seed is not None or args.sample_size is not None):
+        raise ValueError("--seed and --sample-size are for the sample mode")
+    sample_size = DEFAULT_SAMPLE_SIZE if args.sample_size is None else args.sample_size
     if args.resume and not args.checkpoint:
         raise ValueError("--resume requires --checkpoint")
     ec = asymptotics.euler_constants(args.q, args.cutoff)
@@ -232,7 +236,7 @@ def cmd_moment(args) -> int:
         t0 = time.monotonic()
         sampled = args.mode == "sample"
         if sampled:
-            sm = scan.sampled_moment(args.q, g, args.sample_size, args.seed)
+            sm = scan.sampled_moment(args.q, g, sample_size, args.seed)
             size, total, stderr = sm.ensemble_size, sm.total_estimate, sm.stderr
             square = sm.square_mean.scale(size)
         else:
@@ -252,7 +256,7 @@ def cmd_moment(args) -> int:
                 g=g,
                 ensemble_size=size,
                 mode=args.mode,
-                sample_size=args.sample_size if sampled else None,
+                sample_size=sample_size if sampled else None,
                 seed=args.seed if sampled else None,
                 cutoff=ec.cutoff,
                 moment=total,
@@ -376,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--g", type=int, required=True)
     m.add_argument("--g-max", type=int, default=None)
     m.add_argument("--mode", choices=("exhaustive", "sample"), default="exhaustive")
-    m.add_argument("--sample-size", type=int, default=1000)
+    m.add_argument("--sample-size", type=int, default=None, help=f"default {DEFAULT_SAMPLE_SIZE}")
     m.add_argument("--seed", type=int, default=None)
     m.add_argument("--threads", type=int, default=1)
     m.add_argument("--cutoff", type=int, default=None, help="Euler-product truncation degree")

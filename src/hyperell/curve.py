@@ -31,13 +31,6 @@ class PowerSums:
     def traces(self) -> tuple:
         return tuple(n - self.q**k - 1 for k, n in enumerate(self.counts, start=1))
 
-    def rh_bound_holds(self) -> bool:
-        """|S_n| <= 2g q^(n/2), exactly (squared integer compare)."""
-        return all(
-            s * s <= 4 * self.g * self.g * self.q**k
-            for k, s in enumerate(self.traces, start=1)
-        )
-
 
 def count_points(D: Poly, q: int, n: int) -> int:
     """N_n = #{(x, y) in F_{q^n}^2 : y^2 = D(x)} + 1 (the point at infinity)."""
@@ -53,8 +46,8 @@ def count_points(D: Poly, q: int, n: int) -> int:
 def count_points_quadratic_recount(D: Poly, q: int) -> int:
     """N_1 recomputed inside F_{q^2}: count only Frobenius-fixed (x, y).
 
-    A deliberately redundant route through the quadratic extension; must
-    reproduce count_points(D, q, 1).
+    An oracle for `count_points`: a deliberately redundant route through the
+    quadratic extension that must reproduce count_points(D, q, 1).
     """
     F = extfield.get_field(q, 2)
     fixed = [x for x in F.elements() if F.frobenius(x) == x]
@@ -99,5 +92,5 @@ def zeta_numerator(D: Poly, q: int) -> LPolynomial:
 
 
 def oracle_matches(D: Poly, q: int) -> bool:
-    """Exact coefficient agreement between point counting and character sums."""
+    """The oracle check: point counting and character sums agree coefficient for coefficient."""
     return zeta_numerator(D, q).coeffs == l_polynomial(D, q).coeffs

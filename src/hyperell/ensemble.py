@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .characters import chi
+from .characters import jacobi
 from .field import check_odd_prime
-from .lfunction import afe_central_value, center_value, dirichlet_coefficient, two_block_weights
+from .lfunction import afe_central_value, center_value, two_block_weights
 from .polyring import (
     Poly,
     degree,
@@ -115,7 +115,10 @@ def central_value_square_split(D: Poly, q: int):
 
 
 def first_moment(q: int, g: int) -> MomentAccumulator:
-    """Reference first moment: loop over the ensemble, per-curve values."""
+    """Reference first moment: loop over the ensemble, per-curve values.
+
+    The oracle for `scan.moment_scan`, which must equal it exactly.
+    """
     acc = MomentAccumulator.empty(q)
     for D in enumerate_ensemble(q, g):
         sq_val, total = central_value_square_split(D, q)
@@ -187,7 +190,7 @@ def coprime_monic_count(d: int, l: Poly, q: int) -> int:
 
 def char_sum_over_ensemble(f: Poly, q: int, g: int) -> int:
     """S(f) = sum over the ensemble of chi_D(f), by direct enumeration."""
-    return sum(chi(D, f, q) for D in enumerate_ensemble(q, g))
+    return sum(jacobi(D, f, q) for D in enumerate_ensemble(q, g))
 
 
 def ensemble_char_sum_bound_holds(f: Poly, q: int, g: int) -> tuple:
@@ -207,7 +210,7 @@ def ensemble_char_sum_bound_holds(f: Poly, q: int, g: int) -> tuple:
 
 def fixed_degree_char_sum(f: Poly, n: int, q: int) -> int:
     """sum over monic B of degree n of (B/f)."""
-    return sum(chi(B, f, q) for B in monic_polys(n, q))
+    return sum(jacobi(B, f, q) for B in monic_polys(n, q))
 
 
 def fixed_degree_bound_holds(f: Poly, n: int, q: int):
@@ -226,8 +229,3 @@ def fixed_degree_bound_holds(f: Poly, n: int, q: int):
         return t == 0, t
     c = comb(degree(f) - 1, n)
     return t * t <= c * c * q**n, t
-
-
-def coefficient_vanishes_at(D: Poly, q: int) -> bool:
-    """A_D(n) = 0 at n = deg D, the first index where vanishing is forced."""
-    return dirichlet_coefficient(D, degree(D), q) == 0

@@ -1,7 +1,7 @@
 """Extension fields F_{q^n} = F_q[t]/(m(t)) with a deterministic modulus.
 
 Elements are fixed-length coefficient tuples (length n, constant first), so
-tuple equality is field equality.  The modulus defaults to the first monic
+tuple equality is field equality.  The modulus is the first monic
 irreducible of degree n in code order, which makes every table and every
 point count reproducible across runs and machines.
 """
@@ -11,14 +11,14 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import polyring
-from .field import PrimeField
+from .field import check_odd_prime
 from .polyring import Poly
 
 
 @lru_cache(maxsize=None)
 def find_irreducible(q: int, n: int) -> Poly:
     """First monic irreducible of degree n in code order (constant term fastest)."""
-    PrimeField(q)  # validates q
+    check_odd_prime(q)
     if n < 1:
         raise ValueError("degree must be >= 1")
     for f in polyring.monic_polys(n, q):
@@ -30,19 +30,8 @@ def find_irreducible(q: int, n: int) -> Poly:
 class ExtField:
     """Arithmetic in F_{q^n}; elements are length-n tuples over [0, q)."""
 
-    def __init__(self, base: PrimeField, n: int, modulus: Poly | None = None):
-        if n < 1:
-            raise ValueError("extension degree must be >= 1")
-        q = base.q
-        if modulus is None:
-            modulus = find_irreducible(q, n)
-        else:
-            modulus = tuple(c % q for c in modulus)
-            if polyring.degree(modulus) != n or not polyring.is_monic(modulus):
-                raise ValueError("modulus must be monic of the extension degree")
-            if not polyring.is_irreducible(modulus, q):
-                raise ValueError("modulus is reducible")
-        self.base = base
+    def __init__(self, q: int, n: int):
+        modulus = find_irreducible(q, n)  # validates q and n
         self.q = q
         self.n = n
         self.order = q**n
@@ -106,8 +95,9 @@ class ExtField:
         return tuple(c % q for c in out)
 
     def pow_(self, a: tuple, e: int) -> tuple:
+        """a^e for e >= 0, by square-and-multiply."""
         if e < 0:
-            return self.pow_(self.inv(a), -e)
+            raise ValueError("negative exponent: ExtField has no inverse")
         out = self.one
         base = a
         while e:
@@ -116,11 +106,6 @@ class ExtField:
             base = self.mul(base, base)
             e >>= 1
         return out
-
-    def inv(self, a: tuple) -> tuple:
-        if a == self.zero:
-            raise ZeroDivisionError("inverse of zero in extension field")
-        return self.pow_(a, self.order - 2)
 
     def frobenius(self, a: tuple) -> tuple:
         return self.pow_(a, self.q)
@@ -143,4 +128,4 @@ class ExtField:
 
 @lru_cache(maxsize=None)
 def get_field(q: int, n: int) -> ExtField:
-    return ExtField(PrimeField(q), n)
+    return ExtField(q, n)

@@ -1,8 +1,10 @@
-"""Prime-field scalar arithmetic for F_q, q an odd prime.
+"""The prime field F_q, q an odd prime: its boundary check and its Legendre symbol.
 
-Field elements are plain machine integers in [0, q); all structure lives on
-the field object.  Nothing here needs arbitrary precision: products of two
-reduced residues stay well inside 64 bits for every q we scan.
+Elements of F_q are plain integers, reduced mod q by the code that uses them
+(`polyring` for F_q[x], `extfield` for F_{q^n}).  This module holds the two
+facts about q that the rest of the package shares: `check_odd_prime`, the
+one primality check at the library boundary, and `legendre_scalar`, the one
+quadratic character of F_q.
 """
 
 from __future__ import annotations
@@ -33,64 +35,6 @@ def check_odd_prime(q: int) -> None:
     """
     if q < 3 or not is_prime(q):
         raise ValueError(f"q must be an odd prime, got {q}")
-
-
-class PrimeField:
-    """The prime field F_q for an odd prime q >= 3.
-
-    Immutable and freely shareable.  Every method is pure and returns
-    reduced representatives.
-    """
-
-    __slots__ = ("q", "residue_mod_4")
-
-    def __init__(self, q: int):
-        check_odd_prime(q)
-        self.q = q
-        self.residue_mod_4 = q % 4
-
-    def __repr__(self) -> str:
-        return f"PrimeField({self.q})"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PrimeField) and other.q == self.q
-
-    def __hash__(self) -> int:
-        return hash(("PrimeField", self.q))
-
-    def elements(self):
-        return range(self.q)
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.q
-
-    def inv(self, a: int) -> int:
-        a %= self.q
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero in prime field")
-        # q prime, so Fermat gives the inverse
-        return pow(a, self.q - 2, self.q)
-
-    def pow_(self, a: int, e: int) -> int:
-        if e < 0:
-            return pow(self.inv(a), -e, self.q)
-        return pow(a % self.q, e, self.q)
-
-    def legendre(self, a: int) -> int:
-        """Quadratic-residue symbol of a scalar: +1 square unit, -1 non-square, 0 at zero."""
-        return legendre_scalar(a, self.q)
-
-    def is_square(self, a: int) -> bool:
-        return self.legendre(a) >= 0
 
 
 def legendre_scalar(a: int, q: int) -> int:

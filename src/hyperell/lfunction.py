@@ -38,7 +38,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .characters import chi
+from .characters import jacobi
 from .polyring import Poly, degree, is_monic, monic_polys, squarefree
 from .sqrtq import SqrtQRational
 
@@ -76,7 +76,7 @@ def dirichlet_coefficient(D: Poly, n: int, q: int) -> int:
     """A_D(n): character sum over all monic f of degree n."""
     if n < 0:
         raise ValueError("coefficient index must be >= 0")
-    return sum(chi(D, f, q) for f in monic_polys(n, q))
+    return sum(jacobi(D, f, q) for f in monic_polys(n, q))
 
 
 def _raw_coefficients(D: Poly, q: int) -> list:

@@ -146,22 +146,6 @@ def pow_mod(f: Poly, e: int, m: Poly, q: int) -> Poly:
 # enumeration and codes
 
 
-def poly_code(f: Poly, q: int) -> int:
-    """Base-q code over the full coefficient vector (leading digit included)."""
-    code = 0
-    for c in reversed(f):
-        code = code * q + c
-    return code
-
-
-def poly_of_code(code: int, q: int) -> Poly:
-    out = []
-    while code:
-        code, c = divmod(code, q)
-        out.append(c)
-    return tuple(out)
-
-
 def monic_by_code(code: int, n: int, q: int) -> Poly:
     """The monic polynomial of degree n whose sub-leading digits encode `code`."""
     if not 0 <= code < q**n:
@@ -230,7 +214,11 @@ def _distinct_prime_divisors(n: int):
 
 
 def is_irreducible(f: Poly, q: int) -> bool:
-    """Rabin's test: x^(q^n) = x mod f, and x^(q^(n/p)) - x coprime to f."""
+    """Rabin's test: x^(q^n) = x mod f, and x^(q^(n/p)) - x coprime to f.
+
+    The oracle for the trial-division tables of `IrreducibleTable`, and the
+    search of `extfield.find_irreducible`, which needs no table of degree n.
+    """
     n = degree(f)
     if n <= 0:
         return False

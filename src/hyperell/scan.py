@@ -53,8 +53,9 @@ from .polyring import (
 )
 from .sqrtq import SqrtQRational
 
-DEFAULT_SIZE_CAP = 10**7
+DEFAULT_SIZE_CAP = 10**7  # monic D of degree 2g+1 an exhaustive scan runs without force
 CHECKPOINT_VERSION = 1
+CHUNK_SIZE = 64  # summands f per chunk; a checkpoint records it and resume checks it
 _TABLE_BUDGET = 10**8  # int8 prime-table entries one call may build and the cache may hold
 
 
@@ -265,10 +266,8 @@ def moment_scan(
     g: int,
     *,
     threads: int = 1,
-    chunk_size: int = 64,
     checkpoint_path: str | None = None,
     resume: bool = False,
-    size_cap: int = DEFAULT_SIZE_CAP,
     force: bool = False,
 ):
     """Exhaustive first moment by the S(f) sieve.  Returns (accumulator, meta).
@@ -282,9 +281,9 @@ def moment_scan(
     d = spec.poly_degree
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    if spec.monic_count > size_cap and not force:
+    if spec.monic_count > DEFAULT_SIZE_CAP and not force:
         raise ResourceCapError(
-            f"scan size {spec.monic_count} exceeds cap {size_cap}; use force to override"
+            f"scan size {spec.monic_count} exceeds cap {DEFAULT_SIZE_CAP}; use force to override"
         )
     count = ensemble_count(q, g)
     if count != spec.size:
@@ -293,7 +292,7 @@ def moment_scan(
         )
 
     fs = [(n, code) for n in range(1, g + 1) for code in range(q**n)]
-    chunks = [fs[i : i + chunk_size] for i in range(0, len(fs), chunk_size)]
+    chunks = [fs[i : i + CHUNK_SIZE] for i in range(0, len(fs), CHUNK_SIZE)]
 
     # warm the shared prime tables before any worker threads touch them
     for P in _primes_upto(q, g):
@@ -311,7 +310,7 @@ def moment_scan(
             raise ValueError(
                 f"checkpoint version {state.get('version')!r} is not {CHECKPOINT_VERSION}"
             )
-        if (state.get("q"), state.get("g"), state.get("chunk_size")) != (q, g, chunk_size):
+        if (state.get("q"), state.get("g"), state.get("chunk_size")) != (q, g, CHUNK_SIZE):
             raise ValueError("checkpoint does not match this scan configuration")
         done = {int(c) for c in state["done"]}
         if done and (min(done) < 0 or max(done) >= len(chunks)):
@@ -344,7 +343,7 @@ def moment_scan(
             nonsq[n] += c_ns[n]
         done.add(chunk_id)
         if checkpoint_path:
-            _write_checkpoint(checkpoint_path, q, g, chunk_size, done, sq, nonsq)
+            _write_checkpoint(checkpoint_path, q, g, done, sq, nonsq)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -361,12 +360,12 @@ def moment_scan(
     return acc, meta
 
 
-def _write_checkpoint(path, q, g, chunk_size, done, sq, nonsq):
+def _write_checkpoint(path, q, g, done, sq, nonsq):
     state = {
         "version": CHECKPOINT_VERSION,
         "q": q,
         "g": g,
-        "chunk_size": chunk_size,
+        "chunk_size": CHUNK_SIZE,
         "done": sorted(done),
         "square_sums": list(sq),
         "nonsquare_sums": list(nonsq),

@@ -39,10 +39,6 @@ class SqrtQRational:
     def zero(q: int) -> "SqrtQRational":
         return SqrtQRational(Fraction(0), Fraction(0), q)
 
-    @staticmethod
-    def of(a, q: int) -> "SqrtQRational":
-        return SqrtQRational(_frac(a), Fraction(0), q)
-
     def _match(self, other: "SqrtQRational"):
         if self.q != other.q:
             raise ValueError("mixing values over different q")
@@ -55,28 +51,18 @@ class SqrtQRational:
         self._match(other)
         return SqrtQRational(self.a - other.a, self.b - other.b, self.q)
 
-    def __neg__(self) -> "SqrtQRational":
-        return SqrtQRational(-self.a, -self.b, self.q)
-
-    def __mul__(self, other):
-        if isinstance(other, SqrtQRational):
-            self._match(other)
-            return SqrtQRational(
-                self.a * other.a + self.b * other.b * self.q,
-                self.a * other.b + self.b * other.a,
-                self.q,
-            )
-        c = _frac(other)
-        return SqrtQRational(self.a * c, self.b * c, self.q)
-
-    __rmul__ = __mul__
+    def __mul__(self, other: "SqrtQRational") -> "SqrtQRational":
+        self._match(other)
+        return SqrtQRational(
+            self.a * other.a + self.b * other.b * self.q,
+            self.a * other.b + self.b * other.a,
+            self.q,
+        )
 
     def scale(self, c) -> "SqrtQRational":
+        """The product with a rational c, the one scalar product."""
         c = _frac(c)
         return SqrtQRational(self.a * c, self.b * c, self.q)
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
 
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * math.sqrt(self.q)

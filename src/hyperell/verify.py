@@ -30,6 +30,7 @@ from .polyring import degree, gcd, monic_by_code
 
 EXHAUSTIVE_LIMIT = 10_000
 ORACLE_LIMIT = 100  # curves checked against the point-count oracle
+RECIPROCITY_PAIRS = 200  # random coprime pairs put through the reciprocity law
 
 
 @dataclass(frozen=True)
@@ -49,6 +50,8 @@ def run_identity_suite(
 ) -> list:
     """Run every applicable cross-check for one (q, g); returns CheckResults."""
     spec = EnsembleSpec(q, g)
+    if sample_size < 1:
+        raise ValueError(f"sample_size must be >= 1, got {sample_size}")
     d = spec.poly_degree
     results: list = []
 
@@ -156,12 +159,12 @@ def run_identity_suite(
     return results
 
 
-def _reciprocity_suite(q: int, seed: int, pairs: int = 200) -> CheckResult:
+def _reciprocity_suite(q: int, seed: int) -> CheckResult:
     rng = np.random.Generator(np.random.PCG64(seed + 1))
     max_deg = 5
     checked = 0
     failed = 0
-    while checked < pairs:
+    while checked < RECIPROCITY_PAIRS:
         da = int(rng.integers(1, max_deg + 1))
         db = int(rng.integers(1, max_deg + 1))
         A = monic_by_code(int(rng.integers(0, q**da)), da, q)
@@ -174,9 +177,5 @@ def _reciprocity_suite(q: int, seed: int, pairs: int = 200) -> CheckResult:
     return CheckResult(
         name="reciprocity",
         passed=failed == 0,
-        details={"pairs": pairs, "failed": failed, "max_degree": max_deg},
+        details={"pairs": RECIPROCITY_PAIRS, "failed": failed, "max_degree": max_deg},
     )
-
-
-def suite_passed(results: list) -> bool:
-    return all(r.passed for r in results)

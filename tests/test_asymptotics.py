@@ -7,20 +7,19 @@ import pytest
 
 from hyperell.asymptotics import (
     aggregated_density_identity_holds,
-    average_leading_term,
     default_cutoff,
     density_factor,
     euler_constants,
     euler_factor,
     first_moment_main_term,
     log_deriv_numeric,
-    main_term_split,
     mobius_expansion_identity_holds,
     square_block_main_term,
     usp_moment,
     zeta_ring,
 )
 from hyperell.polyring import monic_polys, mul, shared_table
+from support import average_leading_term, main_term_split
 
 X = (0, 1)
 

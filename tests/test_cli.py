@@ -185,6 +185,32 @@ def test_exhaustive_flags_rejected_in_sample_mode(capsys, extra):
     assert extra[0] in err
 
 
+@pytest.mark.parametrize("g,size", [("1", "0"), ("3", "-5")])
+def test_verify_sample_size_below_one_exit_2(capsys, g, size):
+    code, out, err = run_cli(capsys, "verify", "--q", "3", "--g", g, "--sample-size", size)
+    assert code == 2
+    assert "sample_size" in err
+    assert "verify: ok" not in out
+
+
+@pytest.mark.parametrize(
+    "extra", [("--seed", "5"), ("--sample-size", "7")], ids=["seed", "sample-size"]
+)
+def test_sample_flags_rejected_in_exhaustive_mode(capsys, extra):
+    code, out, err = run_cli(capsys, "moment", "--q", "3", "--g", "1", *extra)
+    assert code == 2
+    assert extra[0] in err
+    assert out == ""
+
+
+def test_sample_mode_default_sample_size(capsys):
+    argv = ("moment", "--q", "3", "--g", "1", "--mode", "sample", "--seed", "2")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    row = json.loads(out)["rows"][0]
+    assert (row["mode"], row["sample_size"], row["seed"]) == ("sample", 1000, 2)
+
+
 def test_sample_table_cap_exit_3(capsys):
     # the prime tables to degree 9 at q=5 need about 4.4e11 entries
     code, _, err = run_cli(

@@ -11,6 +11,7 @@ from hyperell.curve import (
 )
 from hyperell.ensemble import enumerate_ensemble
 from hyperell.lfunction import l_polynomial
+from support import rh_bound_holds
 
 D0 = (0, 1, 0, 1)  # x^3 + x over F_3
 
@@ -30,12 +31,12 @@ def test_power_sums_pin():
     ps = power_sums(D0, 3)
     assert ps.counts == (4,)
     assert ps.traces == (4 - 3 - 1,)
-    assert ps.rh_bound_holds()
+    assert rh_bound_holds(ps)
 
 
 def test_rh_bound_all_small():
     for D in enumerate_ensemble(3, 2):
-        assert power_sums(D, 3).rh_bound_holds()
+        assert rh_bound_holds(power_sums(D, 3))
 
 
 def test_quadratic_recount_consistency():

@@ -8,7 +8,6 @@ from hyperell.ensemble import (
     EnsembleSpec,
     MomentAccumulator,
     char_sum_over_ensemble,
-    coefficient_vanishes_at,
     coprime_monic_count,
     central_value_square_split,
     ensemble_char_sum_bound_holds,
@@ -19,11 +18,13 @@ from hyperell.ensemble import (
     fixed_degree_bound_holds,
     fixed_degree_char_sum,
 )
-from hyperell.field import PrimeField
+from hyperell.extfield import ExtField
+from hyperell.field import check_odd_prime
 from hyperell.lfunction import afe_central_value
 from hyperell.polyring import IrreducibleTable, mul, shared_table, squarefree
 from hyperell.scan import moment_scan
 from hyperell.sqrtq import SqrtQRational
+from support import coefficient_vanishes_at
 
 X = (0, 1)
 
@@ -45,7 +46,9 @@ def test_ensemble_spec_rejects_bad_input():
 def test_non_prime_q_rejected_at_library_boundary():
     # 9 is odd and >= 3, so only a primality test catches it
     with pytest.raises(ValueError):
-        PrimeField(9)
+        check_odd_prime(9)
+    with pytest.raises(ValueError):
+        ExtField(9, 1)
     with pytest.raises(ValueError):
         EnsembleSpec(9, 1)
     with pytest.raises(ValueError):

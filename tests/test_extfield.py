@@ -2,7 +2,7 @@
 
 import pytest
 
-from hyperell.extfield import ExtField, find_irreducible, get_field
+from hyperell.extfield import find_irreducible, get_field
 from hyperell.polyring import is_irreducible
 
 
@@ -54,11 +54,19 @@ def test_element_count_and_group(q, n):
 
 @pytest.mark.parametrize("q,n", [(3, 2), (3, 3), (5, 2)])
 def test_inverse(q, n):
+    # the modulus is irreducible, so every unit has the inverse e^(q^n - 2)
     F = get_field(q, n)
     for e in F.elements():
         if e == F.zero:
             continue
-        assert F.mul(e, F.inv(e)) == F.one
+        assert F.mul(e, F.pow_(e, F.order - 2)) == F.one
+
+
+def test_negative_exponent_refused():
+    # there is no inverse to take; square-and-multiply would never finish
+    F = get_field(3, 2)
+    with pytest.raises(ValueError):
+        F.pow_(F.one, -1)
 
 
 def test_frobenius_fixes_base_field():

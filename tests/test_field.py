@@ -1,8 +1,10 @@
-"""Tests for prime-field scalar arithmetic."""
+"""Tests for the prime field F_q: primality, the Legendre symbol, and its
+arithmetic as the degree-one extension ExtField(q, 1)."""
 
 import pytest
 
-from hyperell.field import PrimeField, is_prime, legendre_scalar
+from hyperell.extfield import ExtField
+from hyperell.field import check_odd_prime, is_prime, legendre_scalar
 
 
 def test_is_prime_small():
@@ -13,57 +15,53 @@ def test_is_prime_small():
 
 @pytest.mark.parametrize("q", [3, 5, 7, 13])
 def test_add_mul_wrap(q):
-    F = PrimeField(q)
-    assert F.add(q - 1, 2) == 1
-    assert F.mul(q - 1, q - 1) == 1
-    assert F.sub(0, 1) == q - 1
-    assert F.neg(0) == 0
+    F = ExtField(q, 1)
+    assert F.add((q - 1,), (2,)) == (1,)
+    assert F.mul((q - 1,), (q - 1,)) == (1,)
+    assert F.element([-1]) == (q - 1,)
+    assert F.embed(q) == F.zero
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 13])
 def test_inverse(q):
-    F = PrimeField(q)
+    # Fermat: a^(q-2) is the inverse of every unit
+    F = ExtField(q, 1)
     for a in range(1, q):
-        assert F.mul(a, F.inv(a)) == 1
-
-
-def test_inv_zero_raises():
-    F = PrimeField(5)
-    with pytest.raises(ZeroDivisionError):
-        F.inv(0)
+        assert F.mul((a,), F.pow_((a,), q - 2)) == F.one
 
 
 def test_bad_order_rejected():
     for q in (1, 2, 4, 9, 15):
         with pytest.raises(ValueError):
-            PrimeField(q)
+            check_odd_prime(q)
+        with pytest.raises(ValueError):
+            ExtField(q, 1)
 
 
 def test_residue_mod_4():
-    assert PrimeField(3).residue_mod_4 == 3
-    assert PrimeField(5).residue_mod_4 == 1
-    assert PrimeField(13).residue_mod_4 == 1
+    # -1 is a square exactly when q = 1 mod 4, the sign reciprocity flips on
+    assert legendre_scalar(-1, 3) == -1
+    assert legendre_scalar(-1, 5) == 1
+    assert legendre_scalar(-1, 13) == 1
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 13])
 def test_legendre_against_square_set(q):
-    F = PrimeField(q)
     squares = {(a * a) % q for a in range(1, q)}
-    assert F.legendre(0) == 0
+    assert legendre_scalar(0, q) == 0
     for a in range(1, q):
-        assert F.legendre(a) == (1 if a in squares else -1)
-        assert legendre_scalar(a, q) == F.legendre(a)
+        assert legendre_scalar(a, q) == (1 if a in squares else -1)
+        assert legendre_scalar(a + q, q) == legendre_scalar(a, q)
 
 
 def test_legendre_multiplicative():
-    F = PrimeField(13)
     for a in range(1, 13):
         for b in range(1, 13):
-            assert F.legendre(F.mul(a, b)) == F.legendre(a) * F.legendre(b)
+            assert legendre_scalar(a * b, 13) == legendre_scalar(a, 13) * legendre_scalar(b, 13)
 
 
 def test_pow():
-    F = PrimeField(7)
-    assert F.pow_(3, 0) == 1
-    assert F.pow_(3, 6) == 1  # Fermat
-    assert F.pow_(2, 5) == 32 % 7
+    F = ExtField(7, 1)
+    assert F.pow_((3,), 0) == (1,)
+    assert F.pow_((3,), 6) == (1,)  # Fermat
+    assert F.pow_((2,), 5) == (32 % 7,)

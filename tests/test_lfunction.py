@@ -21,6 +21,7 @@ from hyperell.lfunction import (
 from hyperell.ensemble import enumerate_ensemble
 from hyperell.polyring import monic_polys, mul
 from hyperell.sqrtq import SqrtQRational
+from support import poly_of_code
 
 D0 = (0, 1, 0, 1)  # x^3 + x over F_3
 
@@ -81,7 +82,7 @@ def test_even_degree_divides_out_trivial_zero():
 def test_even_degree_larger_case():
     # first square-free non-square monic quartic over F_5 in code order
     q = 5
-    from hyperell.polyring import is_perfect_square, poly_of_code, squarefree
+    from hyperell.polyring import is_perfect_square, squarefree
 
     found = None
     for low in range(q**4):
@@ -152,9 +153,9 @@ def test_center_value_matches_powers_of_the_center():
     values = [3, -1, 4, 1, -5, 9]
     for weights in (None, (2, 2, 2, 2, 2, 1)):
         expected = SqrtQRational.zero(q)
-        power = SqrtQRational.of(1, q)
+        power = SqrtQRational(1, 0, q)
         for n, v in enumerate(values):
-            expected = expected + power * (v * (1 if weights is None else weights[n]))
+            expected = expected + power.scale(v * (1 if weights is None else weights[n]))
             power = power * u
         assert center_value(values, q, weights) == expected
     assert two_block_weights(5) == (2, 2, 2, 2, 2, 1)

@@ -23,12 +23,11 @@ from hyperell.polyring import (
     mul,
     norm,
     normalize,
-    poly_code,
-    poly_of_code,
     radical,
     shared_table,
     squarefree,
 )
+from support import poly_code, poly_of_code
 
 X = (0, 1)
 

@@ -15,7 +15,6 @@ from hyperell.polyring import (
     factorize,
     monic_by_code,
     monic_polys,
-    poly_code,
     shared_table,
     squarefree,
 )
@@ -31,6 +30,7 @@ from hyperell.scan import (
     sampled_moment,
     squarefree_mask,
 )
+from support import poly_of_code
 
 
 @pytest.mark.parametrize("q,g", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2)])
@@ -54,8 +54,6 @@ def test_prime_residue_table_matches_symbol(q):
         for P in shared_table(q).irreducibles(dp):
             t = prime_residue_table(P, q)
             for code in range(q**dp):
-                from hyperell.polyring import poly_of_code
-
                 f = poly_of_code(code, q)
                 assert t[code] == residue_symbol_prime(f, P, q)
 
@@ -65,16 +63,12 @@ def test_jacobi_residue_table_matches_jacobi():
     for dn in (1, 2, 3):
         for f in monic_polys(dn, q):
             t = jacobi_residue_table(factorize(f, q)[1], q)
-            from hyperell.polyring import poly_of_code
-
             for code in range(q**dn):
                 r = poly_of_code(code, q)
                 assert t[code] == jacobi(r, f, q), (f, r)
 
 
 def test_char_sum_table_scan_matches_brute_force():
-    from hyperell.characters import chi
-
     # square f, repeated primes, and both sides of deg B < deg f
     for q, g in [(3, 2), (3, 3), (5, 2), (7, 1)]:
         d = 2 * g + 1
@@ -82,7 +76,7 @@ def test_char_sum_table_scan_matches_brute_force():
         Ds = [monic_by_code(code, d, q) for code in range(q**d) if mask[code]]
         for n in range(1, g + 1):
             for f in monic_polys(n, q):
-                brute = sum(chi(D, f, q) for D in Ds)
+                brute = sum(jacobi(D, f, q) for D in Ds)
                 assert char_sum_table_scan(factorize(f, q)[1], q, d) == brute, (q, g, f)
 
 
@@ -94,19 +88,21 @@ def test_moment_scan_matches_reference(q, g):
     assert meta.q == q and meta.g == g
 
 
-def test_moment_scan_thread_determinism():
+def test_moment_scan_thread_determinism(monkeypatch):
     a1, m1 = moment_scan(3, 2, threads=1)
     a2, m2 = moment_scan(3, 2, threads=2)
-    a3, m3 = moment_scan(3, 2, threads=3, chunk_size=7)
+    monkeypatch.setattr(scan, "CHUNK_SIZE", 7)
+    a3, m3 = moment_scan(3, 2, threads=3)
     assert a1 == a2 == a3
     assert m1.square_sums == m2.square_sums
     assert m1.nonsquare_sums == m3.nonsquare_sums
 
 
-def test_size_cap_refusal():
+def test_size_cap_refusal(monkeypatch):
+    monkeypatch.setattr(scan, "DEFAULT_SIZE_CAP", 10)
     with pytest.raises(ResourceCapError):
-        moment_scan(3, 2, size_cap=10)
-    acc, _ = moment_scan(3, 2, size_cap=10, force=True)
+        moment_scan(3, 2)
+    acc, _ = moment_scan(3, 2, force=True)
     assert acc == first_moment(3, 2)
 
 
@@ -116,7 +112,8 @@ def test_threads_below_one_rejected(threads):
         moment_scan(3, 1, threads=threads)
 
 
-def test_checkpoint_resume(tmp_path):
+def test_checkpoint_resume(tmp_path, monkeypatch):
+    monkeypatch.setattr(scan, "CHUNK_SIZE", 16)
     cp = str(tmp_path / "ck.json")
     full, _ = moment_scan(3, 3)
     copies = []
@@ -130,25 +127,27 @@ def test_checkpoint_resume(tmp_path):
 
     scan._write_checkpoint = archiving
     try:
-        a1, m1 = moment_scan(3, 3, checkpoint_path=cp, chunk_size=16)
+        a1, m1 = moment_scan(3, 3, checkpoint_path=cp)
     finally:
         scan._write_checkpoint = real_write
     assert a1 == full
     assert len(copies) == m1.chunks
     # resume from the state written after the first chunk
     shutil.copy(copies[0], cp)
-    a2, _ = moment_scan(3, 3, checkpoint_path=cp, resume=True, chunk_size=16)
+    a2, _ = moment_scan(3, 3, checkpoint_path=cp, resume=True)
     assert a2 == full
     # a finished checkpoint resumes to the same answer without recomputing
-    a3, _ = moment_scan(3, 3, checkpoint_path=cp, resume=True, chunk_size=16)
+    a3, _ = moment_scan(3, 3, checkpoint_path=cp, resume=True)
     assert a3 == full
 
 
-def test_checkpoint_config_mismatch(tmp_path):
+def test_checkpoint_config_mismatch(tmp_path, monkeypatch):
     cp = str(tmp_path / "ck.json")
     moment_scan(3, 1, checkpoint_path=cp)
+    monkeypatch.setattr(scan, "CHUNK_SIZE", 5)
     with pytest.raises(ValueError):
-        moment_scan(3, 1, checkpoint_path=cp, resume=True, chunk_size=5)
+        moment_scan(3, 1, checkpoint_path=cp, resume=True)
+    monkeypatch.undo()
     with pytest.raises(ValueError):
         moment_scan(3, 2, checkpoint_path=cp, resume=True)
 

@@ -15,15 +15,17 @@ rationals = st.fractions(
 def test_construction_coerces():
     v = SqrtQRational(1, 2, 3)
     assert v.a == Fraction(1) and v.b == Fraction(2)
-    assert SqrtQRational.of(5, 3).a == Fraction(5)
-    assert SqrtQRational.zero(3).is_zero()
+    assert SqrtQRational(5, 0, 3).a == Fraction(5)
+    assert SqrtQRational.zero(3) == SqrtQRational(0, 0, 3)
+    with pytest.raises(TypeError):
+        SqrtQRational(0.5, 0, 3)
 
 
 def test_add_sub():
     x = SqrtQRational(Fraction(1, 2), Fraction(1, 3), 5)
     y = SqrtQRational(Fraction(1, 2), Fraction(-1, 3), 5)
     assert (x + y) == SqrtQRational(1, 0, 5)
-    assert (x - x).is_zero()
+    assert (x - x) == SqrtQRational.zero(5)
 
 
 def test_mul_cross_terms():
@@ -34,10 +36,13 @@ def test_mul_cross_terms():
 
 
 def test_scalar_ops():
+    # scale is the one product with a rational
     x = SqrtQRational(1, 2, 3)
-    assert 2 * x == SqrtQRational(2, 4, 3)
+    assert x.scale(2) == SqrtQRational(2, 4, 3)
     assert x.scale(Fraction(1, 2)) == SqrtQRational(Fraction(1, 2), 1, 3)
-    assert -x == SqrtQRational(-1, -2, 3)
+    assert x.scale(-1) == SqrtQRational(-1, -2, 3)
+    with pytest.raises(TypeError):
+        2 * x
 
 
 def test_float_value():

@@ -2,7 +2,8 @@
 
 import pytest
 
-from hyperell.verify import run_identity_suite, suite_passed
+from hyperell.verify import run_identity_suite
+from support import suite_passed
 
 
 def names(results):
@@ -56,3 +57,10 @@ def test_results_carry_details():
 def test_rejects_bad_input():
     with pytest.raises(ValueError):
         run_identity_suite(4, 1)
+
+
+@pytest.mark.parametrize("g,sample_size", [(1, 0), (3, -5)])
+def test_rejects_sample_size_below_one(g, sample_size):
+    # g=1 enumerates its family and draws no sample; the size is refused all the same
+    with pytest.raises(ValueError, match="sample_size"):
+        run_identity_suite(3, g, sample_size=sample_size)
