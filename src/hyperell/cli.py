@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: verify, moment, constants, lpoly, symbol, oracle.  Exit codes:
-0 success, 1 verification failure, 2 usage or domain error, 3 resource cap
+0 success, 1 verification failure, 2 usage, domain or I/O error (a bad
+checkpoint, an unwritable --out or --checkpoint path), 3 resource cap
 refused.  All file output is canonical (sorted keys, fixed separators, one
 trailing newline): a rerun with the same configuration must be byte
 identical, which is also what the determinism acceptance check asserts.
@@ -428,7 +429,7 @@ def main(argv=None) -> int:
     except scan.ResourceCapError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (ValueError, ZeroDivisionError, ArithmeticError) as e:
+    except (ValueError, ZeroDivisionError, ArithmeticError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

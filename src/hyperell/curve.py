@@ -5,8 +5,11 @@ deg D) gives the traces S_n = N_n - q^n - 1, and Newton's identities turn
 S_1..S_g into the lower half of the numerator of the zeta function.  The
 coefficient symmetry fills in the upper half.  The result must equal the
 character-sum L-polynomial coefficient for coefficient; that equality is the
-strongest cross-check in the package, since the two routes share nothing
-but the polynomial D.
+strongest cross-check in the package.  The two routes share the polynomial D
+and polyring's F_q[x] division: F_{q^n} multiplies by `polyring.mul_mod`
+(a product, then a remainder mod the field's modulus), and the modulus comes
+from Rabin's test, which already ran on that division.  The characters,
+residue tables and factorizations of the character-sum route are not used.
 """
 
 from __future__ import annotations

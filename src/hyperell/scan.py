@@ -304,23 +304,7 @@ def moment_scan(
     done: set = set()
 
     if resume and checkpoint_path and os.path.exists(checkpoint_path):
-        with open(checkpoint_path) as fh:
-            state = json.load(fh)
-        if state.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(
-                f"checkpoint version {state.get('version')!r} is not {CHECKPOINT_VERSION}"
-            )
-        if (state.get("q"), state.get("g"), state.get("chunk_size")) != (q, g, CHUNK_SIZE):
-            raise ValueError("checkpoint does not match this scan configuration")
-        done = {int(c) for c in state["done"]}
-        if done and (min(done) < 0 or max(done) >= len(chunks)):
-            raise ValueError("checkpoint chunk ids out of range for this scan")
-        sq = [int(v) for v in state["square_sums"]]
-        nonsq = [int(v) for v in state["nonsquare_sums"]]
-        if len(sq) != g + 1 or len(nonsq) != g + 1:
-            raise ValueError("checkpoint sum vectors have the wrong length")
-        if any(sq[1::2]):
-            raise ValueError("checkpoint has square sums at odd degree, where no square lies")
+        done, sq, nonsq = _read_checkpoint(checkpoint_path, q, g, len(chunks), count)
 
     def work(chunk_id: int):
         c_sq = [0] * (g + 1)
@@ -345,19 +329,49 @@ def moment_scan(
         if checkpoint_path:
             _write_checkpoint(checkpoint_path, q, g, done, sq, nonsq)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for result in pool.map(work, todo):
-                absorb(result)
-    else:
-        for chunk_id in todo:
-            absorb(work(chunk_id))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for result in pool.map(work, todo):
+            absorb(result)
 
     acc = _assemble(q, g, count, sq, nonsq)
     meta = ScanMeta(
         q=q, g=g, square_sums=tuple(sq), nonsquare_sums=tuple(nonsq), chunks=len(chunks)
     )
     return acc, meta
+
+
+def _read_checkpoint(path, q: int, g: int, n_chunks: int, count: int):
+    """(done, square sums, nonsquare sums) from a checkpoint; ValueError if malformed."""
+    with open(path) as fh:
+        state = json.load(fh)
+    if not isinstance(state, dict):
+        raise ValueError("checkpoint is not a JSON object")
+    if state.get("version") != CHECKPOINT_VERSION:
+        raise ValueError(
+            f"checkpoint version {state.get('version')!r} is not {CHECKPOINT_VERSION}"
+        )
+    if (state.get("q"), state.get("g"), state.get("chunk_size")) != (q, g, CHUNK_SIZE):
+        raise ValueError("checkpoint does not match this scan configuration")
+    for key in ("done", "square_sums", "nonsquare_sums"):
+        if key not in state:
+            raise ValueError(f"checkpoint has no {key!r}")
+        # type(v) is int: JSON floats and booleans are not chunk ids or exact sums
+        if not isinstance(state[key], list) or any(type(v) is not int for v in state[key]):
+            raise ValueError(f"checkpoint {key!r} is not a list of integers")
+    done = set(state["done"])
+    if done and (min(done) < 0 or max(done) >= n_chunks):
+        raise ValueError("checkpoint chunk ids out of range for this scan")
+    sq = state["square_sums"]
+    nonsq = state["nonsquare_sums"]
+    if len(sq) != g + 1 or len(nonsq) != g + 1:
+        raise ValueError("checkpoint sum vectors have the wrong length")
+    if any(sq[1::2]):
+        raise ValueError("checkpoint has square sums at odd degree, where no square lies")
+    if (sq[0], nonsq[0]) != (count, 0):  # f = 1, a square, contributes the count
+        raise ValueError(
+            f"checkpoint degree-0 sums are {sq[0]} and {nonsq[0]}, not the count {count} and 0"
+        )
+    return done, sq, nonsq
 
 
 def _write_checkpoint(path, q, g, done, sq, nonsq):

@@ -39,20 +39,27 @@ class SqrtQRational:
     def zero(q: int) -> "SqrtQRational":
         return SqrtQRational(Fraction(0), Fraction(0), q)
 
-    def _match(self, other: "SqrtQRational"):
+    def _match(self, other) -> bool:
+        """False for a non-SqrtQRational (the operator returns NotImplemented)."""
+        if not isinstance(other, SqrtQRational):
+            return False
         if self.q != other.q:
             raise ValueError("mixing values over different q")
+        return True
 
     def __add__(self, other: "SqrtQRational") -> "SqrtQRational":
-        self._match(other)
+        if not self._match(other):
+            return NotImplemented
         return SqrtQRational(self.a + other.a, self.b + other.b, self.q)
 
     def __sub__(self, other: "SqrtQRational") -> "SqrtQRational":
-        self._match(other)
+        if not self._match(other):
+            return NotImplemented
         return SqrtQRational(self.a - other.a, self.b - other.b, self.q)
 
     def __mul__(self, other: "SqrtQRational") -> "SqrtQRational":
-        self._match(other)
+        if not self._match(other):
+            return NotImplemented
         return SqrtQRational(
             self.a * other.a + self.b * other.b * self.q,
             self.a * other.b + self.b * other.a,

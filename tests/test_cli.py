@@ -288,3 +288,29 @@ def test_genus_range_resumes_from_checkpoint(tmp_path, capsys):
     code, again, err = run_cli(capsys, *argv, "--resume")
     assert code == 0, err
     assert again == first
+
+
+def test_malformed_checkpoint_exit_2(tmp_path, capsys):
+    ck = tmp_path / "ck.json"
+    ck.write_text("[]\n")
+    code, out, err = run_cli(capsys, "moment", "--q", "3", "--g", "1", "--checkpoint", str(ck), "--resume")
+    assert code == 2
+    assert "error: checkpoint is not a JSON object" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("moment", "--q", "3", "--g", "1", "--out", "{missing}/x"),
+        ("verify", "--q", "3", "--g", "1", "--out", "{missing}/v.json"),
+        ("moment", "--q", "3", "--g", "1", "--checkpoint", "{missing}/ck.json"),
+    ],
+    ids=["moment-out", "verify-out", "moment-checkpoint"],
+)
+def test_unwritable_path_exit_2(tmp_path, capsys, argv):
+    missing = tmp_path / "no-such-dir"
+    code, _, err = run_cli(capsys, *(a.format(missing=missing) for a in argv))
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "no-such-dir" in err

@@ -3,6 +3,7 @@
 import pytest
 
 from hyperell.extfield import find_irreducible, get_field
+from hyperell.field import legendre_scalar
 from hyperell.polyring import is_irreducible
 
 
@@ -21,16 +22,16 @@ def test_find_irreducible_is_irreducible(q, n):
 
 def test_f9_t_squared():
     F9 = get_field(3, 2)
-    t = F9.element((0, 1))
-    assert F9.mul(t, t) == F9.embed(2)  # t^2 = -1 = 2
+    t = (0, 1)
+    assert F9.mul(t, t) == (2,)  # t^2 = -1 = 2
 
 
 def test_f9_squares():
     # every nonzero base element becomes a square in F_9; t itself is one too:
     # t^((9-1)/2) = (t^2)^2 = (-1)^2 = 1
     F9 = get_field(3, 2)
-    assert F9.is_square(F9.embed(2)) == 1
-    assert F9.is_square(F9.element((0, 1))) == 1
+    assert F9.is_square((2,)) == 1
+    assert F9.is_square((0, 1)) == 1
     assert F9.is_square(F9.zero) == 0
     squares = {F9.mul(e, e) for e in F9.elements() if e != F9.zero}
     for e in F9.elements():
@@ -71,8 +72,8 @@ def test_negative_exponent_refused():
 
 def test_frobenius_fixes_base_field():
     F = get_field(3, 3)
-    for a in range(3):
-        assert F.frobenius(F.embed(a)) == F.embed(a)
+    for a in [(), (1,), (2,)]:
+        assert F.frobenius(a) == a
     # frobenius is the q-power map
     for e in list(F.elements())[:12]:
         assert F.frobenius(e) == F.pow_(e, 3)
@@ -81,7 +82,7 @@ def test_frobenius_fixes_base_field():
 def test_eval_poly():
     # evaluate x^3 + x at t in F_9
     F9 = get_field(3, 2)
-    t = F9.element((0, 1))
+    t = (0, 1)
     v = F9.eval_poly((0, 1, 0, 1), t)
     # t^3 + t = t*(t^2 + 1) = t*(2+1) = 0
     assert v == F9.zero
@@ -89,7 +90,26 @@ def test_eval_poly():
 
 def test_embed_matches_scalar_arithmetic():
     F = get_field(5, 2)
+
+    def embed(a):  # F_5 inside F_25, as reduced tuples
+        return (a,) if a else ()
+
     for a in range(5):
         for b in range(5):
-            assert F.add(F.embed(a), F.embed(b)) == F.embed((a + b) % 5)
-            assert F.mul(F.embed(a), F.embed(b)) == F.embed((a * b) % 5)
+            assert F.add(embed(a), embed(b)) == embed((a + b) % 5)
+            assert F.mul(embed(a), embed(b)) == embed((a * b) % 5)
+
+
+@pytest.mark.parametrize("q,n", [(3, 2), (3, 3), (5, 2), (7, 2), (3, 1), (5, 1), (7, 1), (13, 1)])
+def test_squares_table(q, n):
+    # the table behind is_square: half the units, a character, and on the
+    # prime field the Legendre symbol
+    F = get_field(q, n)
+    units = [e for e in F.elements() if e]
+    assert sum(F.is_square(e) == 1 for e in units) == (q**n - 1) // 2
+    for a in units[:12]:
+        for b in units:
+            assert F.is_square(F.mul(a, b)) == F.is_square(a) * F.is_square(b)
+    if n == 1:
+        for a in range(q):
+            assert F.is_square((a,) if a else ()) == legendre_scalar(a, q)

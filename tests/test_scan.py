@@ -176,14 +176,35 @@ def test_checkpoint_rejects_square_sums_at_odd_degree(tmp_path):
 
 
 def test_checkpoint_rejects_bad_chunk_ids(tmp_path):
+    # and every other malformed state: each must be a ValueError, not a
+    # traceback or a silently wrong resume
     cp = str(tmp_path / "ck.json")
     moment_scan(3, 1, checkpoint_path=cp)
-    state = json.load(open(cp))
-    state["done"] = [999]
-    with open(cp, "w") as fh:
-        json.dump(state, fh)
-    with pytest.raises(ValueError):
-        moment_scan(3, 1, checkpoint_path=cp, resume=True)
+    good = json.load(open(cp))
+    count = good["square_sums"][0]
+
+    def without(key):
+        return {k: v for k, v in good.items() if k != key}
+
+    bad_states = [
+        ({**good, "done": [999]}, "out of range"),
+        ([good], "not a JSON object"),
+        (without("done"), "'done'"),
+        (without("square_sums"), "'square_sums'"),
+        (without("nonsquare_sums"), "'nonsquare_sums'"),
+        ({**good, "done": 0}, "not a list of integers"),
+        ({**good, "done": [0.5]}, "not a list of integers"),
+        ({**good, "done": [True]}, "not a list of integers"),
+        ({**good, "square_sums": [float(count), 0]}, "not a list of integers"),
+        ({**good, "nonsquare_sums": [0, False]}, "not a list of integers"),
+        ({**good, "done": [], "square_sums": [0, 0], "nonsquare_sums": [0, 0]}, "count"),
+        ({**good, "done": [], "square_sums": [count, 0], "nonsquare_sums": [7, 0]}, "count"),
+    ]
+    for state, message in bad_states:
+        with open(cp, "w") as fh:
+            json.dump(state, fh)
+        with pytest.raises(ValueError, match=message):
+            moment_scan(3, 1, checkpoint_path=cp, resume=True)
 
 
 def test_batch_coefficients_match_naive():

@@ -1,5 +1,6 @@
 """Tests for exact a + b*sqrt(q) arithmetic."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -57,6 +58,16 @@ def test_mixed_q_rejected():
         SqrtQRational(1, 0, 3) + SqrtQRational(1, 0, 5)
     with pytest.raises(ValueError):
         SqrtQRational(1, 0, 3) * SqrtQRational(1, 0, 5)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+def test_plain_number_operand_is_type_error(op):
+    # scale is the one product with a number; the operators take only values
+    x = SqrtQRational(1, 2, 3)
+    with pytest.raises(TypeError):
+        op(x, 1)
+    with pytest.raises(TypeError):
+        op(1, x)
 
 
 def test_str():
