@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .field import check_odd_prime
 from .polyring import (
     Poly,
     factorize,
@@ -102,6 +103,7 @@ class EulerConstants:
 
 
 def euler_constants(q: int, cutoff: int | None = None) -> EulerConstants:
+    check_odd_prime(q)
     if cutoff is None:
         cutoff = default_cutoff(q)
     if cutoff < 1:

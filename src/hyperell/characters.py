@@ -24,7 +24,7 @@ rejected rather than silently normalized.
 
 from __future__ import annotations
 
-from .field import legendre_scalar
+from .field import check_odd_prime, legendre_scalar
 from .polyring import (
     Poly,
     degree,
@@ -86,6 +86,7 @@ def jacobi(f: Poly, Q: Poly, q: int) -> int:
     the sign when reciprocity says so, then swaps and reduces.  A vanishing
     remainder against a non-trivial modulus means a shared factor: symbol 0.
     """
+    check_odd_prime(q)
     if not is_monic(Q):
         raise ValueError("denominator must be monic and nonzero")
     flip_possible = q % 4 == 3  # (-1)^((q-1)/2) = -1 exactly then

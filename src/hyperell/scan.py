@@ -23,9 +23,13 @@ D = A^2 B and (D/f) = (B/f) when gcd(A, f) = 1, else 0.  With n = deg f,
 
 Every symbol is one product, chi_D being completely multiplicative:
 (x/f) = prod over P^e || f of (x/P)^e, taken by `_symbol_product` over the
-values `_prime_symbols` reads off each prime's table.  The scan factors each
-f once; f is a square iff every exponent is even.  Everything integral is
-exact: int8 symbols, int64 table sums, Python ints and Fractions above.
+values `_prime_symbols` reads off each prime's table.  `moment_scan` builds
+(x/P) once, before its worker threads start, for every residue code x < q^g
+and every prime P of degree <= g.  The residues mod an f of degree n are the
+codes [0, q^n), so f's Jacobi table is the product of the prefix slices of
+its primes' vectors.  The scan factors each f once; f is a square iff every
+exponent is even.  Everything integral is exact: int8 symbols, int64 table
+sums, Python ints and Fractions above.
 """
 
 from __future__ import annotations
@@ -203,23 +207,32 @@ def _prime_symbols(dig: np.ndarray, primes, q: int) -> dict:
 
 
 def _symbol_product(symbols: dict, factors, size: int) -> np.ndarray:
-    """(x/f) = prod over f's factors (P, e) of (x/P)^e: (x/P) for odd e, |(x/P)| for even e."""
+    """(x/f) = prod over f's factors (P, e) of (x/P)^e: (x/P) for odd e, |(x/P)| for even e.
+
+    Reads the first `size` entries of each prime's symbol vector.
+    """
     out = np.ones(size, dtype=np.int8)
     for P, e in factors:
-        out *= symbols[P] if e % 2 else np.abs(symbols[P])
+        s = symbols[P][:size]
+        out *= s if e % 2 else np.abs(s)
     return out
 
 
-def jacobi_residue_table(factors, q: int) -> np.ndarray:
-    """(r/f) for every residue code r mod f, from f's factorization ((P, e), ...)."""
-    n = sum(degree(P) * e for P, e in factors)
-    dig = _digit_matrix(np.arange(q**n), q, n)
-    return _symbol_product(_prime_symbols(dig, (P for P, _ in factors), q), factors, q**n)
+def jacobi_residue_table(factors, symbols: dict, q: int) -> np.ndarray:
+    """(r/f) for every residue code r mod f, from f's factorization ((P, e), ...).
+
+    symbols maps each prime factor P to (x/P) over the codes x in [0, q^k),
+    k >= deg f; the residues mod f are the prefix [0, q^deg f).
+    """
+    return _symbol_product(symbols, factors, q ** sum(degree(P) * e for P, e in factors))
 
 
-def char_sum_table_scan(factors, q: int, d: int) -> int:
-    """S(f) = sum over square-free monic D of degree d of (D/f) by the sieve; f as ((P, e), ...)."""
-    t = jacobi_residue_table(factors, q)
+def char_sum_table_scan(factors, symbols: dict, q: int, d: int) -> int:
+    """S(f) = sum over square-free monic D of degree d of (D/f) by the sieve; f as ((P, e), ...).
+
+    symbols is as for `jacobi_residue_table`.
+    """
+    t = jacobi_residue_table(factors, symbols, q)
     m = [1, -q] + [0] * (d // 2)
     for P, _ in factors:
         k = degree(P)
@@ -294,9 +307,10 @@ def moment_scan(
     fs = [(n, code) for n in range(1, g + 1) for code in range(q**n)]
     chunks = [fs[i : i + CHUNK_SIZE] for i in range(0, len(fs), CHUNK_SIZE)]
 
-    # warm the shared prime tables before any worker threads touch them
-    for P in _primes_upto(q, g):
-        prime_residue_table(P, q)
+    # (x/P) for every residue code x < q^g and prime P of degree <= g, built
+    # once: f of degree n reads the prefix [0, q^n), and the worker threads
+    # read only these arrays
+    symbols = _prime_symbols(_digit_matrix(np.arange(q**g), q, g), _primes_upto(q, g), q)
 
     sq = [0] * (g + 1)
     nonsq = [0] * (g + 1)
@@ -311,7 +325,7 @@ def moment_scan(
         c_ns = [0] * (g + 1)
         for n, code in chunks[chunk_id]:
             factors = factorize(monic_by_code(code, n, q), q)[1]
-            s = char_sum_table_scan(factors, q, d)
+            s = char_sum_table_scan(factors, symbols, q, d)
             if all(e % 2 == 0 for _, e in factors):  # monic f is a square
                 c_sq[n] += s
             else:

@@ -22,7 +22,8 @@ from .lfunction import (
     RH_TOL,
     LPolynomial,
     afe_central_value,
-    rh_root_deviation,
+    functional_equation_holds,
+    rh_root_check,
     scaled_center_coords,
     two_block_weights,
 )
@@ -84,13 +85,14 @@ def run_identity_suite(
         )
     )
 
-    fe_ok = all(
-        bool((a[:, n] * q ** (g - n) == a[:, 2 * g - n]).all()) for n in range(g + 1)
-    )
+    Ls = [
+        LPolynomial(q=q, D=monic_by_code(int(code), d, q), coeffs=tuple(int(x) for x in row), lam=0)
+        for row, code in zip(a, codes)
+    ]
     results.append(
         CheckResult(
             name="functional_equation",
-            passed=fe_ok,
+            passed=all(functional_equation_holds(L) for L in Ls),
             details={"curves": int(len(codes)), "mode": "exhaustive" if exhaustive else "sample"},
         )
     )
@@ -108,15 +110,12 @@ def run_identity_suite(
         )
     )
 
-    worst = 0.0
-    for row, code in zip(a, codes):
-        L = LPolynomial(q=q, D=monic_by_code(int(code), d, q), coeffs=tuple(int(x) for x in row), lam=0)
-        worst = max(worst, rh_root_deviation(L))
+    roots = [rh_root_check(L) for L in Ls]
     results.append(
         CheckResult(
             name="root_modulus",
-            passed=worst <= RH_TOL,
-            details={"worst_relative_deviation": worst, "tolerance": RH_TOL},
+            passed=all(ok for ok, _ in roots),
+            details={"worst_relative_deviation": max(dev for _, dev in roots), "tolerance": RH_TOL},
         )
     )
 

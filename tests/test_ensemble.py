@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from hyperell.asymptotics import euler_constants
+from hyperell.characters import jacobi
 from hyperell.ensemble import (
     EnsembleSpec,
     MomentAccumulator,
@@ -20,7 +22,7 @@ from hyperell.ensemble import (
 )
 from hyperell.extfield import ExtField
 from hyperell.field import check_odd_prime
-from hyperell.lfunction import afe_central_value
+from hyperell.lfunction import afe_central_value, dirichlet_coefficient, l_polynomial
 from hyperell.polyring import IrreducibleTable, mul, shared_table, squarefree
 from hyperell.scan import moment_scan
 from hyperell.sqrtq import SqrtQRational
@@ -59,6 +61,20 @@ def test_non_prime_q_rejected_at_library_boundary():
         IrreducibleTable(9)
     with pytest.raises(ValueError):
         shared_table(4)
+    for q in (0, 9):  # q = 0 must fail before a default cutoff is looked for
+        with pytest.raises(ValueError):
+            euler_constants(q)
+    with pytest.raises(ValueError):
+        euler_constants(1, 3)
+    # l_polynomial, dirichlet_coefficient and afe_central_value reach the check through jacobi
+    with pytest.raises(ValueError):
+        jacobi((0, 1), (1, 0, 1), 9)
+    with pytest.raises(ValueError):
+        l_polynomial((0, 1, 0, 1), 9)
+    with pytest.raises(ValueError):
+        dirichlet_coefficient((0, 1, 0, 1), 1, 9)
+    with pytest.raises(ValueError):
+        afe_central_value((0, 1, 0, 1), 9)
 
 
 @pytest.mark.parametrize("q,g", [(3, 1), (3, 2), (5, 1)])

@@ -3,6 +3,7 @@
 import json
 import os
 import shutil
+import threading
 
 import numpy as np
 import pytest
@@ -58,11 +59,18 @@ def test_prime_residue_table_matches_symbol(q):
                 assert t[code] == residue_symbol_prime(f, P, q)
 
 
+def symbols_upto(q, n):
+    """(x/P) over the codes x < q^n for every prime P of degree <= n, as moment_scan builds them."""
+    return scan._prime_symbols(scan._digit_matrix(np.arange(q**n), q, n), scan._primes_upto(q, n), q)
+
+
 def test_jacobi_residue_table_matches_jacobi():
     q = 3
+    symbols = symbols_upto(q, 3)  # degrees 1 and 2 read prefix slices
     for dn in (1, 2, 3):
         for f in monic_polys(dn, q):
-            t = jacobi_residue_table(factorize(f, q)[1], q)
+            t = jacobi_residue_table(factorize(f, q)[1], symbols, q)
+            assert len(t) == q**dn
             for code in range(q**dn):
                 r = poly_of_code(code, q)
                 assert t[code] == jacobi(r, f, q), (f, r)
@@ -74,10 +82,25 @@ def test_char_sum_table_scan_matches_brute_force():
         d = 2 * g + 1
         mask = squarefree_mask(q, d)
         Ds = [monic_by_code(code, d, q) for code in range(q**d) if mask[code]]
+        symbols = symbols_upto(q, g)
         for n in range(1, g + 1):
             for f in monic_polys(n, q):
                 brute = sum(jacobi(D, f, q) for D in Ds)
-                assert char_sum_table_scan(factorize(f, q)[1], q, d) == brute, (q, g, f)
+                assert char_sum_table_scan(factorize(f, q)[1], symbols, q, d) == brute, (q, g, f)
+
+
+def test_moment_scan_builds_prime_tables_on_the_main_thread(monkeypatch):
+    # the workers read only the symbol vectors built before they start
+    callers = []
+    table = scan.prime_residue_table
+
+    def traced(P, q):
+        callers.append(threading.current_thread() is threading.main_thread())
+        return table(P, q)
+
+    monkeypatch.setattr(scan, "prime_residue_table", traced)
+    moment_scan(3, 3, threads=2)
+    assert callers and all(callers)
 
 
 @pytest.mark.parametrize("q,g", [(3, 1), (3, 2), (3, 3), (5, 1), (7, 1)])
