@@ -14,7 +14,9 @@ its coefficients obey the symmetry
 For even deg D there is a forced zero at u = 1; dividing it out once leaves
 the completed polynomial of degree deg D - 2 with the same kind of symmetry.
 The completed polynomial has all roots on |u| = q^(-1/2), and its value at
-u = q^(-1/2) is an exact element of Q(sqrt q).
+u = q^(-1/2) is an exact element of Q(sqrt q).  `rh_certified` decides the
+root moduli exactly, by a Sturm count on integers; the float deviation of
+`rh_root_deviation` is a diagnostic, reported within RH_TOL.
 
 The value at the center can also be written as two finite character sums,
 
@@ -33,6 +35,7 @@ the split into an exact element of Q(sqrt q).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,7 +45,7 @@ from .characters import jacobi
 from .polyring import Poly, degree, is_monic, monic_polys, squarefree
 from .sqrtq import SqrtQRational
 
-RH_TOL = 1e-9  # pinned tolerance of the root-modulus diagnostic
+RH_TOL = 1e-9  # bound on the reported float deviation of a certified row
 
 
 @dataclass(frozen=True)
@@ -109,12 +112,17 @@ def l_polynomial(D: Poly, q: int) -> LPolynomial:
     return LPolynomial(q=q, D=D, coeffs=tuple(b), lam=1)
 
 
-def functional_equation_holds(L: LPolynomial) -> bool:
-    """Exact coefficient symmetry a_n * q^(delta-n) == a_{2 delta - n}."""
+def functional_equation_defect(L: LPolynomial):
+    """Least n with a_n * q^(delta-n) != a_{2 delta - n}; None when the symmetry holds."""
     a = L.coeffs
     d = L.delta
     q = L.q
-    return all(a[n] * q ** (d - n) == a[2 * d - n] for n in range(d + 1))
+    return next((n for n in range(d + 1) if a[n] * q ** (d - n) != a[2 * d - n]), None)
+
+
+def functional_equation_holds(L: LPolynomial) -> bool:
+    """Exact coefficient symmetry a_n * q^(delta-n) == a_{2 delta - n}."""
+    return functional_equation_defect(L) is None
 
 
 def two_block_weights(g: int) -> tuple:
@@ -176,15 +184,117 @@ def afe_central_value(D: Poly, q: int) -> SqrtQRational:
     return center_value(coeffs, q, two_block_weights(g))
 
 
-def rh_root_deviation(L: LPolynomial) -> float:
-    """Worst relative deviation of the root moduli from q^(-1/2).
+def _sturm_next(a: list, b: list) -> list:
+    """-(a mod b) up to a positive factor, made primitive; [] when b divides a.
 
-    Float diagnostic on top of the exact data.  Double-precision companion
-    eigenvalues lose half their digits at a repeated root (these do occur,
-    e.g. (5u^2-3u+1)^2 (5u^2+2u+1) shows up over F_5), so anything that is
-    not clean at machine precision is redone with a multiprecision solver
-    before the deviation is reported.  A root finder that fails to converge
-    is reported as an explicit numeric error.
+    Integer pseudo-division scaled by |lc(b)|, so the signs are those of the
+    rational remainder.  Polynomials are integer lists, constant term first.
+    """
+    r = list(a)
+    lead, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
+    while len(r) >= len(b):
+        c = sign * r[-1]
+        shift = len(r) - len(b)
+        r = [lead * x for x in r]
+        for i, y in enumerate(b):
+            r[shift + i] -= c * y
+        while r and r[-1] == 0:
+            r.pop()
+    content = math.gcd(*r) if r else 1
+    return [-x // content for x in r]
+
+
+def _sturm_chain(p: list) -> list:
+    """Sturm sequence p, p', ..., gcd(p, p') of an integer polynomial of degree >= 1."""
+    dp = [i * c for i, c in enumerate(p)][1:]
+    content = math.gcd(*dp)
+    chain = [p, [c // content for c in dp]]
+    while True:
+        r = _sturm_next(chain[-2], chain[-1])
+        if not r:
+            return chain
+        chain.append(r)
+
+
+def _sign_changes(chain: list, x: int) -> int:
+    values = []
+    for p in chain:
+        v = 0
+        for c in reversed(p):
+            v = v * x + c
+        if v:
+            values.append(v)
+    return sum((u < 0) != (v < 0) for u, v in zip(values, values[1:]))
+
+
+def _exact_quotient(p: list, d: list) -> list:
+    """p / d for a primitive integer d that divides p over Q (then over Z, by Gauss)."""
+    r = list(p)
+    out = [0] * (len(p) - len(d) + 1)
+    for shift in range(len(out) - 1, -1, -1):
+        c = r[shift + len(d) - 1] // d[-1]
+        out[shift] = c
+        for i, y in enumerate(d):
+            r[shift + i] -= c * y
+    return out
+
+
+def rh_certified(L: LPolynomial) -> bool:
+    """Exact test that every root of L lies on |u| = q^(-1/2).
+
+    Only rows that satisfy the functional equation can pass.  For those,
+    T^(2 delta) L(1/T) = T^delta h(T + q/T) with
+
+        h = a_delta + sum_{k=1..delta} a_{delta-k} D_k(x),
+        D_0 = 2, D_1 = x, D_{k+1} = x D_k - q D_{k-1},
+
+    so the roots lie on the circle iff h has all its roots real in
+    [-2 sqrt q, 2 sqrt q], that is iff k(y) = h(x) h(-x), y = x^2, has all
+    its roots in [0, 4q].  With the roots at y = 0 stripped, that holds iff
+    the Sturm count of the square-free part of k on (0, 4q] equals its
+    degree: the real-Weil-polynomial test of Kedlaya, "Search techniques
+    for root-unitary polynomials" (2008).  All arithmetic is on integers.
+    """
+    a = L.coeffs
+    if not functional_equation_holds(L) or a[0] == 0:
+        return False  # a_0 = 0 puts a root at u = 0
+    q, d = L.q, L.delta
+    h = [a[d]] + [0] * d
+    prev, cur = [2], [0, 1]  # D_{k-1}, D_k
+    for k in range(1, d + 1):
+        for i, c in enumerate(cur):
+            h[i] += a[d - k] * c
+        nxt = [0] + cur
+        for i, c in enumerate(prev):
+            nxt[i] -= q * c
+        prev, cur = cur, nxt
+    # h(x) = E(x^2) + x O(x^2), so k(y) = E(y)^2 - y O(y)^2, of degree d
+    even, odd = h[0::2], h[1::2]
+    k = [0] * (d + 1)
+    for i, x in enumerate(even):
+        for j, y in enumerate(even):
+            k[i + j] += x * y
+    for i, x in enumerate(odd):
+        for j, y in enumerate(odd):
+            k[i + j + 1] -= x * y
+    while k[0] == 0:
+        k.pop(0)
+    if len(k) == 1:
+        return True
+    chain = _sturm_chain(k)
+    if len(chain[-1]) > 1:  # repeated roots: count the square-free part
+        chain = _sturm_chain(_exact_quotient(k, chain[-1]))
+    return _sign_changes(chain, 0) - _sign_changes(chain, 4 * q) == len(chain[0]) - 1
+
+
+def rh_root_deviation(L: LPolynomial) -> float:
+    """Worst relative deviation of the root moduli from q^(-1/2), by np.roots.
+
+    Float diagnostic on top of the exact data; `rh_certified` makes the
+    decision.  Double-precision companion eigenvalues lose half their digits
+    at a repeated root (these do occur, e.g. (5u^2-3u+1)^2 (5u^2+2u+1) over
+    F_5), which they place only to about 1e-8.  A root finder that fails to
+    converge is reported as an explicit numeric error.
     """
     if len(L.coeffs) <= 1:
         return 0.0
@@ -193,23 +303,18 @@ def rh_root_deviation(L: LPolynomial) -> float:
     except np.linalg.LinAlgError as e:  # pragma: no cover - numerically exotic
         raise RuntimeError(f"root finder failed to converge: {e}") from e
     target = L.q ** -0.5
-    dev = float(max(abs(abs(r) - target) / target for r in roots))
-    if dev <= 1e-12:
-        return dev
-    import mpmath
-
-    with mpmath.workdps(50):
-        try:
-            mproots = mpmath.polyroots(
-                list(reversed(L.coeffs)), maxsteps=200, extraprec=200
-            )
-        except mpmath.libmp.libhyper.NoConvergence as e:
-            raise RuntimeError(f"root finder failed to converge: {e}") from e
-        mtarget = mpmath.mpf(L.q) ** mpmath.mpf("-0.5")
-        return float(max(abs(abs(r) - mtarget) / mtarget for r in mproots))
+    return float(max(abs(abs(r) - target) / target for r in roots))
 
 
 def rh_root_check(L: LPolynomial):
-    """(holds, worst relative deviation) for the root-modulus test at RH_TOL."""
+    """(certified, deviation) for the root-modulus test; deviation is at most RH_TOL when certified.
+
+    The deviation is `rh_root_deviation`'s, except that a certified row that
+    is not clean at machine precision (above 1e-12, a repeated root) reports
+    0.0, its exact deviation.
+    """
+    ok = rh_certified(L)
     dev = rh_root_deviation(L)
-    return dev <= RH_TOL, dev
+    if ok and dev > 1e-12:
+        dev = 0.0
+    return ok, dev

@@ -40,6 +40,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -122,9 +123,16 @@ def _reduction_rows(f: Poly, q: int, upto: int) -> np.ndarray:
 
 
 def _residue_codes(dig: np.ndarray, f: Poly, q: int) -> np.ndarray:
-    """Residue code mod f of each digit row (constant first)."""
-    rows = _reduction_rows(f, q, dig.shape[1] - 1)
-    return (dig @ rows % q) @ _qpow(q, degree(f))
+    """Residue code mod f of each digit row (constant first).
+
+    The reduction rows take dig's dtype, so float64 digits go through BLAS.
+    That is exact: digits and rows lie in [0, q), so an entry of the product
+    is at most (width)(q-1)^2.  For `_square_digits` under the table budget
+    q^m <= 10^8 that is (2m-1)(q-1)^2 < 2^53, since m >= 2 forces q <= 10^4
+    and m = 1 leaves the residue itself.
+    """
+    rows = _reduction_rows(f, q, dig.shape[1] - 1).astype(dig.dtype)
+    return ((dig @ rows).astype(np.int64, copy=False) % q) @ _qpow(q, degree(f))
 
 
 def squarefree_mask(q: int, d: int) -> np.ndarray:
@@ -163,11 +171,30 @@ _prime_table_held = 0  # total entries in the cache, kept within _TABLE_BUDGET
 _prime_table_lock = threading.Lock()
 
 
+@lru_cache(maxsize=1)
+def _square_digits(q: int, m: int) -> np.ndarray:
+    """Digits of x^2 before reduction, mod q, for every residue code x < q^m: (q^m, 2m-1).
+
+    They do not depend on the modulus, so every prime of degree m reads one
+    read-only float64 copy.  `_primes_upto` lists primes by degree, so one
+    cached (q, m) at a time builds each degree once.
+    """
+    dig = _digit_matrix(np.arange(q**m), q, m)
+    conv = np.zeros((q**m, 2 * m - 1), dtype=np.int64)
+    for i in range(m):
+        di = dig[:, i]
+        for j in range(m):
+            conv[:, i + j] += di * dig[:, j]
+    out = (conv % q).astype(np.float64)
+    out.setflags(write=False)
+    return out
+
+
 def prime_residue_table(P: Poly, q: int) -> np.ndarray:
     """Quadratic character of F_q[x]/(P) on all residue codes (int8).
 
-    Built by squaring every residue at once and marking the image; entry 0
-    is the zero residue.
+    Built by reducing the squares of every residue mod P at once and marking
+    the image; entry 0 is the zero residue.
     """
     key = (q, P)
     cached = _prime_table_cache.get(key)
@@ -177,13 +204,7 @@ def prime_residue_table(P: Poly, q: int) -> np.ndarray:
     M = q**m
     if M > _TABLE_BUDGET:
         raise ResourceCapError(f"character table for degree {m} at q={q} is too large")
-    dig = _digit_matrix(np.arange(M), q, m)
-    conv = np.zeros((M, 2 * m - 1), dtype=np.int64)
-    for i in range(m):
-        di = dig[:, i]
-        for j in range(m):
-            conv[:, i + j] += di * dig[:, j]
-    codes = _residue_codes(conv % q, P, q)
+    codes = _residue_codes(_square_digits(q, m), P, q)
     out = np.full(M, -1, dtype=np.int8)
     out[codes] = 1
     out[0] = 0

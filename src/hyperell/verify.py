@@ -5,8 +5,10 @@ ensemble (or a seeded sample when the ensemble is large): enumeration count
 against the closed form, batch character sums against the coefficient
 symmetry, the two-block central-value formula against direct evaluation,
 point counting against character sums, the reciprocity law, and the square
-sieve.  All comparisons are exact except the root-modulus diagnostic, which
-carries a pinned tolerance.
+sieve.  Every decision is exact: the root-modulus check passes a curve by
+an integer Sturm certificate, and its worst float deviation is reported
+beside the bound RH_TOL.  A failing check names its first failing curve code
+in its details.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .lfunction import (
     RH_TOL,
     LPolynomial,
     afe_central_value,
+    functional_equation_defect,
     functional_equation_holds,
     rh_root_check,
     scaled_center_coords,
@@ -89,35 +92,33 @@ def run_identity_suite(
         LPolynomial(q=q, D=monic_by_code(int(code), d, q), coeffs=tuple(int(x) for x in row), lam=0)
         for row, code in zip(a, codes)
     ]
+    fe_details = {"curves": int(len(codes)), "mode": "exhaustive" if exhaustive else "sample"}
+    fe_bad = next((i for i, L in enumerate(Ls) if not functional_equation_holds(L)), None)
+    if fe_bad is not None:
+        fe_details["first_failing_code"] = int(codes[fe_bad])
+        fe_details["coefficient_index"] = functional_equation_defect(Ls[fe_bad])
     results.append(
-        CheckResult(
-            name="functional_equation",
-            passed=all(functional_equation_holds(L) for L in Ls),
-            details={"curves": int(len(codes)), "mode": "exhaustive" if exhaustive else "sample"},
-        )
+        CheckResult(name="functional_equation", passed=fe_bad is None, details=fe_details)
     )
 
     # both routes scaled by q^g: the full polynomial at the center, and the
     # two-block formula on the coefficients up to g
     center = scaled_center_coords(a.T, q, g)
     afe = scaled_center_coords(a.T[: g + 1], q, g, two_block_weights(g))
-    afe_ok = all(bool((c == f).all()) for c, f in zip(center, afe))
+    afe_bad = np.nonzero((center[0] != afe[0]) | (center[1] != afe[1]))[0]
+    afe_details = {"curves": int(len(codes))}
+    if len(afe_bad):
+        afe_details["first_failing_code"] = int(codes[afe_bad[0]])
     results.append(
-        CheckResult(
-            name="two_block_center_identity",
-            passed=afe_ok,
-            details={"curves": int(len(codes))},
-        )
+        CheckResult(name="two_block_center_identity", passed=afe_bad.size == 0, details=afe_details)
     )
 
     roots = [rh_root_check(L) for L in Ls]
-    results.append(
-        CheckResult(
-            name="root_modulus",
-            passed=all(ok for ok, _ in roots),
-            details={"worst_relative_deviation": max(dev for _, dev in roots), "tolerance": RH_TOL},
-        )
-    )
+    rh_details = {"worst_relative_deviation": max(dev for _, dev in roots), "tolerance": RH_TOL}
+    rh_bad = next((i for i, (ok, _) in enumerate(roots) if not ok), None)
+    if rh_bad is not None:
+        rh_details["first_failing_code"] = int(codes[rh_bad])
+    results.append(CheckResult(name="root_modulus", passed=rh_bad is None, details=rh_details))
 
     if g <= 6:
         if exhaustive and len(codes) <= ORACLE_LIMIT:

@@ -1,6 +1,10 @@
 """Tests for the command-line interface: parsing, schemas, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -96,6 +100,25 @@ def test_verify_pass_and_fault(capsys):
     )
     assert code == 1
     assert "FAIL" in out
+
+
+def test_verify_runs_without_mpmath():
+    # the root-modulus check is exact, so the library never imports mpmath
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    script = (
+        "import sys\n"
+        "from hyperell.cli import main\n"
+        "code = main(['verify', '--q', '3', '--g', '2'])\n"
+        "print('mpmath' in sys.modules)\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_moment_json(capsys):

@@ -1,9 +1,11 @@
 """Tests for the character-sum L-polynomial and the central-value identity."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperell.lfunction import (
     LPolynomial,
@@ -13,13 +15,14 @@ from hyperell.lfunction import (
     evaluate_center,
     functional_equation_holds,
     l_polynomial,
+    rh_certified,
     rh_root_check,
     rh_root_deviation,
     scaled_center_coords,
     two_block_weights,
 )
 from hyperell.ensemble import enumerate_ensemble
-from hyperell.polyring import monic_polys, mul
+from hyperell.polyring import is_perfect_square, monic_polys, mul, squarefree
 from hyperell.sqrtq import SqrtQRational
 from support import poly_of_code
 
@@ -134,10 +137,110 @@ def test_rh_pins():
 
 def test_rh_repeated_root_regression():
     # (5u^2-3u+1)^2 (5u^2+2u+1): double-precision eigenvalues only localize
-    # the repeated pair to ~1e-8, the multiprecision fallback must recover it
+    # the repeated pair to ~1e-8, the exact certificate must pass it
     L = LPolynomial(5, (0,), (1, -4, 12, -22, 60, -100, 125), 0)
     ok, dev = rh_root_check(L)
     assert ok and dev <= 1e-9
+
+
+def symmetric_row(low, q):
+    """The coefficient row a_0..a_2delta with a_0..a_delta = low and the functional equation."""
+    d = len(low) - 1
+    return tuple(low) + tuple(low[2 * d - n] * q ** (n - d) for n in range(d + 1, 2 * d + 1))
+
+
+def row_of_h(h, q):
+    """The symmetric row whose T^delta h(T + q/T) is the reversed L-polynomial; h monic, constant first."""
+    d = len(h) - 1
+    basis = [[2], [0, 1]]  # D_k(T + q/T) = T^k + q^k T^(-k)
+    while len(basis) <= d:
+        nxt = [0] + basis[-1]
+        for i, c in enumerate(basis[-2]):
+            nxt[i] -= q * c
+        basis.append(nxt)
+    h = list(h)
+    low = [0] * (d + 1)
+    for k in range(d, 0, -1):  # peel off b_k D_k from the top
+        low[d - k] = h[k]
+        for i, c in enumerate(basis[k]):
+            h[i] -= low[d - k] * c
+    low[d] = h[0]
+    return symmetric_row(low, q)
+
+
+def poly_product(factors):
+    out = [1]
+    for f in factors:
+        nxt = [0] * (len(out) + len(f) - 1)
+        for i, x in enumerate(out):
+            for j, y in enumerate(f):
+                nxt[i + j] += x * y
+        out = nxt
+    return out
+
+
+@st.composite
+def symmetric_rows(draw):
+    """(q, row): rows that satisfy the functional equation at q in {3, 5, 7}, delta <= 4.
+
+    Half are drawn from the box |a_n| <= C(2 delta, n) q^(n/2) that the
+    Riemann hypothesis forces; half are built from h as a product of factors
+    x - t and x^2 - s, repeats allowed, with roots on both sides of 2 sqrt q.
+    """
+    q = draw(st.sampled_from([3, 5, 7]))
+    d = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        low = [1] + [
+            draw(st.integers(-(b := math.comb(2 * d, n) * math.isqrt(q**n)), b))
+            for n in range(1, d + 1)
+        ]
+        return q, symmetric_row(low, q)
+    reach = math.isqrt(4 * q) + 1
+    factors = []
+    while sum(len(f) - 1 for f in factors) < d:
+        if d - sum(len(f) - 1 for f in factors) >= 2 and draw(st.booleans()):
+            f = [-draw(st.integers(-2, 4 * q + 2)), 0, 1]
+        else:
+            f = [-draw(st.integers(-reach, reach)), 1]
+        factors.append(f)
+        if draw(st.booleans()) and sum(len(f) - 1 for f in factors) + len(f) - 1 <= d:
+            factors.append(f)  # a repeated root
+    return q, row_of_h(poly_product(factors), q)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=symmetric_rows())
+def test_rh_certificate_agrees_with_float_roots(case):
+    q, row = case
+    L = LPolynomial(q, (0,), row, 0)
+    dev = rh_root_deviation(L)
+    if dev < 1e-6 or dev > 1e-3:  # away from the float tolerance
+        assert rh_certified(L) == (dev < 1e-6), (q, row, dev)
+
+
+def test_rh_certificate_negative_controls():
+    # both satisfy the functional equation; their roots sit at |u| = 1 and 1/3
+    assert not rh_certified(LPolynomial(3, D0, (1, 4, 3), 0))
+    assert not rh_certified(LPolynomial(3, D0, (1, -4, 3), 0))
+    # roots on the circle, but a_0 q != a_2: only the functional equation fails it
+    assert not rh_certified(LPolynomial(3, D0, (1, 1, 1), 0))
+    # x^2 - 12 twice: a double root of h at 2 sqrt 3, on the edge of the interval
+    assert rh_certified(LPolynomial(3, D0, row_of_h(poly_product([[-12, 0, 1]] * 2), 3), 0))
+    assert not rh_certified(LPolynomial(3, D0, row_of_h([-13, 0, 1], 3), 0))
+
+
+def test_rh_certificate_even_degree():
+    # lam = 1: the trivial zero at u = 1 is divided out and the rest certifies
+    q = 3
+    checked = 0
+    for n in (2, 4, 6):
+        for D in monic_polys(n, q):
+            if squarefree(D, q) and not is_perfect_square(D, q):
+                L = l_polynomial(D, q)
+                assert L.lam == 1
+                assert rh_certified(L), D
+                checked += 1
+    assert checked == sum(q**n - q ** (n - 1) for n in (2, 4, 6))  # square-free monic D
 
 
 def test_coefficient_window_matches_polynomial():

@@ -13,9 +13,11 @@ from hyperell.characters import jacobi, residue_symbol_prime
 from hyperell.ensemble import EnsembleSpec, first_moment
 from hyperell.lfunction import afe_central_value, dirichlet_coefficient
 from hyperell.polyring import (
+    degree,
     factorize,
     monic_by_code,
     monic_polys,
+    pow_mod,
     shared_table,
     squarefree,
 )
@@ -57,6 +59,72 @@ def test_prime_residue_table_matches_symbol(q):
             for code in range(q**dp):
                 f = poly_of_code(code, q)
                 assert t[code] == residue_symbol_prime(f, P, q)
+
+
+def euler_table(P, q):
+    """x^((q^m - 1)/2) mod P for every residue code x, read as 1, -1 or 0 (Euler's criterion).
+
+    Square-and-multiply on the digit rows of all residues at once, with its
+    own long division by P; `test_euler_table_matches_pow_mod` ties it to
+    polyring.pow_mod.
+    """
+    m = degree(P)
+    codes = np.arange(q**m)
+    digits = [codes // q**i % q for i in range(m)]  # one vector per coefficient
+
+    def mul_mod(a, b):
+        c = [0] * (2 * m - 1)
+        for i in range(m):
+            for j in range(m):
+                c[i + j] = c[i + j] + a[i] * b[j]
+        for k in range(2 * m - 2, m - 1, -1):  # x^k = x^(k-m) (x^m - P)
+            for i in range(m):
+                c[k - m + i] = c[k - m + i] - c[k] * P[i]
+        return [x % q for x in c[:m]]
+
+    one = [np.ones_like(codes)] + [np.zeros_like(codes)] * (m - 1)
+    out, base, e = one, digits, (q**m - 1) // 2
+    while e:
+        if e & 1:
+            out = mul_mod(out, base)
+        base = mul_mod(base, base)
+        e >>= 1
+    assert not any(x.any() for x in out[1:]) and np.isin(out[0], (0, 1, q - 1)).all()
+    return np.where(out[0] == q - 1, -1, out[0]).astype(np.int8)
+
+
+@pytest.mark.parametrize("q,n_max", [(3, 4), (5, 3), (7, 2)])
+def test_euler_table_matches_pow_mod(q, n_max):
+    for P in scan._primes_upto(q, n_max):
+        t = euler_table(P, q)
+        e = (q ** degree(P) - 1) // 2
+        for code in range(q ** degree(P)):
+            r = pow_mod(poly_of_code(code, q), e, P, q)
+            assert t[code] == {(): 0, (1,): 1, (q - 1,): -1}[r], (P, code)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_prime_residue_table_is_the_euler_criterion(q):
+    for P in scan._primes_upto(q, 4):
+        assert np.array_equal(prime_residue_table(P, q), euler_table(P, q)), P
+
+
+def test_degree_8_prime_tables_are_the_euler_criterion():
+    primes = shared_table(3).irreducibles(8)
+    for P in primes[:: len(primes) // 20][:20]:
+        assert np.array_equal(prime_residue_table(P, 3), euler_table(P, 3)), P
+
+
+def test_square_digits_hold_one_degree(monkeypatch):
+    monkeypatch.setattr(scan, "_prime_table_cache", {})
+    monkeypatch.setattr(scan, "_prime_table_held", 0)
+    scan._square_digits.cache_clear()
+    for P in scan._primes_upto(5, 2):  # degree 1, then degree 2
+        prime_residue_table(P, 5)
+    info = scan._square_digits.cache_info()
+    assert (info.misses, info.currsize) == (2, 1)
+    assert not scan._square_digits(5, 2).flags.writeable
+    assert scan._square_digits.cache_info().hits == info.hits + 1  # the degree-2 table stayed
 
 
 def symbols_upto(q, n):

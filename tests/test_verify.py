@@ -2,6 +2,7 @@
 
 import pytest
 
+from hyperell.scan import squarefree_mask
 from hyperell.verify import run_identity_suite
 from support import suite_passed
 
@@ -38,6 +39,20 @@ def test_fault_injection_caught():
     assert not suite_passed(results)
     failed = {r.name for r in results if not r.passed}
     assert {"functional_equation", "two_block_center_identity"} <= failed
+
+
+def test_failing_checks_name_their_first_curve():
+    # the fault sits in coefficient 1 of the first curve, codes[0]
+    first = int(squarefree_mask(3, 5).nonzero()[0][0])
+    results = {r.name: r for r in run_identity_suite(3, 2, inject_fault=True)}
+    fe = results["functional_equation"].details
+    assert (fe["first_failing_code"], fe["coefficient_index"]) == (first, 1)
+    for name in ("two_block_center_identity", "root_modulus"):
+        assert not results[name].passed
+        assert results[name].details["first_failing_code"] == first
+    # a passing check carries neither key, so passing reports keep their bytes
+    for r in run_identity_suite(3, 2):
+        assert not {"first_failing_code", "coefficient_index"} & set(r.details)
 
 
 def test_sampled_path_runs():
