@@ -16,7 +16,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import asymptotics, curve, lfunction, polyring, scan, verify
@@ -27,11 +26,27 @@ from .sqrtq import SqrtQRational
 
 CSV_HEADER = "# hyperell-moment-v1"
 DEFAULT_SAMPLE_SIZE = 1000  # curves drawn by `moment --mode sample` without --sample-size
-CSV_COLUMNS = (
-    "q,g,ensemble_size,mode,sample_size,seed,cutoff,"
-    "moment_a,moment_b,moment_float,main_term,ratio,"
-    "square_a,square_b,nonsquare_a,nonsquare_b,stderr"
-)
+
+# CSV column -> its cell in the JSON row; "moment.a" reads the nested cell
+CSV_CELLS = {
+    "q": "q",
+    "g": "g",
+    "ensemble_size": "ensemble_size",
+    "mode": "mode",
+    "sample_size": "sample_size",
+    "seed": "seed",
+    "cutoff": "cutoff",
+    "moment_a": "moment.a",
+    "moment_b": "moment.b",
+    "moment_float": "moment_float",
+    "main_term": "main_term_float",
+    "ratio": "ratio",
+    "square_a": "square_part.a",
+    "square_b": "square_part.b",
+    "nonsquare_a": "nonsquare_part.a",
+    "nonsquare_b": "nonsquare_part.b",
+    "stderr": "stderr",
+}
 
 
 class PolyParseError(ValueError):
@@ -105,8 +120,7 @@ def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def dump_json(obj, path: str | None) -> None:
-    text = json.dumps(obj, sort_keys=True, separators=(",", ": ")) + "\n"
+def write_text(text: str, path: str | None) -> None:
     if path:
         with open(path, "w") as fh:
             fh.write(text)
@@ -114,74 +128,23 @@ def dump_json(obj, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-@dataclass
-class MomentReport:
-    """One row of a moment run: exact values plus float renderings."""
+def dump_json(obj, path: str | None) -> None:
+    write_text(json.dumps(obj, sort_keys=True, separators=(",", ": ")) + "\n", path)
 
-    q: int
-    g: int
-    ensemble_size: int
-    mode: str
-    sample_size: int | None
-    seed: int | None
-    cutoff: int
-    moment: SqrtQRational
-    square_part: SqrtQRational
-    nonsquare_part: SqrtQRational
-    main_term: Fraction
-    stderr: float | None
-    runtime: float | None = None
 
-    @property
-    def ratio(self) -> float:
-        return float(self.moment) / float(self.main_term)
+def sqrtq_cell(x: SqrtQRational) -> dict:
+    return {"a": frac_str(x.a), "b": frac_str(x.b)}
 
-    def to_json(self, timings: bool) -> dict:
-        out = {
-            "q": self.q,
-            "g": self.g,
-            "ensemble_size": self.ensemble_size,
-            "mode": self.mode,
-            "sample_size": self.sample_size,
-            "seed": self.seed,
-            "cutoff": self.cutoff,
-            "moment": {"a": frac_str(self.moment.a), "b": frac_str(self.moment.b)},
-            "moment_float": float(self.moment),
-            "square_part": {"a": frac_str(self.square_part.a), "b": frac_str(self.square_part.b)},
-            "nonsquare_part": {
-                "a": frac_str(self.nonsquare_part.a),
-                "b": frac_str(self.nonsquare_part.b),
-            },
-            "main_term": frac_str(self.main_term),
-            "main_term_float": float(self.main_term),
-            "ratio": self.ratio,
-            "stderr": self.stderr,
-        }
-        if timings:
-            out["runtime_seconds"] = self.runtime
-        return out
 
-    def to_csv_row(self) -> str:
-        cells = [
-            str(self.q),
-            str(self.g),
-            str(self.ensemble_size),
-            self.mode,
-            "" if self.sample_size is None else str(self.sample_size),
-            "" if self.seed is None else str(self.seed),
-            str(self.cutoff),
-            frac_str(self.moment.a),
-            frac_str(self.moment.b),
-            repr(float(self.moment)),
-            repr(float(self.main_term)),
-            repr(self.ratio),
-            frac_str(self.square_part.a),
-            frac_str(self.square_part.b),
-            frac_str(self.nonsquare_part.a),
-            frac_str(self.nonsquare_part.b),
-            "" if self.stderr is None else repr(self.stderr),
-        ]
-        return ",".join(cells)
+def csv_row(row: dict) -> str:
+    """The CSV line of a JSON row: None is an empty cell, and str gives a float its repr."""
+    cells = []
+    for path in CSV_CELLS.values():
+        cell = row
+        for key in path.split("."):
+            cell = cell[key]
+        cells.append("" if cell is None else str(cell))
+    return ",".join(cells)
 
 
 # ---------------------------------------------------------------------------
@@ -251,37 +214,31 @@ def cmd_moment(args) -> int:
                 force=args.force,
             )
             size, total, square, stderr = acc.count, acc.total, acc.square_part, None
-        rows.append(
-            MomentReport(
-                q=args.q,
-                g=g,
-                ensemble_size=size,
-                mode=args.mode,
-                sample_size=sample_size if sampled else None,
-                seed=args.seed if sampled else None,
-                cutoff=ec.cutoff,
-                moment=total,
-                square_part=square,
-                nonsquare_part=total - square,
-                main_term=main,
-                stderr=stderr,
-                runtime=time.monotonic() - t0,
-            )
-        )
+        row = {
+            "q": args.q,
+            "g": g,
+            "ensemble_size": size,
+            "mode": args.mode,
+            "sample_size": sample_size if sampled else None,
+            "seed": args.seed if sampled else None,
+            "cutoff": ec.cutoff,
+            "moment": sqrtq_cell(total),
+            "moment_float": float(total),
+            "square_part": sqrtq_cell(square),
+            "nonsquare_part": sqrtq_cell(total - square),
+            "main_term": frac_str(main),
+            "main_term_float": float(main),
+            "ratio": float(total) / float(main),
+            "stderr": stderr,
+        }
+        if args.timings:
+            row["runtime_seconds"] = time.monotonic() - t0
+        rows.append(row)
     if args.format == "csv":
-        lines = [CSV_HEADER, CSV_COLUMNS]
-        lines += [r.to_csv_row() for r in rows]
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        lines = [CSV_HEADER, ",".join(CSV_CELLS)] + [csv_row(r) for r in rows]
+        write_text("\n".join(lines) + "\n", args.out)
     else:
-        dump_json(
-            {"schema": "hyperell-moment-v1", "rows": [r.to_json(args.timings) for r in rows]},
-            args.out,
-        )
+        dump_json({"schema": "hyperell-moment-v1", "rows": rows}, args.out)
     return 0
 
 

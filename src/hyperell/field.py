@@ -4,7 +4,8 @@ Elements of F_q are plain integers, reduced mod q by the code that uses them
 (`polyring` for F_q[x], `extfield` for F_{q^n}).  This module holds the two
 facts about q that the rest of the package shares: `check_odd_prime`, the
 one primality check at the library boundary, and `legendre_scalar`, the one
-quadratic character of F_q.
+quadratic character of F_q.  `prime_divisors` is the one factorization of
+plain integers, shared with `polyring`'s Rabin test and Moebius function.
 """
 
 from __future__ import annotations
@@ -12,18 +13,26 @@ from __future__ import annotations
 from functools import lru_cache
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic trial division, fine at desk scale."""
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
+def prime_divisors(n: int) -> list:
+    """The distinct primes dividing n, in increasing order; [] for n < 2.
+
+    Trial division, fine at desk scale.
+    """
+    out = []
+    d = 2
     while d * d <= n:
         if n % d == 0:
-            return False
-        d += 2
-    return True
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def is_prime(n: int) -> bool:
+    return prime_divisors(n) == [n]
 
 
 @lru_cache(maxsize=64)

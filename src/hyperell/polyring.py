@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import threading
 from functools import lru_cache
+from math import prod
 
-from .field import check_odd_prime
+from .field import check_odd_prime, legendre_scalar, prime_divisors
 
 Poly = tuple
 
@@ -199,20 +200,6 @@ def squarefree(f: Poly, q: int) -> bool:
     return degree(gcd(f, d, q)) == 0
 
 
-def _distinct_prime_divisors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def is_irreducible(f: Poly, q: int) -> bool:
     """Rabin's test: x^(q^n) = x mod f, and x^(q^(n/p)) - x coprime to f.
 
@@ -233,7 +220,7 @@ def is_irreducible(f: Poly, q: int) -> bool:
         frob.append(h)
     if frob[n] != rem(X, f, q):
         return False
-    for p in _distinct_prime_divisors(n):
+    for p in prime_divisors(n):
         g = gcd(sub(frob[n // p], X, q), f, q)
         if degree(g) != 0:
             return False
@@ -374,25 +361,15 @@ def is_perfect_square(f: Poly, q: int) -> bool:
     if degree(f) % 2:
         return False
     unit, factors = factorize(f, q)
-    if pow(unit, (q - 1) // 2, q) != 1:
+    if legendre_scalar(unit, q) != 1:
         return False
     return all(e % 2 == 0 for _, e in factors)
 
 
 @lru_cache(maxsize=None)
 def _int_mobius(n: int) -> int:
-    out = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            out = -out
-        d += 1
-    if n > 1:
-        out = -out
-    return out
+    primes = prime_divisors(n)
+    return (-1) ** len(primes) if prod(primes) == n else 0
 
 
 def irreducible_count(q: int, n: int) -> int:

@@ -430,41 +430,38 @@ def _write_checkpoint(path, q, g, done, sq, nonsq):
 # batch coefficients for explicit curve lists
 
 
-def batch_coefficients(q: int, d: int, codes: np.ndarray, n_max: int) -> np.ndarray:
-    """A_D(n) for n = 0..n_max for each monic degree-d code, as int64 (len, n_max+1).
+def _batch_sums(q: int, d: int, codes: np.ndarray, n_max: int, signed: bool) -> np.ndarray:
+    """Sums over monic f of degree n = 0..n_max of chi_D(f), or |chi_D(f)| unless signed.
 
-    Per-prime character values are computed once by residue lookup; each
-    composite f multiplies them along its factorization.
+    int64 (len, n_max+1), column n for degree n.  Per-prime character values
+    are computed once by residue lookup; each f multiplies them along its factorization.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     _check_table_budget(q, n_max)
     codes = np.asarray(codes, dtype=np.int64)
     k = len(codes)
-    dig = _monic_digit_matrix(codes, q, d)
-    symbols = _prime_symbols(dig, _primes_upto(q, n_max), q)
+    symbols = _prime_symbols(_monic_digit_matrix(codes, q, d), _primes_upto(q, n_max), q)
 
     out = np.zeros((k, n_max + 1), dtype=np.int64)
     out[:, 0] = 1
     for n in range(1, n_max + 1):
         acc = np.zeros(k, dtype=np.int64)
         for code in range(q**n):
-            acc += _symbol_product(symbols, factorize(monic_by_code(code, n, q), q)[1], k)
+            s = _symbol_product(symbols, factorize(monic_by_code(code, n, q), q)[1], k)
+            acc += s if signed else np.abs(s)
         out[:, n] = acc
     return out
 
 
+def batch_coefficients(q: int, d: int, codes: np.ndarray, n_max: int) -> np.ndarray:
+    """A_D(n) for n = 0..n_max for each monic degree-d code, as int64 (len, n_max+1)."""
+    return _batch_sums(q, d, codes, n_max, signed=True)
+
+
 def batch_coprime_counts(q: int, d: int, codes: np.ndarray, half_deg: int) -> np.ndarray:
-    """#{monic l of degree half_deg : gcd(D, l) = 1} per code: the sum of |chi_D(l)|."""
-    codes = np.asarray(codes, dtype=np.int64)
-    k = len(codes)
-    dig = _monic_digit_matrix(codes, q, d)
-    symbols = _prime_symbols(dig, _primes_upto(q, half_deg), q)
-    out = np.zeros(k, dtype=np.int64)
-    for code in range(q**half_deg):
-        l = monic_by_code(code, half_deg, q)
-        out += np.abs(_symbol_product(symbols, factorize(l, q)[1], k))
-    return out
+    """#{monic l of degree h coprime to D} for h = 0..half_deg, per code: (len, half_deg+1)."""
+    return _batch_sums(q, d, codes, half_deg, signed=False)
 
 
 # ---------------------------------------------------------------------------
@@ -517,8 +514,7 @@ def sampled_moment(q: int, g: int, count: int, seed: int) -> SampleMoment:
     # which sit at even n = 2h and count the l of degree h coprime to D
     mean = center_value(a.sum(axis=0).tolist(), q, weights).scale(Fraction(1, count))
     coprime = [0] * (g + 1)
-    for h in range(g // 2 + 1):
-        coprime[2 * h] = int(batch_coprime_counts(q, d, codes, h).sum())
+    coprime[::2] = batch_coprime_counts(q, d, codes, g // 2).sum(axis=0).tolist()
     square_mean = center_value(coprime, q, weights).scale(Fraction(1, count))
     # float spread for the standard error
     float_weights = np.array([w * float(q) ** (-n / 2) for n, w in enumerate(weights)])

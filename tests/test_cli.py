@@ -150,6 +150,59 @@ def test_moment_csv_schema(capsys):
     assert first[0] == "3" and first[1] == "1" and first[2] == "18"
 
 
+# the moment CSV schema: each column and the JSON cell it renders
+CSV_OF_JSON = (
+    ("q", ("q",)),
+    ("g", ("g",)),
+    ("ensemble_size", ("ensemble_size",)),
+    ("mode", ("mode",)),
+    ("sample_size", ("sample_size",)),
+    ("seed", ("seed",)),
+    ("cutoff", ("cutoff",)),
+    ("moment_a", ("moment", "a")),
+    ("moment_b", ("moment", "b")),
+    ("moment_float", ("moment_float",)),
+    ("main_term", ("main_term_float",)),
+    ("ratio", ("ratio",)),
+    ("square_a", ("square_part", "a")),
+    ("square_b", ("square_part", "b")),
+    ("nonsquare_a", ("nonsquare_part", "a")),
+    ("nonsquare_b", ("nonsquare_part", "b")),
+    ("stderr", ("stderr",)),
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("--q", "3", "--g", "1", "--g-max", "2"), ("--q", "5", "--g", "2", "--mode", "sample", "--seed", "4")],
+)
+def test_moment_csv_cells_equal_json_cells(capsys, argv):
+    code, out, _ = run_cli(capsys, "moment", *argv)
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    code, out, _ = run_cli(capsys, "moment", *argv, "--format", "csv")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[1] == ",".join(name for name, _ in CSV_OF_JSON)
+    assert len(lines) == 2 + len(rows)
+    for line, row in zip(lines[2:], rows):
+        cells = line.split(",")
+        assert len(cells) == len(CSV_OF_JSON)
+        for cell, (name, path) in zip(cells, CSV_OF_JSON):
+            value = row
+            for key in path:
+                value = value[key]
+            want = "" if value is None else repr(value) if isinstance(value, float) else str(value)
+            assert cell == want, name
+    # --timings adds runtime_seconds and nothing else
+    code, out, _ = run_cli(capsys, "moment", *argv, "--timings")
+    assert code == 0
+    timed = json.loads(out)["rows"]
+    for row, timed_row in zip(rows, timed, strict=True):
+        assert isinstance(timed_row.pop("runtime_seconds"), float)
+        assert timed_row == row
+
+
 def test_moment_out_file(tmp_path, capsys):
     out_path = tmp_path / "m.json"
     code, _, _ = run_cli(

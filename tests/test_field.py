@@ -4,13 +4,24 @@ arithmetic as the degree-one extension ExtField(q, 1)."""
 import pytest
 
 from hyperell.extfield import ExtField
-from hyperell.field import check_odd_prime, is_prime, legendre_scalar
+from hyperell.field import check_odd_prime, is_prime, legendre_scalar, prime_divisors
+from hyperell.polyring import _int_mobius
 
 
 def test_is_prime_small():
     primes = [2, 3, 5, 7, 11, 13, 17, 19, 23]
     for n in range(25):
         assert is_prime(n) == (n in primes)
+
+
+def test_prime_divisors_and_mobius_brute_force():
+    primes = [p for p in range(2, 500) if all(p % d for d in range(2, p))]
+    for n in range(-2, 500):
+        divisors = [p for p in primes if n > 0 and n % p == 0]
+        assert prime_divisors(n) == divisors  # [] for n < 2
+        if n >= 1:
+            squareful = any(n % (p * p) == 0 for p in divisors)
+            assert _int_mobius(n) == (0 if squareful else (-1) ** len(divisors))
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 13])

@@ -331,13 +331,24 @@ def test_batch_coprime_counts():
         mask = squarefree_mask(q, d)
         codes = np.nonzero(mask)[0]
         for half_deg in (0, 1, 2):
-            counts = batch_coprime_counts(q, d, codes, half_deg)
+            counts = batch_coprime_counts(q, d, codes, half_deg)[:, half_deg]
             for row, code in enumerate(codes):
                 D = monic_by_code(int(code), d, q)
                 direct = sum(
                     1 for l in monic_polys(half_deg, q) if degree(gcd(D, l, q)) == 0
                 )
                 assert counts[row] == direct, (q, half_deg, D)
+
+
+def test_batch_coprime_counts_refuses_past_the_table_budget(monkeypatch):
+    q, d = 3, 3
+    codes = np.nonzero(squarefree_mask(q, d))[0]
+    # the prime tables up to degree 2 at q=3 hold 3*3 + 3*9 = 36 entries
+    monkeypatch.setattr(scan, "_TABLE_BUDGET", 35)
+    with pytest.raises(ResourceCapError, match="past the cap"):
+        batch_coprime_counts(q, d, codes, 2)
+    monkeypatch.setattr(scan, "_TABLE_BUDGET", 36)
+    assert batch_coprime_counts(q, d, codes, 2).shape == (len(codes), 3)
 
 
 def test_sample_codes_refuses_codes_past_int64():

@@ -1,0 +1,116 @@
+r"""Compare two hyperell trees on one CLI command in alternating same-seed pairs.
+
+    python3 tools/ab_pairs.py PARENT CHANGE --pairs 10 -- moment --q 5 --g 5 \
+        --mode sample --sample-size 50000 --seed 1
+
+PARENT and CHANGE are checkouts (directories holding src/hyperell).  Each pair
+runs `python -m hyperell.cli ARGS` once on each side, one process at a time,
+with that side's src/ first on PYTHONPATH; pair k runs PARENT first when k is
+even and CHANGE first when k is odd.  Every `{tmp}` in ARGS becomes a fresh
+empty directory for each run.
+
+One line per run gives its wall time (spawn to reap), CPU time and peak RSS,
+the last two from os.wait4 on that child alone; the child's stderr passes
+through.  The summary gives each side's medians and the number of pairs CHANGE
+won on wall time.
+
+Exits 1 as soon as a pair differs in stdout, exit code or any file written
+under `{tmp}`, 0 when every pair agrees, and 2 on a usage error.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+METRICS = ("wall_s", "cpu_s", "peak_rss_mb")
+
+
+def run_side(root: Path, args: list) -> dict:
+    """Run hyperell from root's src/ with args; its outputs and costs."""
+    root = root.resolve()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    with tempfile.TemporaryDirectory() as tmp, tempfile.TemporaryFile() as out:
+        argv = [sys.executable, "-m", "hyperell.cli", *(a.replace("{tmp}", tmp) for a in args)]
+        t0 = time.perf_counter()
+        proc = subprocess.Popen(argv, cwd=root, env=env, stdout=out)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - t0
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        written = (f for f in Path(tmp).rglob("*") if f.is_file())
+        files = {str(f.relative_to(tmp)): f.read_bytes() for f in written}
+        return {
+            "exit_code": proc.returncode,
+            "stdout": out.read(),
+            "files": files,
+            "wall_s": wall,
+            "cpu_s": usage.ru_utime + usage.ru_stime,
+            "peak_rss_mb": usage.ru_maxrss / 1024,  # ru_maxrss is in KiB on Linux
+        }
+
+
+def difference(a: dict, b: dict) -> str | None:
+    """What differs between two runs' outputs, or None."""
+    for key in ("exit_code", "stdout"):
+        if a[key] != b[key]:
+            return key
+    for name in sorted(a["files"].keys() | b["files"].keys()):
+        if a["files"].get(name) != b["files"].get(name):
+            return f"file {{tmp}}/{name}"
+    return None
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    p = argparse.ArgumentParser(
+        usage="%(prog)s PARENT CHANGE --pairs N -- HYPERELL_ARGS...",
+        description=__doc__.split("\n\n")[0],
+    )
+    p.add_argument("parent", type=Path)
+    p.add_argument("change", type=Path)
+    p.add_argument("--pairs", type=int, required=True)
+    cut = argv.index("--") if "--" in argv else len(argv)
+    ns, args = p.parse_args(argv[:cut]), argv[cut + 1 :]
+    if ns.pairs < 1 or not args:
+        p.error("need --pairs >= 1 and hyperell arguments after --")
+    for root in (ns.parent, ns.change):
+        if not (root / "src" / "hyperell" / "cli.py").is_file():
+            p.error(f"no src/hyperell/cli.py under {root}")
+    sides = ("parent", "change")
+    runs: dict = {side: [] for side in sides}
+    wins = 0
+    for k in range(ns.pairs):
+        for side in sides if k % 2 == 0 else sides[::-1]:
+            r = run_side(ns.parent if side == "parent" else ns.change, args)
+            runs[side].append(r)
+            print(
+                f"pair {k} {side}: exit {r['exit_code']}  wall {r['wall_s']:.3f} s  "
+                f"cpu {r['cpu_s']:.3f} s  rss {r['peak_rss_mb']:.1f} MB",
+                flush=True,
+            )
+        parent, change = runs["parent"][-1], runs["change"][-1]
+        diff = difference(parent, change)
+        if diff is not None:
+            print(f"pair {k}: {diff} differs between the sides")
+            return 1
+        wins += change["wall_s"] < parent["wall_s"]
+    for side in sides:
+        med = {m: statistics.median(r[m] for r in runs[side]) for m in METRICS}
+        print(
+            f"{side} median: wall {med['wall_s']:.3f} s  cpu {med['cpu_s']:.3f} s  "
+            f"rss {med['peak_rss_mb']:.1f} MB"
+        )
+    print(f"outputs identical in {ns.pairs} pairs; change faster on wall time in {wins}/{ns.pairs}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
