@@ -186,8 +186,8 @@ def cmd_moment(args) -> int:
         raise ValueError("--g-max must be >= --g")
     if args.mode == "sample" and args.seed is None:
         raise ValueError("sample mode requires --seed")
-    if args.mode == "sample" and (args.checkpoint or args.resume or args.force or args.threads != 1):
-        raise ValueError("--checkpoint, --resume, --threads and --force are for the exhaustive mode")
+    if args.mode == "sample" and (args.checkpoint or args.resume or args.threads != 1):
+        raise ValueError("--checkpoint, --resume and --threads are for the exhaustive mode")
     if args.mode == "exhaustive" and (args.seed is not None or args.sample_size is not None):
         raise ValueError("--seed and --sample-size are for the sample mode")
     sample_size = DEFAULT_SAMPLE_SIZE if args.sample_size is None else args.sample_size
@@ -211,7 +211,6 @@ def cmd_moment(args) -> int:
                 threads=args.threads,
                 checkpoint_path=args.checkpoint if g == g_max else None,
                 resume=args.resume,
-                force=args.force,
             )
             size, total, square, stderr = acc.count, acc.total, acc.square_part, None
         row = {
@@ -343,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--threads", type=int, default=1)
     m.add_argument("--cutoff", type=int, default=None, help="Euler-product truncation degree")
     m.add_argument("--format", choices=("json", "csv"), default="json")
-    m.add_argument("--force", action="store_true", help="override the exhaustive size cap")
     m.add_argument("--checkpoint", type=str, default=None)
     m.add_argument("--resume", action="store_true")
     m.add_argument("--timings", action="store_true", help="include wall-clock runtime in JSON")

@@ -30,6 +30,11 @@ codes [0, q^n), so f's Jacobi table is the product of the prefix slices of
 its primes' vectors.  The scan factors each f once; f is a square iff every
 exponent is even.  Everything integral is exact: int8 symbols, int64 table
 sums, Python ints and Fractions above.
+
+One guard bounds every scan: `_TABLE_BUDGET`, 10^8 int8 entries over the
+prime tables up to the degree the scan needs, checked before anything is
+built.  The exhaustive count is the closed form (q - 1) q^(2g), checked
+against `squarefree_mask` only while q^(2g+1) <= MASK_CHECK_LIMIT.
 """
 
 from __future__ import annotations
@@ -58,14 +63,14 @@ from .polyring import (
 )
 from .sqrtq import SqrtQRational
 
-DEFAULT_SIZE_CAP = 10**7  # monic D of degree 2g+1 an exhaustive scan runs without force
+MASK_CHECK_LIMIT = 10**7  # monic D of degree 2g+1 up to which moment_scan enumerates its count
 CHECKPOINT_VERSION = 1
 CHUNK_SIZE = 64  # summands f per chunk; a checkpoint records it and resume checks it
 _TABLE_BUDGET = 10**8  # int8 prime-table entries one call may build and the cache may hold
 
 
 class ResourceCapError(RuntimeError):
-    """A scan would exceed the exhaustive size cap (force overrides it) or the table budget."""
+    """A scan's prime tables or symbol vectors would exceed the table budget, `_TABLE_BUDGET`."""
 
 
 def _code_space(q: int, n: int) -> int:
@@ -302,28 +307,25 @@ def moment_scan(
     threads: int = 1,
     checkpoint_path: str | None = None,
     resume: bool = False,
-    force: bool = False,
 ):
     """Exhaustive first moment by the S(f) sieve.  Returns (accumulator, meta).
 
     Work is split into fixed chunks of summands f; chunks are merged in
     index order, so the result is bit-identical for any thread count.  With
     a checkpoint path the partial integer sums are persisted after every
-    chunk and a resumed run skips finished chunks.
+    chunk and a resumed run skips finished chunks.  The table budget for
+    degree g, which bounds the symbol vectors, is checked first.
     """
     spec = EnsembleSpec(q, g)
     d = spec.poly_degree
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    if spec.monic_count > DEFAULT_SIZE_CAP and not force:
-        raise ResourceCapError(
-            f"scan size {spec.monic_count} exceeds cap {DEFAULT_SIZE_CAP}; use force to override"
-        )
-    count = ensemble_count(q, g)
-    if count != spec.size:
-        raise ArithmeticError(
-            f"square-free count {count} disagrees with the closed form {spec.size}"
-        )
+    _check_table_budget(q, g)
+    count = spec.size
+    if spec.monic_count <= MASK_CHECK_LIMIT:
+        enumerated = ensemble_count(q, g)
+        if enumerated != count:
+            raise ArithmeticError(f"enumerated count {enumerated} is not the closed form {count}")
 
     fs = [(n, code) for n in range(1, g + 1) for code in range(q**n)]
     chunks = [fs[i : i + CHUNK_SIZE] for i in range(0, len(fs), CHUNK_SIZE)]

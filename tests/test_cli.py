@@ -253,7 +253,7 @@ def test_checkpoint_flags_rejected_where_unused(capsys, extra):
     assert "--checkpoint" in err
 
 
-@pytest.mark.parametrize("extra", [("--threads", "2"), ("--force",)], ids=["threads", "force"])
+@pytest.mark.parametrize("extra", [("--threads", "2")], ids=["threads"])
 def test_exhaustive_flags_rejected_in_sample_mode(capsys, extra):
     argv = ("moment", "--q", "3", "--g", "1", "--mode", "sample", "--seed", "1")
     code, _, err = run_cli(capsys, *argv, *extra)
@@ -298,7 +298,8 @@ def test_sample_table_cap_exit_3(capsys):
 
 
 def test_resource_cap_exit_3(capsys):
-    code, _, err = run_cli(capsys, "moment", "--q", "3", "--g", "8")
+    # the prime tables to degree 10 at q=3 need 396,290,484 entries
+    code, _, err = run_cli(capsys, "moment", "--q", "3", "--g", "10")
     assert code == 3
     assert "cap" in err
 
@@ -360,7 +361,7 @@ def test_genus_range_resumes_from_checkpoint(tmp_path, capsys):
     argv = ["moment", "--q", "3", "--g", "1", "--g-max", "2", "--checkpoint", ck]
     code, first, _ = run_cli(capsys, *argv)
     assert code == 0
-    assert json.loads(open(ck).read())["g"] == 2
+    assert json.loads(Path(ck).read_text())["g"] == 2
     code, again, err = run_cli(capsys, *argv, "--resume")
     assert code == 0, err
     assert again == first

@@ -4,6 +4,8 @@ import json
 import os
 import shutil
 import threading
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,12 +191,33 @@ def test_moment_scan_thread_determinism(monkeypatch):
     assert m1.nonsquare_sums == m3.nonsquare_sums
 
 
-def test_size_cap_refusal(monkeypatch):
-    monkeypatch.setattr(scan, "DEFAULT_SIZE_CAP", 10)
-    with pytest.raises(ResourceCapError):
+def test_moment_scan_checks_table_budget_before_building(monkeypatch):
+    built = []
+    monkeypatch.setattr(scan, "squarefree_mask", lambda *a: built.append(("mask", a)))
+    monkeypatch.setattr(scan, "prime_residue_table", lambda *a: built.append(("table", a)))
+    # the prime tables up to degree 2 at q=3 hold 3*3 + 3*9 = 36 entries
+    monkeypatch.setattr(scan, "_TABLE_BUDGET", 35)
+    with pytest.raises(ResourceCapError, match="past the cap"):
         moment_scan(3, 2)
-    acc, _ = moment_scan(3, 2, force=True)
+    assert built == []
+
+
+def test_moment_scan_skips_the_mask_past_its_limit(monkeypatch):
+    monkeypatch.setattr(scan, "MASK_CHECK_LIMIT", 10)
+    monkeypatch.setattr(scan, "squarefree_mask", lambda *a: pytest.fail("mask built"))
+    acc, _ = moment_scan(3, 2)
     assert acc == first_moment(3, 2)
+
+
+def test_moment_scan_q3_g7_without_the_mask():
+    # 3^15 > MASK_CHECK_LIMIT, so the count is the closed form; the pre-sieve
+    # per-f residue-table scan gave the same moment
+    assert 3**15 > scan.MASK_CHECK_LIMIT
+    acc, _ = moment_scan(3, 7)
+    assert acc.count == 2 * 3**14
+    assert acc.consistent()
+    assert acc.total.b == 0
+    assert acc.total.a == Fraction(554831200, 9)
 
 
 @pytest.mark.parametrize("threads", [0, -4])
@@ -244,7 +267,7 @@ def test_checkpoint_config_mismatch(tmp_path, monkeypatch):
 
 
 def _tamper_checkpoint(path, **changes):
-    state = json.load(open(path))
+    state = json.loads(Path(path).read_text())
     state.update(changes)
     with open(path, "w") as fh:
         json.dump(state, fh)
@@ -271,7 +294,7 @@ def test_checkpoint_rejects_bad_chunk_ids(tmp_path):
     # traceback or a silently wrong resume
     cp = str(tmp_path / "ck.json")
     moment_scan(3, 1, checkpoint_path=cp)
-    good = json.load(open(cp))
+    good = json.loads(Path(cp).read_text())
     count = good["square_sums"][0]
 
     def without(key):
