@@ -31,6 +31,13 @@ its primes' vectors.  The scan factors each f once; f is a square iff every
 exponent is even.  Everything integral is exact: int8 symbols, int64 table
 sums, Python ints and Fractions above.
 
+Every residue mod a prime comes from one kernel, `_residue_codes`.  Digits
+are held digit-major as int32, one contiguous vector per power of x, and
+each digit at or above deg P is folded into the low ones with one integer
+add per nonzero coefficient of x^i mod P.  The prime tables (through the
+digits of every residue's square), `moment_scan`'s V_P vectors and the batch
+sums all call it.
+
 One guard bounds every scan: `_TABLE_BUDGET`, 10^8 int8 entries over the
 prime tables up to the degree the scan needs, checked before anything is
 built.  The exhaustive count is the closed form (q - 1) q^(2g), checked
@@ -96,48 +103,80 @@ def _check_table_budget(q: int, n_max: int) -> None:
 
 
 def _digit_matrix(codes: np.ndarray, q: int, d: int) -> np.ndarray:
-    out = np.empty((len(codes), d), dtype=np.int64)
+    """Digits of each code, constant first, digit-major: int32 (d, len), row i for x^i."""
+    out = np.empty((d, len(codes)), dtype=np.int32)
     c = codes.astype(np.int64, copy=True)
-    for j in range(d):
-        out[:, j] = c % q
+    for i in range(d):
+        out[i] = c % q
         c //= q
     return out
 
 
 def _monic_digit_matrix(codes: np.ndarray, q: int, d: int) -> np.ndarray:
-    """Digits of monic degree-d codes with the leading 1 appended: (len, d+1)."""
-    out = np.ones((len(codes), d + 1), dtype=np.int64)
-    out[:, :d] = _digit_matrix(codes, q, d)
+    """Digits of monic degree-d codes with the leading 1 as row d: int32 (d+1, len)."""
+    out = np.ones((d + 1, len(codes)), dtype=np.int32)
+    out[:d] = _digit_matrix(codes, q, d)
     return out
 
 
-def _reduction_rows(f: Poly, q: int, upto: int) -> np.ndarray:
+def _reduction_rows(f: Poly, q: int, upto: int) -> list:
     """Row i (0 <= i <= upto): coefficients of x^i mod f, length deg f."""
     n = degree(f)
-    rows = np.zeros((upto + 1, n), dtype=np.int64)
+    rows = []
     cur = [0] * n
     cur[0] = 1
-    for i in range(upto + 1):
-        rows[i] = cur
+    for _ in range(upto + 1):
+        rows.append(cur)
         top = cur[-1]
         cur = [0] + cur[:-1]
         if top:
-            for j in range(n):
-                cur[j] = (cur[j] - top * f[j]) % q
+            cur = [(c - top * fj) % q for c, fj in zip(cur, f)]
     return rows
 
 
 def _residue_codes(dig: np.ndarray, f: Poly, q: int) -> np.ndarray:
-    """Residue code mod f of each digit row (constant first).
+    """Residue code mod f of each digit column of dig, int32 (w, len) as `_digit_matrix` lays out.
 
-    The reduction rows take dig's dtype, so float64 digits go through BLAS.
-    That is exact: digits and rows lie in [0, q), so an entry of the product
-    is at most (width)(q-1)^2.  For `_square_digits` under the table budget
-    q^m <= 10^8 that is (2m-1)(q-1)^2 < 2^53, since m >= 2 forces q <= 10^4
-    and m = 1 leaves the residue itself.
+    The one residue kernel.  With n = deg f, acc starts as the low n digit
+    rows; each high digit row i >= n adds c * dig[i] to acc[j] for every
+    nonzero c = (x^i mod f)_j, one contiguous integer add per c.  One
+    reduction mod q then leaves the residue's digits, folded to a code by
+    Horner.
+
+    Exact in int32.  Digits and the c lie in [0, q), so before the reduction
+    an entry of acc is at most B = (q-1) + (w-n)(q-1)^2, and a code is below
+    q^n.  Every caller checks the table budget first, so the q^n entries of a
+    degree-n prime table give q^n <= 10^8 < 2^31, and the q primes of degree
+    1, holding q^2 entries, give q^2 <= 10^8.  Every caller's rows also have
+    q^(w-1) < 2^63: monic curve rows of width d+1 come from int64 codes of
+    degree d, `moment_scan`'s rows of width g from the codes below
+    q^g <= 10^8, and the 2m-1 rows of x^2 from q^m <= 10^8 residues.  So
+    w < 1 + 63 / log2 q, and for n >= 1
+    B < w q^2 < (1 + 63 / log2 q) q^2 <= (1 + 63 / log2 10^4) 10^8 < 5.8 * 10^8,
+    since (1 + 63 / L) 2^(2L) grows with L = log2 q.  Both bounds are checked,
+    so a caller past the budget gets a ValueError, not a wrapped code.
     """
-    rows = _reduction_rows(f, q, dig.shape[1] - 1).astype(dig.dtype)
-    return ((dig @ rows).astype(np.int64, copy=False) % q) @ _qpow(q, degree(f))
+    w = dig.shape[0]
+    n = degree(f)
+    if max(q**n, (q - 1) + (w - n) * (q - 1) ** 2) >= 2**31:
+        raise ValueError(f"residues of {w}-digit rows mod degree {n} at q={q} overflow int32")
+    acc = dig[:n].copy()
+    acc_rows, dig_rows = list(acc), list(dig)  # row views: += adds in place, with no setitem copy
+    scratch = np.empty(dig.shape[1], dtype=np.int32)
+    for i, row in enumerate(_reduction_rows(f, q, w - 1)[n:], start=n):
+        for j, c in enumerate(row):
+            if c == 1:
+                acc_rows[j] += dig_rows[i]
+            elif c:
+                acc_rows[j] += np.multiply(dig_rows[i], c, out=scratch)
+    quot = acc // q  # acc - q (acc // q), not acc % q: numpy divides by a scalar on a fast path
+    quot *= q
+    acc -= quot
+    code = acc[-1]  # acc has min(n, w) rows: a row narrower than f is its own residue
+    for j in range(len(acc) - 2, -1, -1):
+        code *= q
+        code += acc[j]
+    return code
 
 
 def squarefree_mask(q: int, d: int) -> np.ndarray:
@@ -151,7 +190,7 @@ def squarefree_mask(q: int, d: int) -> np.ndarray:
     qp = _qpow(q, d)
     for dp in range(1, d // 2 + 1):
         k = d - 2 * dp
-        mdig = _monic_digit_matrix(np.arange(q**k), q, k)
+        mdig = _monic_digit_matrix(np.arange(q**k), q, k).astype(np.int64)  # cast once, not per P
         for p in shared_table(q).irreducibles(dp):
             psq = mul(p, p, q)
             conv = np.zeros((k + 1, d), dtype=np.int64)
@@ -159,7 +198,7 @@ def squarefree_mask(q: int, d: int) -> np.ndarray:
                 for j, c in enumerate(psq):
                     if c and i + j < d:
                         conv[i, i + j] = c
-            codes = ((mdig @ conv) % q) @ qp
+            codes = qp @ ((conv.T @ mdig) % q)
             mask[codes] = False
     return mask
 
@@ -178,19 +217,19 @@ _prime_table_lock = threading.Lock()
 
 @lru_cache(maxsize=1)
 def _square_digits(q: int, m: int) -> np.ndarray:
-    """Digits of x^2 before reduction, mod q, for every residue code x < q^m: (q^m, 2m-1).
+    """Digits of x^2 before reduction, mod q, for every residue code x < q^m: int32 (2m-1, q^m).
 
     They do not depend on the modulus, so every prime of degree m reads one
-    read-only float64 copy.  `_primes_upto` lists primes by degree, so one
-    cached (q, m) at a time builds each degree once.
+    read-only copy, digit-major as `_residue_codes` takes it.  `_primes_upto`
+    lists primes by degree, so one cached (q, m) at a time builds each degree
+    once.
     """
-    dig = _digit_matrix(np.arange(q**m), q, m)
-    conv = np.zeros((q**m, 2 * m - 1), dtype=np.int64)
+    dig = _digit_matrix(np.arange(q**m), q, m).astype(np.int64)
+    conv = np.zeros((2 * m - 1, q**m), dtype=np.int64)
     for i in range(m):
-        di = dig[:, i]
         for j in range(m):
-            conv[:, i + j] += di * dig[:, j]
-    out = (conv % q).astype(np.float64)
+            conv[i + j] += dig[i] * dig[j]
+    out = (conv % q).astype(np.int32)
     out.setflags(write=False)
     return out
 
@@ -228,8 +267,11 @@ def _primes_upto(q: int, n: int) -> list:
 
 
 def _prime_symbols(dig: np.ndarray, primes, q: int) -> dict:
-    """P -> (x/P) for each digit row x (constant first), as int8."""
-    return {P: prime_residue_table(P, q)[_residue_codes(dig, P, q)] for P in primes}
+    """P -> (x/P) for each digit column x of dig, laid out as `_digit_matrix` gives it, as int8."""
+    out = np.empty((len(primes), dig.shape[1]), dtype=np.int8)  # one block, not one array per P
+    for row, P in zip(out, primes):
+        prime_residue_table(P, q).take(_residue_codes(dig, P, q), out=row)
+    return dict(zip(primes, out))
 
 
 def _symbol_product(symbols: dict, factors, size: int) -> np.ndarray:
@@ -437,11 +479,19 @@ def _batch_sums(q: int, d: int, codes: np.ndarray, n_max: int, signed: bool) -> 
 
     int64 (len, n_max+1), column n for degree n.  Per-prime character values
     are computed once by residue lookup; each f multiplies them along its factorization.
+    codes must be integers in [0, q^d); anything else is a ValueError, since
+    a code past q^d or below 0 would alias another curve's digits.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     _check_table_budget(q, n_max)
-    codes = np.asarray(codes, dtype=np.int64)
+    codes = np.asarray(codes)
+    if codes.ndim != 1 or (codes.size and codes.dtype.kind not in "iu"):
+        raise ValueError(f"codes must be 1-d integers, not {codes.dtype} of shape {codes.shape}")
+    codes = codes.astype(np.int64)
+    space = _code_space(q, d)
+    if codes.size and (codes.min() < 0 or codes.max() >= space):
+        raise ValueError(f"codes must lie in [0, q^d) = [0, {space}) for q={q}, d={d}")
     k = len(codes)
     symbols = _prime_symbols(_monic_digit_matrix(codes, q, d), _primes_upto(q, n_max), q)
 

@@ -9,17 +9,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hyperell.scan as scan
 from hyperell.characters import jacobi, residue_symbol_prime
 from hyperell.ensemble import EnsembleSpec, first_moment
+from hyperell.field import is_prime
 from hyperell.lfunction import afe_central_value, dirichlet_coefficient
 from hyperell.polyring import (
     degree,
     factorize,
+    is_irreducible,
     monic_by_code,
     monic_polys,
     pow_mod,
+    rem,
     shared_table,
     squarefree,
 )
@@ -35,7 +39,7 @@ from hyperell.scan import (
     sampled_moment,
     squarefree_mask,
 )
-from support import poly_of_code
+from support import poly_code, poly_of_code
 
 
 @pytest.mark.parametrize("q,g", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2)])
@@ -127,6 +131,64 @@ def test_square_digits_hold_one_degree(monkeypatch):
     assert (info.misses, info.currsize) == (2, 1)
     assert not scan._square_digits(5, 2).flags.writeable
     assert scan._square_digits.cache_info().hits == info.hits + 1  # the degree-2 table stayed
+
+
+def residue_codes_by_division(columns, P, q):
+    """Code of rem(D, P) for each digit list D (constant first), by polyring's long division."""
+    return [poly_code(rem(tuple(D), P, q), q) for D in columns]
+
+
+def residue_codes(columns, P, q):
+    dig = np.array(columns, dtype=np.int32).T.copy()  # digit-major, as _digit_matrix lays out
+    return scan._residue_codes(dig, P, q).tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), q=st.sampled_from([3, 5, 7]), n=st.integers(1, 6))
+def test_residue_codes_equal_polynomial_remainder(data, q, n):
+    # the first irreducible at or after a random monic code of degree n
+    start = data.draw(st.integers(0, q**n - 1), label="start")
+    P = next(
+        P
+        for P in (monic_by_code((start + k) % q**n, n, q) for k in range(q**n))
+        if is_irreducible(P, q)
+    )
+    w = data.draw(st.integers(1, 2 * 6 + 2), label="width")  # below deg P too: no reduction
+    digit = st.integers(0, q - 1)
+    column = st.lists(digit, min_size=w, max_size=w)
+    columns = data.draw(st.lists(column, min_size=1, max_size=30), label="columns")
+    columns.append([q - 1] * w)  # every accumulator at its bound
+    assert residue_codes(columns, P, q) == residue_codes_by_division(columns, P, q)
+
+
+# the largest q whose degree-1 prime tables (q primes of q entries) fit the budget
+Q_MAX = max(q for q in range(3, 10**4 + 1) if is_prime(q) and q * q <= scan._TABLE_BUDGET)
+
+
+def test_q_max_is_the_budget_edge():
+    scan._check_table_budget(Q_MAX, 1)
+    with pytest.raises(ResourceCapError):
+        scan._check_table_budget(next(q for q in range(Q_MAX + 1, 2 * Q_MAX) if is_prime(q)), 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    a=st.integers(0, Q_MAX - 1),
+    columns=st.lists(st.lists(st.integers(0, Q_MAX - 1), min_size=4, max_size=4), max_size=20),
+)
+def test_residue_codes_at_the_largest_q(a, columns):
+    q, P = Q_MAX, (a, 1)  # x + a, width 4: entries up to (q-1) + 3 (q-1)^2 ~ 3 * 10^8
+    columns = columns + [[q - 1] * 4]
+    assert residue_codes(columns, P, q) == residue_codes_by_division(columns, P, q)
+
+
+def test_residue_codes_refuse_int32_overflow():
+    dig = np.zeros((30, 2), dtype=np.int32)
+    with pytest.raises(ValueError, match="overflow int32"):  # (q-1) + 29 (q-1)^2 > 2^31
+        scan._residue_codes(dig, (1, 1), Q_MAX)
+    with pytest.raises(ValueError, match="overflow int32"):  # codes up to 3^20 > 2^31
+        scan._residue_codes(dig, (0,) * 20 + (1,), 3)
+    assert scan._residue_codes(dig, (0,) * 19 + (1,), 3).tolist() == [0, 0]  # 3^19 < 2^31
 
 
 def symbols_upto(q, n):
@@ -372,6 +434,32 @@ def test_batch_coprime_counts_refuses_past_the_table_budget(monkeypatch):
         batch_coprime_counts(q, d, codes, 2)
     monkeypatch.setattr(scan, "_TABLE_BUDGET", 36)
     assert batch_coprime_counts(q, d, codes, 2).shape == (len(codes), 3)
+
+
+@pytest.mark.parametrize("batch", [batch_coefficients, batch_coprime_counts])
+@pytest.mark.parametrize(
+    "codes,message",
+    [
+        ([200], r"lie in \[0, q\^d\) = \[0, 125\)"),  # past 5^3: would alias code 75
+        ([125], r"lie in \[0, q\^d\)"),
+        ([3, -1], r"lie in \[0, q\^d\)"),
+        ([1.7], "integers"),
+        ([3.0], "integers"),
+        ([True], "integers"),
+        ([[3]], "1-d"),
+    ],
+)
+def test_batch_sums_refuse_bad_codes(batch, codes, message):
+    with pytest.raises(ValueError, match=message):
+        batch(5, 3, codes, 2)
+
+
+def test_batch_sums_take_every_valid_code():
+    q, d = 5, 3
+    edge = batch_coefficients(q, d, [0, q**d - 1], 2)
+    unsigned = np.array([0, q**d - 1], dtype=np.uint8)
+    assert edge.tolist() == batch_coefficients(q, d, unsigned, 2).tolist()
+    assert batch_coefficients(q, d, [], 2).shape == (0, 3)
 
 
 def test_sample_codes_refuses_codes_past_int64():
