@@ -224,7 +224,7 @@ def _square_digits(q: int, m: int) -> np.ndarray:
     lists primes by degree, so one cached (q, m) at a time builds each degree
     once.
     """
-    dig = _digit_matrix(np.arange(q**m), q, m).astype(np.int64)
+    dig = _digit_matrix(np.arange(q**m), q, m).astype(np.int64)  # (q-1)^2 may pass 2^31
     conv = np.zeros((2 * m - 1, q**m), dtype=np.int64)
     for i in range(m):
         for j in range(m):

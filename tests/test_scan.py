@@ -1,6 +1,7 @@
 """Tests for the vectorized ensemble scan engine."""
 
 import json
+import math
 import os
 import shutil
 import threading
@@ -162,7 +163,7 @@ def test_residue_codes_equal_polynomial_remainder(data, q, n):
 
 
 # the largest q whose degree-1 prime tables (q primes of q entries) fit the budget
-Q_MAX = max(q for q in range(3, 10**4 + 1) if is_prime(q) and q * q <= scan._TABLE_BUDGET)
+Q_MAX = next(q for q in range(math.isqrt(scan._TABLE_BUDGET), 2, -1) if is_prime(q))
 
 
 def test_q_max_is_the_budget_edge():
