@@ -12,7 +12,8 @@ from .characters import jacobi
 from .curve import zeta_numerator
 from .ensemble import MomentAccumulator
 from .lfunction import LPolynomial, evaluate_center, l_polynomial
-from .scan import ResourceCapError, SampleMoment, moment_scan, sampled_moment
+from .polyring import ResourceCapError
+from .scan import SampleMoment, moment_scan, sampled_moment
 from .sqrtq import SqrtQRational
 from .verify import CheckResult, run_identity_suite
 

@@ -8,6 +8,11 @@ Enumeration of monic polynomials of fixed degree is in increasing "code"
 order, code(f) = sum(c_i * q**i) over the sub-leading coefficients.  The
 constant term is the fastest-varying digit; the order is total and stable,
 and every deterministic scan in the package relies on it.
+
+Division has one kernel, `_reduce`: `rem` and `gcd` (the one Euclid, behind
+`squarefree`) call it, and `divmod_` stays the route that also builds the
+quotient.  The irreducible tables are sieved on codes in numpy, and Rabin's
+`is_irreducible` is their independent oracle.
 """
 
 from __future__ import annotations
@@ -16,9 +21,17 @@ import threading
 from functools import lru_cache
 from math import prod
 
+import numpy as np
+
 from .field import check_odd_prime, legendre_scalar, prime_divisors
 
 Poly = tuple
+
+_TABLE_BUDGET = 10**8  # entries one table may hold: sieve marks here, int8 prime-table entries in scan
+
+
+class ResourceCapError(RuntimeError):
+    """A table or a scan would exceed the table budget, `_TABLE_BUDGET`."""
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +65,12 @@ def is_monic(f: Poly) -> bool:
 X: Poly = (0, 1)
 
 
+def _check_poly(f: Poly, q: int, what: str) -> None:
+    """ValueError unless f is canonical: digits in [0, q), no trailing zero."""
+    if f and (not f[-1] or min(f) < 0 or max(f) >= q):
+        raise ValueError(f"{what} needs digits in [0, {q}) and no trailing zero, got {f}")
+
+
 def add(f: Poly, g: Poly, q: int) -> Poly:
     if len(f) < len(g):
         f, g = g, f
@@ -81,15 +100,23 @@ def mul(f: Poly, g: Poly, q: int) -> Poly:
     return tuple(c % q for c in out)
 
 
-def divmod_(f: Poly, g: Poly, q: int):
-    """Quotient and remainder; g must be nonzero."""
+def _unit_lead(g, q: int) -> int:
+    """The leading coefficient of a divisor g, checked to be a unit mod q."""
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
+    lead = g[-1] % q
+    if not lead:
+        raise ValueError(f"divisor {tuple(g)} has leading coefficient 0 mod {q}")
+    return lead
+
+
+def divmod_(f: Poly, g: Poly, q: int):
+    """Quotient and remainder; g must be nonzero with a unit leading coefficient."""
+    inv_lead = pow(_unit_lead(g, q), q - 2, q)
     dg = len(g) - 1
     if len(f) < len(g):
         return (), f
     rem_ = list(f)
-    inv_lead = pow(g[-1], q - 2, q)
     quot = [0] * (len(f) - dg)
     for i in range(len(f) - dg - 1, -1, -1):
         c = rem_[i + dg] % q
@@ -101,8 +128,31 @@ def divmod_(f: Poly, g: Poly, q: int):
     return normalize(quot), normalize(r % q for r in rem_[:dg])
 
 
+def _reduce(r: list, g, q: int) -> list:
+    """r mod g: reduce the digit list r in place and return it, normalised.
+
+    The one remainder kernel.  Each step adds the multiple of g that cancels
+    the top digit of r, with no quotient kept; digits are reduced mod q and
+    stripped once, at the end.
+    """
+    neg_inv = q - pow(_unit_lead(g, q), q - 2, q)
+    dg = len(g) - 1
+    for i in range(len(r) - 1, dg - 1, -1):
+        c = r[i] * neg_inv % q
+        if c:
+            j = i - dg
+            for b in g:
+                r[j] += c * b
+                j += 1
+    del r[dg:]
+    r[:] = [c % q for c in r]
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
 def rem(f: Poly, g: Poly, q: int) -> Poly:
-    return divmod_(f, g, q)[1]
+    return tuple(_reduce(list(f), g, q))
 
 
 def monic(f: Poly, q: int) -> Poly:
@@ -116,14 +166,15 @@ def monic(f: Poly, q: int) -> Poly:
 
 
 def gcd(f: Poly, g: Poly, q: int) -> Poly:
-    """Monic gcd; gcd(f, 0) = monic(f)."""
-    while g:
-        f, g = g, rem(f, g, q)
-    return monic(f, q)
+    """Monic gcd; gcd(f, 0) = monic(f).  The one Euclid, on digit lists."""
+    a, b = list(f), list(g)
+    while b:
+        a, b = b, _reduce(a, b, q)
+    return monic(tuple(a), q)
 
 
 def derivative(f: Poly, q: int) -> Poly:
-    return normalize((i * c) % q for i, c in enumerate(f) if i >= 1)
+    return normalize([i * f[i] % q for i in range(1, len(f))])
 
 
 def mul_mod(f: Poly, g: Poly, m: Poly, q: int) -> Poly:
@@ -169,6 +220,23 @@ def monic_code(f: Poly, q: int) -> int:
     return code
 
 
+def _digit_matrix(codes: np.ndarray, q: int, d: int) -> np.ndarray:
+    """Digits of each code, constant first, digit-major: int32 (d, len), row i for x^i."""
+    out = np.empty((d, len(codes)), dtype=np.int32)
+    c = codes.astype(np.int64, copy=True)
+    for i in range(d):
+        out[i] = c % q
+        c //= q
+    return out
+
+
+def _monic_digit_matrix(codes: np.ndarray, q: int, d: int) -> np.ndarray:
+    """Digits of monic degree-d codes with the leading 1 as row d: int32 (d+1, len)."""
+    out = np.ones((d + 1, len(codes)), dtype=np.int32)
+    out[:d] = _digit_matrix(codes, q, d)
+    return out
+
+
 def monic_polys(n: int, q: int):
     """All monic polynomials of degree exactly n, constant term fastest."""
     if n < 0:
@@ -192,6 +260,7 @@ def squarefree(f: Poly, q: int) -> bool:
     """
     if not f:
         raise ValueError("square-free test undefined for the zero polynomial")
+    _check_poly(f, q, "the square-free test")
     if len(f) == 1:
         return True
     d = derivative(f, q)
@@ -203,8 +272,8 @@ def squarefree(f: Poly, q: int) -> bool:
 def is_irreducible(f: Poly, q: int) -> bool:
     """Rabin's test: x^(q^n) = x mod f, and x^(q^(n/p)) - x coprime to f.
 
-    The oracle for the trial-division tables of `IrreducibleTable`, and the
-    search of `extfield.find_irreducible`, which needs no table of degree n.
+    The independent oracle for the sieved tables of `IrreducibleTable`, and
+    the search of `extfield.find_irreducible`, which needs no table of degree n.
     """
     n = degree(f)
     if n <= 0:
@@ -231,14 +300,38 @@ def is_irreducible(f: Poly, q: int) -> bool:
 # irreducible tables, factorization, multiplicative functions
 
 
+def mark_multiples(marked: np.ndarray, factors, d: int, q: int) -> None:
+    """Set marked[code(F·h)] for each F in factors and each monic h of degree d - k.
+
+    marked has one entry per monic code of degree d, and the factors are
+    monic of one degree k <= d.  The digits of F·h are a convolution,
+    reduced mod q and folded to a code by the place values.  A block takes
+    every factor against enough h for about max(4096, q^d / (8(d+1)))
+    products, whose int64 digits fill about q^d bytes; the least block, one
+    h against the factors, at most q^(d/2) of them, stays within O(q^d).
+    """
+    F = np.array(factors, dtype=np.int64)  # (factors, k+1) digits
+    k = F.shape[1] - 1
+    m = d - k
+    place = q ** np.arange(d, dtype=np.int64)
+    per_h = max(1, max(4096, q**d // (8 * (d + 1))) // len(F))
+    for h0 in range(0, q**m, per_h):
+        hdig = _monic_digit_matrix(np.arange(h0, min(h0 + per_h, q**m)), q, m)
+        digits = np.zeros((len(F), d + 1, hdig.shape[1]), dtype=np.int64)
+        for t in range(k + 1):
+            digits[:, t : t + m + 1] += F[:, t, None, None] * hdig
+        marked[np.tensordot(place, digits[:, :d] % q, axes=(0, 1))] = True
+
+
 class IrreducibleTable:
     """All monic irreducibles of each degree built so far, in code order per degree.
 
-    A degree is built the first time something asks for it, by trial
-    division against smaller table entries, so construction doubles as a
-    consistency check on the division routine.  Any thread may grow the
-    table: `extend` builds under a lock and publishes `by_degree[d]` before
-    it advances `cutoff`, so a reader that sees `cutoff >= d` finds degree d.
+    A degree is built the first time something asks for it, by a sieve on
+    codes (`_sieve`).  Any thread may grow the table: `extend` builds under a
+    lock and publishes `by_degree[d]` before it advances `cutoff`, so a reader
+    that sees `cutoff >= d` finds degree d.  Before it allocates, `extend`
+    refuses with ResourceCapError a degree whose q^d marks pass
+    `_TABLE_BUDGET`.
     """
 
     def __init__(self, q: int):
@@ -251,21 +344,26 @@ class IrreducibleTable:
     def extend(self, cutoff: int) -> None:
         with self._lock:
             q = self.q
+            if cutoff > self.cutoff and q**cutoff > _TABLE_BUDGET:
+                raise ResourceCapError(
+                    f"irreducibles of degree {cutoff} at q={q} need {q**cutoff} marks, past the cap"
+                )
             for d in range(self.cutoff + 1, cutoff + 1):
-                found = []
-                for f in monic_polys(d, q):
-                    if self._has_small_factor(f, d // 2):
-                        continue
-                    found.append(f)
-                self.by_degree[d] = tuple(found)
+                self.by_degree[d] = self._sieve(d)
                 self.cutoff = d
 
-    def _has_small_factor(self, f: Poly, max_deg: int) -> bool:
-        for d in range(1, max_deg + 1):
-            for p in self.by_degree[d]:
-                if not rem(f, p, self.q):
-                    return True
-        return False
+    def _sieve(self, d: int) -> tuple:
+        """The monic irreducibles of degree d: the codes no product P·h marks.
+
+        P runs over the table's primes of degree k <= d/2 and h over the monic
+        polynomials of degree d - k, since every reducible polynomial of
+        degree d has such a prime factor.
+        """
+        q = self.q
+        marked = np.zeros(q**d, dtype=bool)
+        for k in range(1, d // 2 + 1):
+            mark_multiples(marked, self.by_degree[k], d, q)
+        return tuple(monic_by_code(int(c), d, q) for c in np.flatnonzero(~marked))
 
     def irreducibles(self, d: int) -> tuple:
         if d > self.cutoff:
@@ -284,6 +382,7 @@ class IrreducibleTable:
         if not f:
             raise ValueError("cannot factor the zero polynomial")
         q = self.q
+        _check_poly(f, q, "factorize")
         unit = f[-1]
         g = monic(f, q)
         factors = []
@@ -293,11 +392,8 @@ class IrreducibleTable:
                 if degree(g) < 2 * d:
                     break
                 e = 0
-                while True:
-                    quot, r = divmod_(g, p, q)
-                    if r:
-                        break
-                    g = quot
+                while not rem(g, p, q):
+                    g = divmod_(g, p, q)[0]
                     e += 1
                 if e:
                     factors.append((p, e))

@@ -38,10 +38,10 @@ add per nonzero coefficient of x^i mod P.  The prime tables (through the
 digits of every residue's square), `moment_scan`'s V_P vectors and the batch
 sums all call it.
 
-One guard bounds every scan: `_TABLE_BUDGET`, 10^8 int8 entries over the
-prime tables up to the degree the scan needs, checked before anything is
-built.  The exhaustive count is the closed form (q - 1) q^(2g), checked
-against `squarefree_mask` only while q^(2g+1) <= MASK_CHECK_LIMIT.
+One guard bounds every scan: polyring's `_TABLE_BUDGET`, 10^8 int8 entries
+over the prime tables up to the degree the scan needs, checked before
+anything is built.  The exhaustive count is the closed form (q - 1) q^(2g),
+checked against `squarefree_mask` only while q^(2g+1) <= MASK_CHECK_LIMIT.
 """
 
 from __future__ import annotations
@@ -59,10 +59,15 @@ import numpy as np
 from .ensemble import EnsembleSpec, MomentAccumulator
 from .lfunction import center_value, two_block_weights
 from .polyring import (
+    _TABLE_BUDGET,
     Poly,
+    _digit_matrix,
+    _monic_digit_matrix,
+    ResourceCapError,
     degree,
     factorize,
     irreducible_count,
+    mark_multiples,
     monic_by_code,
     mul,
     shared_table,
@@ -73,11 +78,6 @@ from .sqrtq import SqrtQRational
 MASK_CHECK_LIMIT = 10**7  # monic D of degree 2g+1 up to which moment_scan enumerates its count
 CHECKPOINT_VERSION = 1
 CHUNK_SIZE = 64  # summands f per chunk; a checkpoint records it and resume checks it
-_TABLE_BUDGET = 10**8  # int8 prime-table entries one call may build and the cache may hold
-
-
-class ResourceCapError(RuntimeError):
-    """A scan's prime tables or symbol vectors would exceed the table budget, `_TABLE_BUDGET`."""
 
 
 def _code_space(q: int, n: int) -> int:
@@ -87,12 +87,6 @@ def _code_space(q: int, n: int) -> int:
     return q**n
 
 
-def _qpow(q: int, n: int) -> np.ndarray:
-    """Place values q^0..q^(n-1) of degree-n codes as int64; ValueError once q^n >= 2^63."""
-    _code_space(q, n)
-    return q ** np.arange(n, dtype=np.int64)
-
-
 def _check_table_budget(q: int, n_max: int) -> None:
     """Refuse the prime tables up to degree n_max when their total size is past the budget."""
     entries = sum(irreducible_count(q, m) * q**m for m in range(1, n_max + 1))
@@ -100,23 +94,6 @@ def _check_table_budget(q: int, n_max: int) -> None:
         raise ResourceCapError(
             f"prime tables to degree {n_max} at q={q} need {entries} entries, past the cap"
         )
-
-
-def _digit_matrix(codes: np.ndarray, q: int, d: int) -> np.ndarray:
-    """Digits of each code, constant first, digit-major: int32 (d, len), row i for x^i."""
-    out = np.empty((d, len(codes)), dtype=np.int32)
-    c = codes.astype(np.int64, copy=True)
-    for i in range(d):
-        out[i] = c % q
-        c //= q
-    return out
-
-
-def _monic_digit_matrix(codes: np.ndarray, q: int, d: int) -> np.ndarray:
-    """Digits of monic degree-d codes with the leading 1 as row d: int32 (d+1, len)."""
-    out = np.ones((d + 1, len(codes)), dtype=np.int32)
-    out[:d] = _digit_matrix(codes, q, d)
-    return out
 
 
 def _reduction_rows(f: Poly, q: int, upto: int) -> list:
@@ -182,25 +159,13 @@ def _residue_codes(dig: np.ndarray, f: Poly, q: int) -> np.ndarray:
 def squarefree_mask(q: int, d: int) -> np.ndarray:
     """Boolean mask over monic codes of degree d, True at square-free D.
 
-    Non-square-free codes are marked by enumerating P^2 * M directly; the
-    coefficients of the product are linear in M's, so each prime is one
-    matrix product.
+    Non-square-free codes are marked as the multiples P^2 * M of each prime
+    square, by polyring's product-code kernel.
     """
-    mask = np.ones(q**d, dtype=bool)
-    qp = _qpow(q, d)
+    marked = np.zeros(q**d, dtype=bool)
     for dp in range(1, d // 2 + 1):
-        k = d - 2 * dp
-        mdig = _monic_digit_matrix(np.arange(q**k), q, k).astype(np.int64)  # cast once, not per P
-        for p in shared_table(q).irreducibles(dp):
-            psq = mul(p, p, q)
-            conv = np.zeros((k + 1, d), dtype=np.int64)
-            for i in range(k + 1):
-                for j, c in enumerate(psq):
-                    if c and i + j < d:
-                        conv[i, i + j] = c
-            codes = qp @ ((conv.T @ mdig) % q)
-            mask[codes] = False
-    return mask
+        mark_multiples(marked, [mul(p, p, q) for p in shared_table(q).irreducibles(dp)], d, q)
+    return ~marked
 
 
 def ensemble_count(q: int, g: int) -> int:

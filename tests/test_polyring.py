@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperell import polyring as pr
+from hyperell import scan
 from hyperell.polyring import (
     IrreducibleTable,
+    ResourceCapError,
     degree,
     divmod_,
     euler_phi,
@@ -24,6 +26,7 @@ from hyperell.polyring import (
     norm,
     normalize,
     radical,
+    rem,
     shared_table,
     squarefree,
 )
@@ -99,6 +102,61 @@ def test_gcd_divides_both(f, g):
             assert divmod_(h, d, q)[1] == ()
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), q=st.sampled_from([3, 5, 7, 11]))
+def test_rem_is_the_divmod_remainder(data, q):
+    f = data.draw(coeff_polys(q, 12))
+    g = data.draw(coeff_polys(q, 7).filter(bool))
+    assert rem(f, g, q) == divmod_(f, g, q)[1]
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_division_by_zero_polynomial(q):
+    for f in ((), (1,), (1, 2, 1)):
+        with pytest.raises(ZeroDivisionError):
+            rem(f, (), q)
+        with pytest.raises(ZeroDivisionError):
+            divmod_(f, (), q)
+
+
+def euclid_by_divmod(f, g, q):
+    """gcd by the quotient-building division, the reference for the remainder kernel."""
+    while g:
+        f, g = g, divmod_(f, g, q)[1]
+    return pr.monic(f, q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), q=st.sampled_from([3, 5, 7, 11]))
+def test_gcd_matches_reference_euclid(data, q):
+    f, g = data.draw(coeff_polys(q, 9)), data.draw(coeff_polys(q, 9))
+    assert gcd(f, g, q) == euclid_by_divmod(f, g, q)
+
+
+@pytest.mark.parametrize("q,max_deg", [(3, 6), (5, 4)])
+def test_squarefree_matches_factorization(q, max_deg):
+    # exhaustive: square-free iff no prime divides twice
+    for n in range(max_deg + 1):
+        for f in monic_polys(n, q):
+            assert squarefree(f, q) == all(e == 1 for _, e in factorize(f, q)[1]), f
+
+
+def test_divisor_with_zero_leading_coefficient_is_refused():
+    # (1, 0) is the constant 1 with a trailing zero: its leading coefficient is no unit
+    for call in (rem, divmod_, gcd):
+        with pytest.raises(ValueError, match="leading coefficient 0"):
+            call((1, 2, 1), (1, 0), 3)
+    with pytest.raises(ValueError, match="leading coefficient 0"):
+        rem((1, 2, 1), (1, 3), 3)  # 3 = 0 mod 3
+
+
+@pytest.mark.parametrize("call", [squarefree, factorize])
+@pytest.mark.parametrize("f", [(1, 0), (0, 1, 0), (5, 1), (1, -1, 1), (3,)])
+def test_non_canonical_polynomials_are_refused(call, f):
+    with pytest.raises(ValueError, match=r"digits in \[0, 3\)"):
+        call(f, 3)
+
+
 def test_code_round_trip():
     q = 3
     for code in range(q**3):
@@ -148,6 +206,36 @@ def test_gauss_count_identity(q):
         assert total == q**n
         assert table.count(n) == irreducible_count(q, n)
     assert shared_table(q) is table  # one table per q
+
+
+@pytest.mark.parametrize("q,max_deg", [(3, 6), (5, 6), (7, 4)])
+def test_sieved_tables_pass_rabin(q, max_deg):
+    table = IrreducibleTable(q)
+    for d in range(1, max_deg + 1):
+        assert all(is_irreducible(P, q) for P in table.irreducibles(d))
+
+
+@pytest.mark.parametrize("q,max_deg", [(3, 10), (5, 8)])
+def test_sieved_counts_match_gauss(q, max_deg):
+    # with every entry irreducible (Rabin above), the right count makes a degree complete
+    table = IrreducibleTable(q)
+    for d in range(1, max_deg + 1):
+        assert table.count(d) == irreducible_count(q, d)
+        codes = [pr.monic_code(P, q) for P in table.irreducibles(d)]
+        assert codes == sorted(set(codes))
+
+
+def test_extend_refuses_past_the_budget(monkeypatch):
+    monkeypatch.setattr(pr, "_TABLE_BUDGET", 3**4)
+    table = IrreducibleTable(3)
+    with pytest.raises(ResourceCapError, match="past the cap"):
+        table.extend(5)
+    assert table.cutoff == 0 and table.by_degree == {}  # refused before building anything
+    assert table.count(4) == irreducible_count(3, 4)
+    with pytest.raises(scan.ResourceCapError):
+        table.irreducibles(5)
+    assert table.cutoff == 4
+    table.extend(4)  # nothing left to build: no refusal
 
 
 def test_cutoff_guard():
