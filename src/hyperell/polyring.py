@@ -66,8 +66,8 @@ X: Poly = (0, 1)
 
 
 def _check_poly(f: Poly, q: int, what: str) -> None:
-    """ValueError unless f is canonical: digits in [0, q), no trailing zero."""
-    if f and (not f[-1] or min(f) < 0 or max(f) >= q):
+    """ValueError unless the nonzero f is canonical: digits in [0, q), no trailing zero."""
+    if not f[-1] or min(f) < 0 or max(f) >= q:
         raise ValueError(f"{what} needs digits in [0, {q}) and no trailing zero, got {f}")
 
 
