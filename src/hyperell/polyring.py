@@ -9,10 +9,11 @@ order, code(f) = sum(c_i * q**i) over the sub-leading coefficients.  The
 constant term is the fastest-varying digit; the order is total and stable,
 and every deterministic scan in the package relies on it.
 
-Division has one kernel, `_reduce`: `rem` and `gcd` (the one Euclid, behind
-`squarefree`) call it, and `divmod_` stays the route that also builds the
-quotient.  The irreducible tables are sieved on codes in numpy, and Rabin's
-`is_irreducible` is their independent oracle.
+Division has one kernel, `_reduce`, whose one pass leaves both the
+remainder and the quotient: `rem`, `divmod_` and `gcd` (the one Euclid, behind
+`squarefree`) read it, and so do scan's reduction rows, through `rem`.  The
+irreducible tables are sieved on codes in numpy, and Rabin's `is_irreducible`
+is their independent oracle.
 """
 
 from __future__ import annotations
@@ -110,49 +111,41 @@ def _unit_lead(g, q: int) -> int:
     return lead
 
 
-def divmod_(f: Poly, g: Poly, q: int):
-    """Quotient and remainder; g must be nonzero with a unit leading coefficient."""
-    inv_lead = pow(_unit_lead(g, q), q - 2, q)
-    dg = len(g) - 1
-    if len(f) < len(g):
-        return (), f
-    rem_ = list(f)
-    quot = [0] * (len(f) - dg)
-    for i in range(len(f) - dg - 1, -1, -1):
-        c = rem_[i + dg] % q
-        if c:
-            c = (c * inv_lead) % q
-            quot[i] = c
-            for j, b in enumerate(g):
-                rem_[i + j] -= c * b
-    return normalize(quot), normalize(r % q for r in rem_[:dg])
-
-
 def _reduce(r: list, g, q: int) -> list:
-    """r mod g: reduce the digit list r in place and return it, normalised.
+    """Long division of the digit list r by g in place; returns r mod g, normalised.
 
-    The one remainder kernel.  Each step adds the multiple of g that cancels
-    the top digit of r, with no quotient kept; digits are reduced mod q and
-    stripped once, at the end.
+    The one division kernel.  The step at i >= deg g adds c·g·x^(i - deg g),
+    c = -r[i] / lead(g) mod q, to the digits below i and stores c in r[i]:
+    minus the quotient digit.  So r[deg g:] is left holding the negated
+    quotient, which `divmod_` reads; the remainder r[:deg g] is reduced mod q
+    and stripped once.
     """
     neg_inv = q - pow(_unit_lead(g, q), q - 2, q)
     dg = len(g) - 1
+    low = g[:dg]
     for i in range(len(r) - 1, dg - 1, -1):
         c = r[i] * neg_inv % q
         if c:
             j = i - dg
-            for b in g:
+            for b in low:
                 r[j] += c * b
                 j += 1
-    del r[dg:]
-    r[:] = [c % q for c in r]
-    while r and not r[-1]:
-        r.pop()
-    return r
+        r[i] = c
+    out = [c % q for c in r[:dg]]
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def rem(f: Poly, g: Poly, q: int) -> Poly:
     return tuple(_reduce(list(f), g, q))
+
+
+def divmod_(f: Poly, g: Poly, q: int):
+    """Quotient and remainder, both from one `_reduce` pass; g needs a unit leading coefficient."""
+    r = list(f)
+    remainder = _reduce(r, g, q)
+    return normalize((-c) % q for c in r[len(g) - 1 :]), tuple(remainder)
 
 
 def monic(f: Poly, q: int) -> Poly:
@@ -166,11 +159,11 @@ def monic(f: Poly, q: int) -> Poly:
 
 
 def gcd(f: Poly, g: Poly, q: int) -> Poly:
-    """Monic gcd; gcd(f, 0) = monic(f).  The one Euclid, on digit lists."""
+    """Monic gcd; gcd(f, 0) = monic(f mod q).  The one Euclid, on digit lists."""
     a, b = list(f), list(g)
     while b:
         a, b = b, _reduce(a, b, q)
-    return monic(tuple(a), q)
+    return monic(normalize(c % q for c in a), q)
 
 
 def derivative(f: Poly, q: int) -> Poly:

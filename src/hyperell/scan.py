@@ -70,6 +70,7 @@ from .polyring import (
     mark_multiples,
     monic_by_code,
     mul,
+    rem,
     shared_table,
     squarefree,
 )
@@ -96,29 +97,15 @@ def _check_table_budget(q: int, n_max: int) -> None:
         )
 
 
-def _reduction_rows(f: Poly, q: int, upto: int) -> list:
-    """Row i (0 <= i <= upto): coefficients of x^i mod f, length deg f."""
-    n = degree(f)
-    rows = []
-    cur = [0] * n
-    cur[0] = 1
-    for _ in range(upto + 1):
-        rows.append(cur)
-        top = cur[-1]
-        cur = [0] + cur[:-1]
-        if top:
-            cur = [(c - top * fj) % q for c, fj in zip(cur, f)]
-    return rows
-
-
 def _residue_codes(dig: np.ndarray, f: Poly, q: int) -> np.ndarray:
     """Residue code mod f of each digit column of dig, int32 (w, len) as `_digit_matrix` lays out.
 
     The one residue kernel.  With n = deg f, acc starts as the low n digit
     rows; each high digit row i >= n adds c * dig[i] to acc[j] for every
-    nonzero c = (x^i mod f)_j, one contiguous integer add per c.  One
-    reduction mod q then leaves the residue's digits, folded to a code by
-    Horner.
+    nonzero c = (x^i mod f)_j, one contiguous integer add per c.  The rows
+    x^i mod f come from polyring's division kernel, x^i = rem(x * x^(i-1), f)
+    one step each.  One reduction mod q then leaves the residue's digits,
+    folded to a code by Horner.
 
     Exact in int32.  Digits and the c lie in [0, q), so before the reduction
     an entry of acc is at most B = (q-1) + (w-n)(q-1)^2, and a code is below
@@ -140,7 +127,9 @@ def _residue_codes(dig: np.ndarray, f: Poly, q: int) -> np.ndarray:
     acc = dig[:n].copy()
     acc_rows, dig_rows = list(acc), list(dig)  # row views: += adds in place, with no setitem copy
     scratch = np.empty(dig.shape[1], dtype=np.int32)
-    for i, row in enumerate(_reduction_rows(f, q, w - 1)[n:], start=n):
+    row = (0,) * (n - 1) + (1,)  # x^(n-1), its own residue
+    for i in range(n, w):
+        row = rem((0,) + row, f, q)
         for j, c in enumerate(row):
             if c == 1:
                 acc_rows[j] += dig_rows[i]

@@ -20,7 +20,13 @@ def test_repository_against_itself(capsys):
         "pair 0 parent", "pair 0 change", "pair 1 change", "pair 1 parent",
     ]
     assert "parent median: wall" in out and "change median: wall" in out
+    assert "parent IQR: wall" in out and "change IQR: wall" in out
     assert "outputs identical in 2 pairs" in out
+
+
+def test_iqr_is_the_distance_between_quartiles():
+    assert ab_pairs.iqr([1.0, 2.0, 3.0, 4.0, 5.0]) == 2.0  # quartiles 2 and 4
+    assert ab_pairs.iqr([7.0]) == 0.0
 
 
 def test_catches_a_changed_csv_header_byte(tmp_path, capsys):

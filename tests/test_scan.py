@@ -251,6 +251,19 @@ def test_moment_scan_matches_reference(q, g):
     assert meta.q == q and meta.g == g
 
 
+@pytest.mark.parametrize(
+    "q,g", [(3, g) for g in range(1, 6)] + [(p, g) for p in (5, 7) for g in (1, 2, 3)]
+    + [(p, g) for p in (11, 13) for g in (1, 2)],
+)
+def test_moment_scan_odd_degrees_vanish(q, g):
+    # D(x) -> c^(-d) D(cx), c a non-square, permutes the family and flips
+    # chi_D(f) by (-1)^(deg f), so the sums over odd deg f are 0, and the
+    # moment has no sqrt(q) part
+    acc, meta = moment_scan(q, g)
+    assert not any(meta.nonsquare_sums[1::2]) and not any(meta.square_sums[1::2])
+    assert acc.total.b == 0
+
+
 def test_moment_scan_thread_determinism(monkeypatch):
     a1, m1 = moment_scan(3, 2, threads=1)
     a2, m2 = moment_scan(3, 2, threads=2)

@@ -11,8 +11,8 @@ empty directory for each run.
 
 One line per run gives its wall time (spawn to reap), CPU time and peak RSS,
 the last two from os.wait4 on that child alone; the child's stderr passes
-through.  The summary gives each side's medians and the number of pairs CHANGE
-won on wall time.
+through.  The summary gives each side's medians and interquartile ranges (the
+spread a gain must exceed) and the number of pairs CHANGE won on wall time.
 
 Exits 1 as soon as a pair differs in stdout, exit code or any file written
 under `{tmp}`, 0 when every pair agrees, and 2 on a usage error.
@@ -55,6 +55,14 @@ def run_side(root: Path, args: list) -> dict:
             "cpu_s": usage.ru_utime + usage.ru_stime,
             "peak_rss_mb": usage.ru_maxrss / 1024,  # ru_maxrss is in KiB on Linux
         }
+
+
+def iqr(xs: list) -> float:
+    """Distance between the quartiles of xs, linearly interpolated; 0 for one run."""
+    if len(xs) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q3 - q1
 
 
 def difference(a: dict, b: dict) -> str | None:
@@ -103,11 +111,12 @@ def main(argv=None) -> int:
             return 1
         wins += change["wall_s"] < parent["wall_s"]
     for side in sides:
-        med = {m: statistics.median(r[m] for r in runs[side]) for m in METRICS}
-        print(
-            f"{side} median: wall {med['wall_s']:.3f} s  cpu {med['cpu_s']:.3f} s  "
-            f"rss {med['peak_rss_mb']:.1f} MB"
-        )
+        for label, stat in (("median", statistics.median), ("IQR", iqr)):
+            v = {m: stat([r[m] for r in runs[side]]) for m in METRICS}
+            print(
+                f"{side} {label}: wall {v['wall_s']:.3f} s  cpu {v['cpu_s']:.3f} s  "
+                f"rss {v['peak_rss_mb']:.1f} MB"
+            )
     print(f"outputs identical in {ns.pairs} pairs; change faster on wall time in {wins}/{ns.pairs}")
     return 0
 
