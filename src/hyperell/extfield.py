@@ -3,7 +3,9 @@
 Elements are polyring residues mod m: reduced tuples of degree < n with no
 trailing zeros, so tuple equality is field equality (zero is (), one is
 (1,)).  Multiplication and powers are polyring's `mul_mod` and `pow_mod`.
-The modulus is the first monic irreducible of degree n in code order, which
+A base-field polynomial is evaluated from a per-element table of powers
+x^i, built once with `mul_mod`, so an evaluation is additions only.  The
+modulus is the first monic irreducible of degree n in code order, which
 makes every table and every point count reproducible across runs and
 machines.
 """
@@ -33,7 +35,11 @@ class ExtField:
     """Arithmetic in F_{q^n}; elements are polyring residues mod the modulus.
 
     The nonzero squares are tabulated once, at construction, so the
-    quadratic character is a set lookup.
+    quadratic character is a set lookup.  The powers 1, x, x^2, ... of each
+    element that `eval_poly` meets are cached as a list, lengthened on
+    demand to the longest polynomial seen.  The cache is keyed by checked
+    elements, so it holds at most q^n lists; a thread that races another
+    stores an equal list.
     """
 
     def __init__(self, q: int, n: int):
@@ -44,6 +50,15 @@ class ExtField:
         self.zero = ()
         self.one = (1,)
         self._squares = frozenset(self.mul(a, a) for a in self.elements() if a)
+        self._powers: dict[tuple, list] = {}
+
+    def _check(self, a: tuple) -> None:
+        """ValueError unless a is an element: a canonical polynomial of degree < n."""
+        if a:
+            what = f"an element of F_{self.q}^{self.n}"
+            polyring._check_poly(a, self.q, what)
+            if len(a) > self.n:
+                raise ValueError(f"{what} has degree below {self.n}, got {a}")
 
     def elements(self):
         """All q^n elements in code order, constant coordinate fastest."""
@@ -65,17 +80,33 @@ class ExtField:
         return self.pow_(a, self.q)
 
     def is_square(self, a: tuple) -> int:
-        """Quadratic character of the extension: +1 / -1 / 0 at zero."""
-        if not a:
-            return 0
-        return 1 if a in self._squares else -1
+        """Quadratic character of the extension: +1 / -1 / 0 at zero.
+
+        A member of the squares table is an element; anything else is
+        checked before it is called a non-square.
+        """
+        if a in self._squares:
+            return 1
+        self._check(a)
+        return -1 if a else 0
 
     def eval_poly(self, f: Poly, x: tuple) -> tuple:
-        """Evaluate a base-field polynomial at an extension element (Horner)."""
-        acc = self.zero
-        for c in reversed(f):
-            acc = self.add(self.mul(acc, x), (c,))
-        return acc
+        """f(x) for a base-field polynomial f: the sum of c_i x^i over the cached powers of x."""
+        powers = self._powers.get(x)
+        if powers is None:
+            self._check(x)
+            powers = [self.one]
+        if len(powers) < len(f):
+            powers = list(powers)  # a new list: another thread may be reading the cached one
+            while len(powers) < len(f):
+                powers.append(self.mul(powers[-1], x))
+            self._powers[x] = powers
+        acc = [0] * self.n
+        for c, p in zip(f, powers):
+            if c:
+                for j, b in enumerate(p):
+                    acc[j] += c * b
+        return polyring.normalize(a % self.q for a in acc)
 
 
 @lru_cache(maxsize=None)

@@ -13,7 +13,10 @@ Division has one kernel, `_reduce`, whose one pass leaves both the
 remainder and the quotient: `rem`, `divmod_` and `gcd` (the one Euclid, behind
 `squarefree`) read it, and so do scan's reduction rows, through `rem`.  The
 irreducible tables are sieved on codes in numpy, and Rabin's `is_irreducible`
-is their independent oracle.
+is their independent oracle.  Beside the irreducible tuples of each degree,
+the sieve leaves a factor table, one prime factor's index per monic code,
+from which `factorize` reads every factor of a polynomial within the built
+degrees; above them it trial-divides.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .field import check_odd_prime, legendre_scalar, prime_divisors
 
 Poly = tuple
 
-_TABLE_BUDGET = 10**8  # entries one table may hold: sieve marks here, int8 prime-table entries in scan
+_TABLE_BUDGET = 10**8  # entries one table may hold: sieve codes here, int8 prime-table entries in scan
 
 
 class ResourceCapError(RuntimeError):
@@ -293,38 +296,52 @@ def is_irreducible(f: Poly, q: int) -> bool:
 # irreducible tables, factorization, multiplicative functions
 
 
-def mark_multiples(marked: np.ndarray, factors, d: int, q: int) -> None:
-    """Set marked[code(F·h)] for each F in factors and each monic h of degree d - k.
+def mark_multiples(marked: np.ndarray, factors, d: int, q: int, labels=True) -> None:
+    """Write labels at marked[code(F·h)] for each F in factors and each monic h of degree d - k.
 
     marked has one entry per monic code of degree d, and the factors are
-    monic of one degree k <= d.  The digits of F·h are a convolution,
-    reduced mod q and folded to a code by the place values.  A block takes
-    every factor against enough h for about max(4096, q^d / (8(d+1)))
-    products, whose int64 digits fill about q^d bytes; the least block, one
-    h against the factors, at most q^(d/2) of them, stays within O(q^d).
+    monic of one degree k <= d.  labels is one value for every product
+    (True for a mask) or one label per factor, written at each product of
+    that factor (the sieve's prime indices).  The digits of F·h are a
+    convolution, reduced mod q and folded to a code by the place values.  A
+    block takes every factor against enough h for about
+    max(4096, q^d / (8(d+1))) products, whose int64 digits fill about q^d
+    bytes; the least block, one h against the factors, at most q^(d/2) of
+    them, stays within O(q^d).  Each block's arrays are released before the
+    next block allocates.
     """
     F = np.array(factors, dtype=np.int64)  # (factors, k+1) digits
     k = F.shape[1] - 1
     m = d - k
     place = q ** np.arange(d, dtype=np.int64)
+    labels = np.reshape(labels, (-1, 1))  # broadcasts against the (factors, h) codes
     per_h = max(1, max(4096, q**d // (8 * (d + 1))) // len(F))
     for h0 in range(0, q**m, per_h):
         hdig = _monic_digit_matrix(np.arange(h0, min(h0 + per_h, q**m)), q, m)
         digits = np.zeros((len(F), d + 1, hdig.shape[1]), dtype=np.int64)
         for t in range(k + 1):
             digits[:, t : t + m + 1] += F[:, t, None, None] * hdig
-        marked[np.tensordot(place, digits[:, :d] % q, axes=(0, 1))] = True
+        marked[np.tensordot(place, digits[:, :d] % q, axes=(0, 1))] = labels
+        del hdig, digits
 
 
 class IrreducibleTable:
-    """All monic irreducibles of each degree built so far, in code order per degree.
+    """The monic irreducibles of each degree built so far, and a factor table per degree.
 
-    A degree is built the first time something asks for it, by a sieve on
-    codes (`_sieve`).  Any thread may grow the table: `extend` builds under a
-    lock and publishes `by_degree[d]` before it advances `cutoff`, so a reader
-    that sees `cutoff >= d` finds degree d.  Before it allocates, `extend`
-    refuses with ResourceCapError a degree whose q^d marks pass
-    `_TABLE_BUDGET`.
+    A degree d is built the first time something asks for it, by a sieve on
+    codes (`_sieve`).  It yields the irreducible tuples, `by_degree[d]` in
+    code order, and the factor table `factor_index[d]`: for each monic code
+    of degree d, the index in `primes` of one prime factor, or -1 where the
+    code is itself irreducible.  `primes` lists the irreducibles of every
+    built degree, degree by degree, so an index means the same prime at
+    every degree.
+
+    Any thread may grow the table: `extend` builds under a lock and
+    publishes `by_degree[d]`, `factor_index[d]` and the primes of degree d
+    before it advances `cutoff`, so a reader that sees `cutoff >= d` finds
+    all three.  Before it allocates, `extend` refuses with ResourceCapError
+    a degree whose q^d codes pass `_TABLE_BUDGET`.  A factor table costs one
+    or two bytes per code, where the tuples beside it cost about (56+8d)/d.
     """
 
     def __init__(self, q: int):
@@ -332,6 +349,8 @@ class IrreducibleTable:
         self.q = q
         self.cutoff = 0
         self.by_degree: dict[int, tuple] = {}
+        self.factor_index: dict[int, np.ndarray] = {}
+        self.primes: tuple = ()
         self._lock = threading.Lock()
 
     def extend(self, cutoff: int) -> None:
@@ -342,21 +361,33 @@ class IrreducibleTable:
                     f"irreducibles of degree {cutoff} at q={q} need {q**cutoff} marks, past the cap"
                 )
             for d in range(self.cutoff + 1, cutoff + 1):
-                self.by_degree[d] = self._sieve(d)
+                self.by_degree[d], self.factor_index[d] = self._sieve(d)
+                self.primes += self.by_degree[d]
                 self.cutoff = d
 
-    def _sieve(self, d: int) -> tuple:
-        """The monic irreducibles of degree d: the codes no product P·h marks.
+    def _sieve(self, d: int):
+        """The monic irreducibles of degree d and the factor table of degree d.
 
-        P runs over the table's primes of degree k <= d/2 and h over the monic
-        polynomials of degree d - k, since every reducible polynomial of
-        degree d has such a prime factor.
+        Each prime P of degree k <= d/2, against each monic h of degree
+        d - k, writes its index in `primes` at code(P·h), since every
+        reducible polynomial of degree d has such a prime factor; the codes
+        left at -1 are the irreducibles.  The indices take the narrowest
+        signed dtype that holds them: while q^d <= `_TABLE_BUDGET` there
+        are fewer than 2^15 primes of degree <= d/2, so int16 always does.
         """
         q = self.q
-        marked = np.zeros(q**d, dtype=bool)
+        count = sum(len(self.by_degree[k]) for k in range(1, d // 2 + 1))
+        dtype = next((t for t in (np.int8, np.int16) if count <= np.iinfo(t).max), None)
+        if dtype is None:
+            raise ResourceCapError(f"{count} primes of degree <= {d // 2} at q={q} overflow int16 indices")
+        index = np.full(q**d, -1, dtype=dtype)
+        first = 0
         for k in range(1, d // 2 + 1):
-            mark_multiples(marked, self.by_degree[k], d, q)
-        return tuple(monic_by_code(int(c), d, q) for c in np.flatnonzero(~marked))
+            ps = self.by_degree[k]
+            mark_multiples(index, ps, d, q, labels=np.arange(first, first + len(ps)))
+            first += len(ps)
+        irreducibles = tuple(monic_by_code(int(c), d, q) for c in np.flatnonzero(index < 0))
+        return irreducibles, index
 
     def irreducibles(self, d: int) -> tuple:
         if d > self.cutoff:
@@ -369,8 +400,14 @@ class IrreducibleTable:
     def factorize(self, f: Poly):
         """(unit, ((P, e), ...)) with P monic irreducible, sorted by (degree, code).
 
-        Trial division by irreducibles up to half the degree of what is left;
-        beyond that the remaining cofactor is itself irreducible.
+        One loop takes one prime factor P of the cofactor g at a time.
+        While deg g is within the built `cutoff`, P is read from the factor
+        table of degree deg g and divided out once.  Above it, P is found by
+        trial division by the irreducibles of degree 1, 2, ... as far as
+        half of deg g (each extends the table as needed); once every prime
+        of degree below half is divided out, g itself is irreducible.  So a
+        polynomial above every table still factors, and one within the
+        table costs one division per prime factor, with multiplicity.
         """
         if not f:
             raise ValueError("cannot factor the zero polynomial")
@@ -378,24 +415,29 @@ class IrreducibleTable:
         _check_poly(f, q, "factorize")
         unit = f[-1]
         g = monic(f, q)
-        factors = []
-        d = 1
-        while degree(g) >= 2 * d:
-            for p in self.irreducibles(d):
-                if degree(g) < 2 * d:
-                    break
-                e = 0
-                while not rem(g, p, q):
-                    g = divmod_(g, p, q)[0]
-                    e += 1
-                if e:
-                    factors.append((p, e))
-            d += 1
-        if degree(g) >= 1:
-            # every divisor of smaller degree was divided out, so what is left
-            # cannot split into two factors and is irreducible
-            factors.append((g, 1))
-        factors.sort(key=lambda pe: (degree(pe[0]), monic_code(pe[0], q)))
+        exponents: dict = {}
+        d, j = 1, 0  # the next trial divisor: irreducible j of degree d
+        while len(g) > 1:
+            n = len(g) - 1
+            if n <= self.cutoff:
+                i = self.factor_index[n][monic_code(g, q)]
+                p = g if i < 0 else self.primes[i]
+            elif n < 2 * d:
+                # every prime of degree below d, and d > n/2, was divided
+                # out, so g cannot split into two factors and is irreducible
+                p = g
+            else:
+                trial = self.irreducibles(d)
+                p = trial[j]
+                if rem(g, p, q):
+                    d, j = (d + 1, 0) if j + 1 == len(trial) else (d, j + 1)
+                    continue
+            exponents[p] = exponents.get(p, 0) + 1
+            if p is g:
+                break
+            g = divmod_(g, p, q)[0]
+        # within a degree, code order is the order of the digits read from the top
+        factors = sorted(exponents.items(), key=lambda pe: (len(pe[0]), pe[0][::-1]))
         return unit, tuple(factors)
 
 

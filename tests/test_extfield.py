@@ -1,8 +1,13 @@
 """Tests for extension-field arithmetic F_{q^n}."""
 
+import random
+
 import pytest
 
-from hyperell.extfield import find_irreducible, get_field
+from hyperell import polyring
+from hyperell.curve import count_points, zeta_numerator
+from hyperell.ensemble import enumerate_ensemble
+from hyperell.extfield import ExtField, find_irreducible, get_field
 from hyperell.field import legendre_scalar
 from hyperell.polyring import is_irreducible
 
@@ -113,3 +118,67 @@ def test_squares_table(q, n):
     if n == 1:
         for a in range(q):
             assert F.is_square((a,) if a else ()) == legendre_scalar(a, q)
+
+
+def horner(F, f, x):
+    """The reference evaluation: Horner's rule, one `mul_mod` per digit of f."""
+    acc = F.zero
+    for c in reversed(f):
+        acc = polyring.add(polyring.mul_mod(acc, x, F.modulus, F.q), (c,), F.q)
+    return acc
+
+
+@pytest.mark.parametrize("q,n", [(3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (7, 1), (7, 2)])
+def test_eval_poly_matches_horner(q, n):
+    # a fresh field, so the power cache starts empty and grows with deg D
+    F = ExtField(q, n)
+    rng = random.Random(q * 10 + n)
+    for deg in (0, 3, 1, 9, 5, 12):
+        D = tuple(rng.randrange(q) for _ in range(deg)) + (rng.randrange(1, q),)
+        for x in F.elements():
+            assert F.eval_poly(D, x) == horner(F, D, x), (D, x)
+
+
+def test_cached_powers_need_no_multiplication(monkeypatch):
+    F = ExtField(3, 3)
+    D = (1, 2, 0, 1, 1, 2, 0, 1)
+    first = [F.eval_poly(D, x) for x in F.elements()]
+    short = [horner(F, D[:3], x) for x in F.elements()]
+    calls = []
+    mul_mod = polyring.mul_mod
+    monkeypatch.setattr(polyring, "mul_mod", lambda *a: calls.append(a) or mul_mod(*a))
+    assert [F.eval_poly(D, x) for x in F.elements()] == first
+    assert [F.eval_poly(D[:3], x) for x in F.elements()] == short
+    assert calls == []
+    F.eval_poly(D + (1,), F.one)  # one power past the cache: one product
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("q,n", [(3, 1), (3, 2), (3, 3), (5, 2)])
+def test_power_cache_is_bounded_by_the_field(q, n):
+    F = ExtField(q, n)
+    for D in list(enumerate_ensemble(q, 2))[:60]:
+        sum(1 + F.is_square(F.eval_poly(D, x)) for x in F.elements())
+    assert 0 < len(F._powers) <= q**n
+    assert all(len(p) == 6 for p in F._powers.values())  # deg D = 5: x^0..x^5
+
+
+def test_point_counts_unchanged():
+    # N_n from Horner's evaluation, against count_points, on the genus-2 family at q=3
+    for D in list(enumerate_ensemble(3, 2))[:40]:
+        for n in (1, 2, 3):
+            F = get_field(3, n)
+            direct = 1 + sum(1 + F.is_square(horner(F, D, x)) for x in F.elements())
+            assert count_points(D, 3, n) == direct
+    assert zeta_numerator((0, 1, 0, 1), 3).coeffs == (1, 0, 3)
+
+
+@pytest.mark.parametrize("a", [(4,), (1, 0), (-2,), (0, 0, 1)])
+def test_non_canonical_elements_are_refused(a):
+    # each of the first three is 1 in F_9, a square; (0, 0, 1) = t^2 has degree >= n
+    F9 = get_field(3, 2)
+    with pytest.raises(ValueError, match=r"an element of F_3\^2"):
+        F9.is_square(a)
+    with pytest.raises(ValueError, match=r"an element of F_3\^2"):
+        F9.eval_poly((1, 1), a)
+    assert a not in F9._powers

@@ -1,9 +1,13 @@
 """Tests for dense polynomial arithmetic and the irreducible sieve."""
 
+import random
 import sys
 import threading
+import time
+from collections import Counter
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,6 +25,7 @@ from hyperell.polyring import (
     is_irreducible,
     is_perfect_square,
     mobius,
+    monic,
     monic_by_code,
     monic_polys,
     mul,
@@ -246,7 +251,7 @@ def test_extend_refuses_past_the_budget(monkeypatch):
     table = IrreducibleTable(3)
     with pytest.raises(ResourceCapError, match="past the cap"):
         table.extend(5)
-    assert table.cutoff == 0 and table.by_degree == {}  # refused before building anything
+    assert table.cutoff == 0 and table.by_degree == {} == table.factor_index  # refused before building anything
     assert table.count(4) == irreducible_count(3, 4)
     with pytest.raises(scan.ResourceCapError):
         table.irreducibles(5)
@@ -318,6 +323,164 @@ def test_factorize_with_unit():
     unit, factors = factorize((0, 2), 3)  # 2x
     assert unit == 2
     assert factors == (((0, 1), 1),)
+
+
+def trial_factorize(f, q):
+    """The reference: trial division by the irreducibles up to half of what is left."""
+    table = shared_table(q)
+    g = monic(f, q)
+    factors = []
+    d = 1
+    while degree(g) >= 2 * d:
+        for p in table.irreducibles(d):
+            if degree(g) < 2 * d:
+                break
+            e = 0
+            while not rem(g, p, q):
+                g = divmod_(g, p, q)[0]
+                e += 1
+            if e:
+                factors.append((p, e))
+        d += 1
+    if degree(g) >= 1:
+        factors.append((g, 1))
+    factors.sort(key=lambda pe: (degree(pe[0]), poly_code(pe[0], q)))
+    return f[-1], tuple(factors)
+
+
+@pytest.mark.parametrize("q,cutoff", [(3, 5), (5, 3), (7, 2)])
+def test_factor_table_factorizations(q, cutoff):
+    # degrees below, at and above the built cutoff, with a unit in front
+    rng = random.Random(q)
+    table = IrreducibleTable(q)
+    table.extend(cutoff)
+    degrees = (cutoff - 1, cutoff, cutoff + 1, 2 * cutoff + 1)
+    past = IrreducibleTable(q)
+    past.extend(max(degrees) + 1)
+    for n in degrees:
+        for _ in range(30):
+            f = tuple(rng.randrange(q) for _ in range(n)) + (rng.randrange(1, q),)
+            unit, factors = got = table.factorize(f)
+            assert unit == f[-1]
+            assert product([P for P, e in factors for _ in range(e)], q) == monic(f, q)
+            assert all(is_irreducible(P, q) for P, _ in factors)
+            keys = [(degree(P), poly_code(P, q)) for P, _ in factors]
+            assert keys == sorted(set(keys))
+            # a fresh table runs the trial loop; one past deg f only reads the factor tables
+            assert IrreducibleTable(q).factorize(f) == got == past.factorize(f)
+    assert table.cutoff == cutoff  # the trial loop needs no degree past half of deg f
+
+
+@pytest.mark.parametrize("q,max_deg", [(3, 8), (5, 5), (7, 4)])
+def test_factor_table_matches_trial_division_exhaustively(q, max_deg):
+    table = IrreducibleTable(q)
+    table.extend(max_deg)
+    for n in range(1, max_deg + 1):
+        for f in monic_polys(n, q):
+            assert table.factorize(f) == trial_factorize(f, q), f
+
+
+def test_factorize_within_the_table_divides_once_per_factor(monkeypatch):
+    # no trial division (no `rem`) within the built degrees, and one exact
+    # division per prime factor, counted with multiplicity, but the last
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*a):
+            calls[name] += 1
+            return fn(*a)
+
+        return wrapper
+
+    q = 3
+    table = IrreducibleTable(q)
+    table.extend(6)
+    monkeypatch.setattr(pr, "rem", counting("rem", rem))
+    monkeypatch.setattr(pr, "divmod_", counting("divmod_", divmod_))
+    for n in range(1, 7):
+        for f in monic_polys(n, q):
+            before = calls["divmod_"]
+            _, factors = table.factorize(f)
+            assert calls["divmod_"] - before == sum(e for _, e in factors) - 1
+    assert calls["rem"] == 0
+    assert table.cutoff == 6
+
+
+def test_factorize_past_every_table():
+    # (x^27 - 1) / (x - 1) = (x - 1)^26 over F_3, with no table past degree 1
+    table = IrreducibleTable(3)
+    assert table.factorize((1,) * 27) == (1, (((2, 1), 26),))
+    assert table.cutoff == 1
+
+
+def test_concurrent_factorize_while_the_table_grows():
+    q = 3
+    rng = random.Random(7)
+    fs = [tuple(rng.randrange(q) for _ in range(n)) + (1,) for n in range(1, 11) for _ in range(30)]
+    expected = [trial_factorize(f, q) for f in fs]
+    table = IrreducibleTable(q)
+
+    class SlowDict(dict):
+        # widens the window between publishing a degree's tables and its cutoff
+        def __setitem__(self, key, value):
+            time.sleep(0.002)
+            super().__setitem__(key, value)
+
+    table.by_degree, table.factor_index = SlowDict(), SlowDict()
+    start = threading.Barrier(4, timeout=60)
+    got = {}
+
+    def factor(k):
+        start.wait()
+        got[k] = [table.factorize(f) for f in fs]
+
+    def grow():
+        start.wait()
+        for d in range(1, 9):
+            table.extend(d)
+
+    workers = [threading.Thread(target=factor, args=(k,)) for k in range(3)]
+    workers.append(threading.Thread(target=grow))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave readers and the builder as much as possible
+    try:
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert table.cutoff == 8
+    assert got == {k: expected for k in range(3)}
+
+
+def odd_primes_below(n):
+    return [p for p in range(3, n, 2) if all(p % r for r in range(3, int(p**0.5) + 1, 2))]
+
+
+def test_factor_index_dtype_and_bound():
+    # the narrowest signed dtype that holds the index of every prime of degree <= d/2
+    table = IrreducibleTable(5)
+    table.extend(8)
+    for d in range(1, 9):
+        count = sum(irreducible_count(5, k) for k in range(1, d // 2 + 1))
+        assert table.factor_index[d].dtype == (np.int8 if count <= 127 else np.int16)
+    assert table.factor_index[8].dtype == np.int16  # 205 primes of degree <= 4
+    # int16 always suffices under the budget: past q = 10^4 only degree 1 fits,
+    # and it needs no prime
+    for q in odd_primes_below(10**4):
+        d = 1
+        while q ** (d + 1) <= pr._TABLE_BUDGET:
+            d += 1
+        assert sum(irreducible_count(q, k) for k in range(1, d // 2 + 1)) < 2**15, q
+
+
+def test_factor_index_refuses_to_wrap():
+    table = IrreducibleTable(3)
+    table.by_degree[1] = ((0, 1),) * 2**15  # more primes than int16 can index
+    with pytest.raises(ResourceCapError, match="int16"):
+        table._sieve(2)
 
 
 def test_mobius_pins():
