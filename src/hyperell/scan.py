@@ -23,20 +23,27 @@ D = A^2 B and (D/f) = (B/f) when gcd(A, f) = 1, else 0.  With n = deg f,
 
 Every symbol is one product, chi_D being completely multiplicative:
 (x/f) = prod over P^e || f of (x/P)^e, taken by `_symbol_product` over the
-values `_prime_symbols` reads off each prime's table.  `moment_scan` builds
-(x/P) once, before its worker threads start, for every residue code x < q^g
-and every prime P of degree <= g.  The residues mod an f of degree n are the
+values `_prime_symbols` reads off each prime's table, |(x/P)| taken once
+per prime where an even exponent can read it.  `moment_scan` builds (x/P)
+once, before its worker threads start, for every residue code x < q^g and
+every prime P of degree <= g.  The residues mod an f of degree n are the
 codes [0, q^n), so f's Jacobi table is the product of the prefix slices of
 its primes' vectors.  The scan factors each f once; f is a square iff every
-exponent is even.  Everything integral is exact: int8 symbols, int64 table
-sums, Python ints and Fractions above.
+exponent is even.  Everything integral is exact: int8 symbols, int32 batch
+sums per degree (|A_D(n)| <= q^n <= 10^8), int64 table sums, Python ints
+and Fractions above.
 
 Every residue mod a prime comes from one kernel, `_residue_codes`.  Digits
-are held digit-major as int32, one contiguous vector per power of x, and
-each digit at or above deg P is folded into the low ones with one integer
-add per nonzero coefficient of x^i mod P.  The prime tables (through the
-digits of every residue's square), `moment_scan`'s V_P vectors and the batch
-sums all call it.
+are held digit-major, one contiguous vector per power of x, and each digit
+at or above deg P is folded into the low ones with one integer add per
+nonzero coefficient of x^i mod P.  Before the reduction mod q a sum over w
+digit rows mod degree n is at most B = (q-1) + (w-n)(q-1)^2, and the
+residue's code is below q^n; the rows come in the narrowest dtype that
+holds B (uint8 while B <= 255, int16 while B <= 32767, else int32) and the
+codes in int16 while q^n <= 32767, else int32.  The kernel refuses rows
+too narrow for B, so no sum wraps.  The prime tables (through the digits of
+every residue's square), `moment_scan`'s V_P vectors and the batch sums all
+call it.
 
 One guard bounds every scan: polyring's `_TABLE_BUDGET`, 10^8 int8 entries
 over the prime tables up to the degree the scan needs, checked before
@@ -61,14 +68,17 @@ from .lfunction import center_value, two_block_weights
 from .polyring import (
     _TABLE_BUDGET,
     Poly,
+    _check_poly,
     _digit_matrix,
     _monic_digit_matrix,
     ResourceCapError,
     degree,
     factorize,
     irreducible_count,
+    is_monic,
     mark_multiples,
     monic_by_code,
+    monic_code,
     mul,
     rem,
     shared_table,
@@ -97,8 +107,25 @@ def _check_table_budget(q: int, n_max: int) -> None:
         )
 
 
+_ROW_DTYPES = (np.uint8, np.int16, np.int32)  # digit rows and their sums, narrowest first
+_CODE_DTYPES = (np.int16, np.int32)  # residue codes, which index tables through take
+
+
+def _exact_dtype(bound: int, dtypes=_ROW_DTYPES):
+    """The first of dtypes that holds every integer in [0, bound]; ValueError past the last."""
+    for t in dtypes:
+        if bound <= np.iinfo(t).max:
+            return t
+    raise ValueError(f"values up to {bound} overflow {np.dtype(dtypes[-1])}")
+
+
+def _residue_bound(q: int, w: int, n: int) -> int:
+    """B = (q-1) + (w-n)(q-1)^2, the largest sum `_residue_codes` forms from w digit rows mod degree n."""
+    return (q - 1) + max(w - n, 0) * (q - 1) ** 2
+
+
 def _residue_codes(dig: np.ndarray, f: Poly, q: int) -> np.ndarray:
-    """Residue code mod f of each digit column of dig, int32 (w, len) as `_digit_matrix` lays out.
+    """Residue code mod f of each digit column of dig, (w, len) digit-major as `_digit_matrix` lays out.
 
     The one residue kernel.  With n = deg f, acc starts as the low n digit
     rows; each high digit row i >= n adds c * dig[i] to acc[j] for every
@@ -107,26 +134,36 @@ def _residue_codes(dig: np.ndarray, f: Poly, q: int) -> np.ndarray:
     one step each.  One reduction mod q then leaves the residue's digits,
     folded to a code by Horner.
 
-    Exact in int32.  Digits and the c lie in [0, q), so before the reduction
-    an entry of acc is at most B = (q-1) + (w-n)(q-1)^2, and a code is below
-    q^n.  Every caller checks the table budget first, so the q^n entries of a
+    Exact in the dtype of dig, which may be any integer dtype that holds B.
+    Digits and the c lie in [0, q), so before the reduction an entry of acc
+    is at most B = `_residue_bound(q, w, n)` = (q-1) + (w-n)(q-1)^2, and acc
+    is held in dig's own dtype; rows too narrow for B are a ValueError.
+    Callers pass the narrowest that `_exact_dtype` derives: uint8 while
+    B <= 255 (q=5 at width 12, the squares mod degree m <= 8 at q=3), int16
+    while B <= 32767 (q=7 at width 12), else int32.  Codes lie below q^n,
+    and the Horner fold never passes them, so they are folded in int16
+    while q^n <= 32767, else in int32.
+
+    Every caller checks the table budget first, so the q^n entries of a
     degree-n prime table give q^n <= 10^8 < 2^31, and the q primes of degree
     1, holding q^2 entries, give q^2 <= 10^8.  Every caller's rows also have
     q^(w-1) < 2^63: monic curve rows of width d+1 come from int64 codes of
     degree d, `moment_scan`'s rows of width g from the codes below
     q^g <= 10^8, and the 2m-1 rows of x^2 from q^m <= 10^8 residues.  So
     w < 1 + 63 / log2 q, and for n >= 1
-    B < w q^2 < (1 + 63 / log2 q) q^2 <= (1 + 63 / log2 10^4) 10^8 < 5.8 * 10^8,
-    since (1 + 63 / L) 2^(2L) grows with L = log2 q.  Both bounds are checked,
-    so a caller past the budget gets a ValueError, not a wrapped code.
+    B < w q^2 < (1 + 63 / log2 q) q^2 <= (1 + 63 / log2 10^4) 10^8 < 5.8 * 10^8 < 2^31,
+    since (1 + 63 / L) 2^(2L) grows with L = log2 q: int32 always suffices.
+    Both bounds are checked, so a caller past the budget gets a ValueError,
+    not a wrapped code.
     """
     w = dig.shape[0]
     n = degree(f)
-    if max(q**n, (q - 1) + (w - n) * (q - 1) ** 2) >= 2**31:
-        raise ValueError(f"residues of {w}-digit rows mod degree {n} at q={q} overflow int32")
+    code_dtype = _exact_dtype(q**n, _CODE_DTYPES)
+    if dig.dtype.kind not in "iu" or np.iinfo(dig.dtype).max < _residue_bound(q, w, n):
+        raise ValueError(f"residues of {w}-digit rows mod degree {n} at q={q} overflow {dig.dtype}")
     acc = dig[:n].copy()
     acc_rows, dig_rows = list(acc), list(dig)  # row views: += adds in place, with no setitem copy
-    scratch = np.empty(dig.shape[1], dtype=np.int32)
+    scratch = np.empty(dig.shape[1], dtype=dig.dtype)
     row = (0,) * (n - 1) + (1,)  # x^(n-1), its own residue
     for i in range(n, w):
         row = rem((0,) + row, f, q)
@@ -138,7 +175,7 @@ def _residue_codes(dig: np.ndarray, f: Poly, q: int) -> np.ndarray:
     quot = acc // q  # acc - q (acc // q), not acc % q: numpy divides by a scalar on a fast path
     quot *= q
     acc -= quot
-    code = acc[-1]  # acc has min(n, w) rows: a row narrower than f is its own residue
+    code = acc[-1].astype(code_dtype)  # acc has min(n, w) rows: a row narrower than f is its own residue
     for j in range(len(acc) - 2, -1, -1):
         code *= q
         code += acc[j]
@@ -171,19 +208,19 @@ _prime_table_lock = threading.Lock()
 
 @lru_cache(maxsize=1)
 def _square_digits(q: int, m: int) -> np.ndarray:
-    """Digits of x^2 before reduction, mod q, for every residue code x < q^m: int32 (2m-1, q^m).
+    """Digits of x^2 before reduction, mod q, for every residue code x < q^m: (2m-1, q^m).
 
     They do not depend on the modulus, so every prime of degree m reads one
-    read-only copy, digit-major as `_residue_codes` takes it.  `_primes_upto`
-    lists primes by degree, so one cached (q, m) at a time builds each degree
-    once.
+    read-only copy, digit-major and in the narrowest dtype that holds
+    `_residue_codes`'s sums mod degree m.  `_primes_upto` lists primes by
+    degree, so one cached (q, m) at a time builds each degree once.
     """
     dig = _digit_matrix(np.arange(q**m), q, m).astype(np.int64)  # (q-1)^2 may pass 2^31
     conv = np.zeros((2 * m - 1, q**m), dtype=np.int64)
     for i in range(m):
         for j in range(m):
             conv[i + j] += dig[i] * dig[j]
-    out = (conv % q).astype(np.int32)
+    out = (conv % q).astype(_exact_dtype(_residue_bound(q, 2 * m - 1, m)))
     out.setflags(write=False)
     return out
 
@@ -192,7 +229,9 @@ def prime_residue_table(P: Poly, q: int) -> np.ndarray:
     """Quadratic character of F_q[x]/(P) on all residue codes (int8).
 
     Built by reducing the squares of every residue mod P at once and marking
-    the image; entry 0 is the zero residue.
+    the image; entry 0 is the zero residue.  Before it builds, a P that is
+    not canonical, not monic or not irreducible (one read of the sieve's
+    factor table) is a ValueError: its image would be no character table.
     """
     key = (q, P)
     cached = _prime_table_cache.get(key)
@@ -202,6 +241,13 @@ def prime_residue_table(P: Poly, q: int) -> np.ndarray:
     M = q**m
     if M > _TABLE_BUDGET:
         raise ResourceCapError(f"character table for degree {m} at q={q} is too large")
+    if m < 1:
+        raise ValueError(f"prime_residue_table needs a modulus of degree >= 1, got {P}")
+    _check_poly(P, q, "prime_residue_table")
+    table = shared_table(q)
+    table.irreducibles(m)  # builds the factor table of degree m
+    if not is_monic(P) or table.factor_index[m][monic_code(P, q)] >= 0:
+        raise ValueError(f"prime_residue_table needs a monic irreducible modulus, got {P}")
     codes = _residue_codes(_square_digits(q, m), P, q)
     out = np.full(M, -1, dtype=np.int8)
     out[codes] = 1
@@ -221,32 +267,51 @@ def _primes_upto(q: int, n: int) -> list:
 
 
 def _prime_symbols(dig: np.ndarray, primes, q: int) -> dict:
-    """P -> (x/P) for each digit column x of dig, laid out as `_digit_matrix` gives it, as int8."""
-    out = np.empty((len(primes), dig.shape[1]), dtype=np.int8)  # one block, not one array per P
-    for row, P in zip(out, primes):
-        prime_residue_table(P, q).take(_residue_codes(dig, P, q), out=row)
-    return dict(zip(primes, out))
+    """(P, e % 2) -> (x/P)^e over the digit columns x of dig, laid out as `_digit_matrix` gives it.
 
-
-def _symbol_product(symbols: dict, factors, size: int) -> np.ndarray:
-    """(x/f) = prod over f's factors (P, e) of (x/P)^e: (x/P) for odd e, |(x/P)| for even e.
-
-    Reads the first `size` entries of each prime's symbol vector.
+    (P, 1) holds (x/P) for every P, and (P, 0) holds |(x/P)| for the P with
+    2 deg P at most the largest degree in primes: the symbols serve products
+    over f of that degree at most, where only such P can have an even
+    exponent.  Both are int8, each kind one block, not one array per P.
+    dig is converted once to the narrowest dtype `_residue_codes` takes for
+    every prime.
     """
-    out = np.ones(size, dtype=np.int8)
-    for P, e in factors:
-        s = symbols[P][:size]
-        out *= s if e % 2 else np.abs(s)
+    degrees = [degree(P) for P in primes]
+    low, top = min(degrees, default=dig.shape[0]), max(degrees, default=0)
+    dig = dig.astype(_exact_dtype(_residue_bound(q, dig.shape[0], low)), copy=False)
+    signed = np.empty((len(primes), dig.shape[1]), dtype=np.int8)
+    for row, P in zip(signed, primes):
+        prime_residue_table(P, q).take(_residue_codes(dig, P, q), out=row)
+    even = [i for i, m in enumerate(degrees) if 2 * m <= top]
+    absolute = signed[even]
+    np.abs(absolute, out=absolute)
+    out = {(P, 1): row for P, row in zip(primes, signed)}
+    out.update({(primes[i], 0): row for i, row in zip(even, absolute)})
+    return out
+
+
+def _symbol_product(symbols: dict, factors, out: np.ndarray) -> np.ndarray:
+    """(x/f) = prod over f's factors (P, e) of (x/P)^e, into the int8 out; f != 1.
+
+    Reads the first len(out) entries of each prime's vector in symbols, as
+    `_prime_symbols` keys them: (x/P) for odd e, |(x/P)| for even e.
+    """
+    size = len(out)
+    (P, e), *rest = factors
+    np.copyto(out, symbols[P, e % 2][:size])
+    for P, e in rest:
+        out *= symbols[P, e % 2][:size]
     return out
 
 
 def jacobi_residue_table(factors, symbols: dict, q: int) -> np.ndarray:
     """(r/f) for every residue code r mod f, from f's factorization ((P, e), ...).
 
-    symbols maps each prime factor P to (x/P) over the codes x in [0, q^k),
+    symbols is as `_prime_symbols` gives it, over the codes x in [0, q^k),
     k >= deg f; the residues mod f are the prefix [0, q^deg f).
     """
-    return _symbol_product(symbols, factors, q ** sum(degree(P) * e for P, e in factors))
+    size = q ** sum(degree(P) * e for P, e in factors)
+    return _symbol_product(symbols, factors, np.empty(size, dtype=np.int8))
 
 
 def char_sum_table_scan(factors, symbols: dict, q: int, d: int) -> int:
@@ -432,13 +497,14 @@ def _batch_sums(q: int, d: int, codes: np.ndarray, n_max: int, signed: bool) -> 
     """Sums over monic f of degree n = 0..n_max of chi_D(f), or |chi_D(f)| unless signed.
 
     int64 (len, n_max+1), column n for degree n.  Per-prime character values
-    are computed once by residue lookup; each f multiplies them along its factorization.
+    are computed once by residue lookup; each f multiplies them along its
+    factorization into one reused int8 vector, and each degree sums in
+    int32: |A_D(n)| <= q^n, and the budget check gives q^n <= 10^8 < 2^31.
     codes must be integers in [0, q^d); anything else is a ValueError, since
     a code past q^d or below 0 would alias another curve's digits.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
     _check_table_budget(q, n_max)
+    sum_dtype = _exact_dtype(q**n_max, (np.int32,))
     codes = np.asarray(codes)
     if codes.ndim != 1 or (codes.size and codes.dtype.kind not in "iu"):
         raise ValueError(f"codes must be 1-d integers, not {codes.dtype} of shape {codes.shape}")
@@ -451,22 +517,29 @@ def _batch_sums(q: int, d: int, codes: np.ndarray, n_max: int, signed: bool) -> 
 
     out = np.zeros((k, n_max + 1), dtype=np.int64)
     out[:, 0] = 1
+    chi = np.empty(k, dtype=np.int8)
     for n in range(1, n_max + 1):
-        acc = np.zeros(k, dtype=np.int64)
+        acc = np.zeros(k, dtype=sum_dtype)
         for code in range(q**n):
-            s = _symbol_product(symbols, factorize(monic_by_code(code, n, q), q)[1], k)
-            acc += s if signed else np.abs(s)
+            _symbol_product(symbols, factorize(monic_by_code(code, n, q), q)[1], chi)
+            if not signed:
+                np.abs(chi, out=chi)
+            acc += chi
         out[:, n] = acc
     return out
 
 
 def batch_coefficients(q: int, d: int, codes: np.ndarray, n_max: int) -> np.ndarray:
     """A_D(n) for n = 0..n_max for each monic degree-d code, as int64 (len, n_max+1)."""
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     return _batch_sums(q, d, codes, n_max, signed=True)
 
 
 def batch_coprime_counts(q: int, d: int, codes: np.ndarray, half_deg: int) -> np.ndarray:
     """#{monic l of degree h coprime to D} for h = 0..half_deg, per code: (len, half_deg+1)."""
+    if half_deg < 0:
+        raise ValueError(f"half_deg must be >= 0, got {half_deg}")
     return _batch_sums(q, d, codes, half_deg, signed=False)
 
 

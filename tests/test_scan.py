@@ -141,6 +141,34 @@ def test_square_digits_hold_one_degree(monkeypatch):
     assert scan._square_digits.cache_info().hits == info.hits + 1  # the degree-2 table stayed
 
 
+@pytest.mark.parametrize(
+    "P,message",
+    [
+        ((0, 0, 1), "monic irreducible"),  # x^2, reducible
+        ((1, 1, 1), "monic irreducible"),  # (x - 1)^2 at q=3
+        ((2, 2), "monic irreducible"),  # 2(x + 1), not monic
+        ((4, 0, 1), r"digits in \[0, 3\)"),  # x^2 + 1 written with a 4
+        ((1, 0, 1, 0), "trailing zero"),
+        ((2,), "degree >= 1"),
+    ],
+)
+def test_prime_residue_table_refuses_a_modulus_that_is_no_prime(monkeypatch, P, message):
+    monkeypatch.setattr(scan, "_prime_table_cache", {})
+    monkeypatch.setattr(scan, "_prime_table_held", 0)
+    with pytest.raises(ValueError, match=message):
+        prime_residue_table(P, 3)
+    assert (scan._prime_table_cache, scan._prime_table_held) == ({}, 0)
+
+
+def test_prime_residue_table_checks_only_what_it_builds(monkeypatch):
+    monkeypatch.setattr(scan, "_prime_table_cache", {})
+    monkeypatch.setattr(scan, "_prime_table_held", 0)
+    table = prime_residue_table((1, 0, 1), 3)  # x^2 + 1
+    monkeypatch.setattr(scan, "shared_table", lambda q: pytest.fail("a cache hit was checked"))
+    assert prime_residue_table((1, 0, 1), 3) is table
+    assert scan._prime_table_held == 9
+
+
 def residue_codes_by_division(columns, P, q):
     """Code of rem(D, P) for each digit list D (constant first), by polyring's long division."""
     return [poly_code(rem(tuple(D), P, q), q) for D in columns]
@@ -151,16 +179,19 @@ def residue_codes(columns, P, q):
     return scan._residue_codes(dig, P, q).tolist()
 
 
-@settings(max_examples=150, deadline=None)
-@given(data=st.data(), q=st.sampled_from([3, 5, 7]), n=st.integers(1, 6))
-def test_residue_codes_equal_polynomial_remainder(data, q, n):
-    # the first irreducible at or after a random monic code of degree n
-    start = data.draw(st.integers(0, q**n - 1), label="start")
-    P = next(
+def prime_at(start, n, q):
+    """The first irreducible of degree n at or after the monic code start, cyclically."""
+    return next(
         P
         for P in (monic_by_code((start + k) % q**n, n, q) for k in range(q**n))
         if is_irreducible(P, q)
     )
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), q=st.sampled_from([3, 5, 7]), n=st.integers(1, 6))
+def test_residue_codes_equal_polynomial_remainder(data, q, n):
+    P = prime_at(data.draw(st.integers(0, q**n - 1), label="start"), n, q)
     w = data.draw(st.integers(1, 2 * 6 + 2), label="width")  # below deg P too: no reduction
     digit = st.integers(0, q - 1)
     column = st.lists(digit, min_size=w, max_size=w)
@@ -197,6 +228,102 @@ def test_residue_codes_refuse_int32_overflow():
     with pytest.raises(ValueError, match="overflow int32"):  # codes up to 3^20 > 2^31
         scan._residue_codes(dig, (0,) * 20 + (1,), 3)
     assert scan._residue_codes(dig, (0,) * 19 + (1,), 3).tolist() == [0, 0]  # 3^19 < 2^31
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), q=st.sampled_from([3, 5, 7, 11, 13]), n=st.integers(1, 3))
+def test_residue_codes_agree_in_every_dtype_that_holds_the_bound(data, q, n):
+    P = prime_at(data.draw(st.integers(0, q**n - 1), label="start"), n, q)
+    w = data.draw(st.integers(1, 14), label="width")
+    column = st.lists(st.integers(0, q - 1), min_size=w, max_size=w)
+    columns = data.draw(st.lists(column, min_size=1, max_size=20), label="columns")
+    columns.append([q - 1] * w)  # every accumulator at its bound
+    rows = np.array(columns).T.copy()
+    bound = scan._residue_bound(q, w, n)
+    dtypes = [t for t in (np.uint8, np.int16, np.int32) if bound <= np.iinfo(t).max]
+    assert dtypes[0] is scan._exact_dtype(bound)
+    codes = [scan._residue_codes(rows.astype(t), P, q).tolist() for t in dtypes]
+    assert codes == [residue_codes_by_division(columns, P, q)] * len(dtypes)
+
+
+def test_exact_dtype_edges():
+    assert scan._exact_dtype(255) is np.uint8
+    assert scan._exact_dtype(256) is np.int16
+    assert scan._exact_dtype(32767) is np.int16
+    assert scan._exact_dtype(32768) is np.int32
+    assert scan._exact_dtype(2**31 - 1) is np.int32
+    with pytest.raises(ValueError, match="overflow int32"):
+        scan._exact_dtype(2**31)
+    # codes: int16 while q^n < 2^15, else int32
+    assert scan._exact_dtype(32767, scan._CODE_DTYPES) is np.int16
+    assert scan._exact_dtype(32768, scan._CODE_DTYPES) is np.int32
+    assert scan._exact_dtype(3, scan._CODE_DTYPES) is np.int16
+
+
+def row_dtypes(monkeypatch):
+    """Record (width, dtype) of every row block `_residue_codes` is given."""
+    seen = []
+    kernel = scan._residue_codes
+
+    def recording(dig, f, q):
+        seen.append((dig.shape[0], dig.dtype))
+        return kernel(dig, f, q)
+
+    monkeypatch.setattr(scan, "_residue_codes", recording)
+    return seen
+
+
+@pytest.mark.parametrize("q,dtype", [(5, np.uint8), (7, np.int16)])
+def test_batch_rows_at_width_12(monkeypatch, q, dtype):
+    # the sampled workload's rows: monic curves of degree 11; B = (q-1) + 11 (q-1)^2
+    codes = np.arange(0, q**11, q**11 // 50)
+    symbols = scan._prime_symbols(scan._monic_digit_matrix(codes, q, 11), scan._primes_upto(q, 1), q)
+    seen = row_dtypes(monkeypatch)
+    assert batch_coefficients(q, 11, codes, 1)[:, 1].tolist() == list(
+        sum(symbols[P, 1].astype(int) for P in scan._primes_upto(q, 1))
+    )
+    assert seen and {t for w, t in seen if w == 12} == {np.dtype(dtype)}
+
+
+def test_square_digits_are_bytes_at_q3_to_degree_8():
+    for m in range(1, 9):  # B = 2 + 4 (m-1) <= 30
+        assert scan._square_digits(3, m).dtype == np.uint8, m
+    assert scan._square_digits(7, 8).dtype == np.int16  # B = 6 + 7 * 36 = 258
+
+
+def test_rows_at_the_largest_q_are_int32(monkeypatch):
+    monkeypatch.setattr(scan, "_prime_table_cache", {})
+    monkeypatch.setattr(scan, "_prime_table_held", 0)
+    seen = row_dtypes(monkeypatch)
+    rows = scan._digit_matrix(np.arange(0, Q_MAX**4, Q_MAX**4 // 30), Q_MAX, 4)
+    symbols = scan._prime_symbols(rows, [(5, 1), (Q_MAX - 1, 1)], Q_MAX)
+    # B = (q-1) + 3 (q-1)^2; the prime tables themselves reduce one row,
+    # B = q - 1, which fits int16
+    assert sorted(set(seen)) == [(1, np.dtype(np.int16)), (4, np.dtype(np.int32))]
+    assert set(symbols) == {((5, 1), 1), ((Q_MAX - 1, 1), 1)}
+
+
+def test_residue_codes_refuse_rows_too_narrow_for_the_bound():
+    rows = np.zeros((12, 2), dtype=np.uint8)
+    with pytest.raises(ValueError, match="overflow uint8"):  # 6 + 11 * 36 > 255
+        scan._residue_codes(rows, (1, 1), 7)
+    assert scan._residue_codes(rows, (1, 1), 5).tolist() == [0, 0]  # 4 + 11 * 16 <= 255
+    with pytest.raises(ValueError, match="overflow int8"):  # 4 + 11 * 16 > 127
+        scan._residue_codes(rows.astype(np.int8), (1, 1), 5)
+    with pytest.raises(ValueError, match="overflow float64"):
+        scan._residue_codes(rows.astype(np.float64), (1, 1), 5)
+
+
+def test_prime_symbols_hold_the_absolute_values_an_even_exponent_reads():
+    q, n = 3, 4
+    symbols = symbols_upto(q, n)
+    primes = scan._primes_upto(q, n)
+    assert {P for P, e in symbols if e == 1} == set(primes)
+    assert {P for P, e in symbols if e == 0} == {P for P in primes if 2 * degree(P) <= n}
+    for P in primes[: len(primes) // 2 : -1] + primes[:8]:  # in any order
+        if (P, 0) in symbols:
+            assert np.array_equal(symbols[P, 0], np.abs(symbols[P, 1]))
+    assert all(v.dtype == np.int8 for v in symbols.values())
 
 
 def symbols_upto(q, n):
@@ -473,6 +600,22 @@ def test_batch_coprime_counts_refuses_past_the_table_budget(monkeypatch):
 def test_batch_sums_refuse_bad_codes(batch, codes, message):
     with pytest.raises(ValueError, match=message):
         batch(5, 3, codes, 2)
+
+
+@pytest.mark.parametrize(
+    "batch,name", [(batch_coefficients, "n_max"), (batch_coprime_counts, "half_deg")]
+)
+def test_batch_sums_name_their_own_degree_argument(batch, name):
+    with pytest.raises(ValueError, match=f"^{name} must be >= 0, got -1$"):
+        batch(5, 3, [1], -1)
+
+
+def test_batch_sums_refuse_sums_past_int32(monkeypatch):
+    # |A_D(n)| <= q^n; only a budget past 2^31 entries could let q^n pass int32
+    monkeypatch.setattr(scan, "_TABLE_BUDGET", 10**20)
+    monkeypatch.setattr(scan, "_prime_symbols", lambda *a: pytest.fail("symbols built"))
+    with pytest.raises(ValueError, match="overflow int32"):
+        batch_coefficients(3, 21, [0], 20)
 
 
 def test_batch_sums_take_every_valid_code():
