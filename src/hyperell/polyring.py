@@ -114,16 +114,19 @@ def _unit_lead(g, q: int) -> int:
     return lead
 
 
-def _reduce(r: list, g, q: int) -> list:
+def _reduce(r: list, g, q: int, neg_inv: int | None = None) -> list:
     """Long division of the digit list r by g in place; returns r mod g, normalised.
 
     The one division kernel.  The step at i >= deg g adds c·g·x^(i - deg g),
     c = -r[i] / lead(g) mod q, to the digits below i and stores c in r[i]:
     minus the quotient digit.  So r[deg g:] is left holding the negated
     quotient, which `divmod_` reads; the remainder r[:deg g] is reduced mod q
-    and stripped once.
+    and stripped once.  neg_inv = -1 / lead(g) mod q comes from
+    `_unit_lead`'s checked lead unless the caller passes it for a divisor
+    known canonical (`gcd`'s own remainders).
     """
-    neg_inv = q - pow(_unit_lead(g, q), q - 2, q)
+    if neg_inv is None:
+        neg_inv = q - pow(_unit_lead(g, q), q - 2, q)
     dg = len(g) - 1
     low = g[:dg]
     for i in range(len(r) - 1, dg - 1, -1):
@@ -162,11 +165,23 @@ def monic(f: Poly, q: int) -> Poly:
 
 
 def gcd(f: Poly, g: Poly, q: int) -> Poly:
-    """Monic gcd; gcd(f, 0) = monic(f mod q).  The one Euclid, on digit lists."""
+    """Monic gcd; gcd(f, 0) = monic(f mod q).  The one Euclid, on digit lists.
+
+    It stops at the first remainder of degree <= 0: zero leaves the last
+    divisor, and a nonzero constant makes the gcd 1.  The caller's g is
+    checked once by `_unit_lead`; each later divisor is `_reduce`'s own
+    remainder, reduced mod q and stripped, so its lead is a unit as it is.
+    """
     a, b = list(f), list(g)
-    while b:
-        a, b = b, _reduce(a, b, q)
-    return monic(normalize(c % q for c in a), q)
+    if not b:
+        return monic(normalize(c % q for c in a), q)
+    neg_inv = q - pow(_unit_lead(b, q), q - 2, q)
+    while len(b) > 1:
+        a, b = b, _reduce(a, b, q, neg_inv)
+        if not b:
+            return monic(normalize(c % q for c in a), q)
+        neg_inv = q - pow(b[-1], q - 2, q)
+    return (1,)
 
 
 def derivative(f: Poly, q: int) -> Poly:

@@ -29,9 +29,14 @@ once, before its worker threads start, for every residue code x < q^g and
 every prime P of degree <= g.  The residues mod an f of degree n are the
 codes [0, q^n), so f's Jacobi table is the product of the prefix slices of
 its primes' vectors.  The scan factors each f once; f is a square iff every
-exponent is even.  Everything integral is exact: int8 symbols, int32 batch
-sums per degree (|A_D(n)| <= q^n <= 10^8), int64 table sums, Python ints
-and Fractions above.
+exponent is even.  The batch sums over explicit curves hold rows only
+for the primes a product reads: (x/P) for each P of degree < n_max and
+|(x/P)| for each P with 2 deg P <= n_max, one int8 per curve each.  A prime
+of degree n_max divides no other f of degree n_max, so its row is summed
+as it is made; a batch of len curves holds (primes of degree < n_max +
+|.| rows) x len bytes.  Everything integral is exact: int8 symbols, int32
+batch sums per degree (|A_D(n)| <= q^n <= 10^8), int64 table sums, Python
+ints and Fractions above.
 
 Every residue mod a prime comes from one kernel, `_residue_codes`.  Digits
 are held digit-major, one contiguous vector per power of x, and each digit
@@ -266,23 +271,35 @@ def _primes_upto(q: int, n: int) -> list:
     return [P for m in range(1, n + 1) for P in shared_table(q).irreducibles(m)]
 
 
-def _prime_symbols(dig: np.ndarray, primes, q: int) -> dict:
+def _digit_rows(dig: np.ndarray, q: int) -> np.ndarray:
+    """dig in the narrowest dtype `_residue_codes` takes for a prime of any degree.
+
+    B = `_residue_bound(q, w, n)` is largest at n = 1, so rows that hold it
+    serve every prime; dig already in that dtype is returned as it is.
+    """
+    return dig.astype(_exact_dtype(_residue_bound(q, dig.shape[0], 1)), copy=False)
+
+
+def _prime_symbol(dig: np.ndarray, P: Poly, q: int, out: np.ndarray) -> np.ndarray:
+    """(x/P) over the digit columns x of dig, `_digit_rows`' dtype, into the int8 out."""
+    return prime_residue_table(P, q).take(_residue_codes(dig, P, q), out=out)
+
+
+def _prime_symbols(dig: np.ndarray, primes, q: int, top: int) -> dict:
     """(P, e % 2) -> (x/P)^e over the digit columns x of dig, laid out as `_digit_matrix` gives it.
 
     (P, 1) holds (x/P) for every P, and (P, 0) holds |(x/P)| for the P with
-    2 deg P at most the largest degree in primes: the symbols serve products
-    over f of that degree at most, where only such P can have an even
-    exponent.  Both are int8, each kind one block, not one array per P.
-    dig is converted once to the narrowest dtype `_residue_codes` takes for
-    every prime.
+    2 deg P <= top, the degree the caller's products reach: only such P
+    can have an even exponent in an f of degree top or less.  Both are
+    int8, each kind one block, not one array per P, so the rows held are
+    (len(primes) + the |.| rows) x len bytes.  dig is converted once by
+    `_digit_rows`.
     """
-    degrees = [degree(P) for P in primes]
-    low, top = min(degrees, default=dig.shape[0]), max(degrees, default=0)
-    dig = dig.astype(_exact_dtype(_residue_bound(q, dig.shape[0], low)), copy=False)
+    dig = _digit_rows(dig, q)
     signed = np.empty((len(primes), dig.shape[1]), dtype=np.int8)
     for row, P in zip(signed, primes):
-        prime_residue_table(P, q).take(_residue_codes(dig, P, q), out=row)
-    even = [i for i, m in enumerate(degrees) if 2 * m <= top]
+        _prime_symbol(dig, P, q, row)
+    even = [i for i, P in enumerate(primes) if 2 * degree(P) <= top]
     absolute = signed[even]
     np.abs(absolute, out=absolute)
     out = {(P, 1): row for P, row in zip(primes, signed)}
@@ -394,7 +411,7 @@ def moment_scan(
     # (x/P) for every residue code x < q^g and prime P of degree <= g, built
     # once: f of degree n reads the prefix [0, q^n), and the worker threads
     # read only these arrays
-    symbols = _prime_symbols(_digit_matrix(np.arange(q**g), q, g), _primes_upto(q, g), q)
+    symbols = _prime_symbols(_digit_matrix(np.arange(q**g), q, g), _primes_upto(q, g), q, g)
 
     sq = [0] * (g + 1)
     nonsq = [0] * (g + 1)
@@ -496,10 +513,15 @@ def _write_checkpoint(path, q, g, done, sq, nonsq):
 def _batch_sums(q: int, d: int, codes: np.ndarray, n_max: int, signed: bool) -> np.ndarray:
     """Sums over monic f of degree n = 0..n_max of chi_D(f), or |chi_D(f)| unless signed.
 
-    int64 (len, n_max+1), column n for degree n.  Per-prime character values
-    are computed once by residue lookup; each f multiplies them along its
-    factorization into one reused int8 vector, and each degree sums in
-    int32: |A_D(n)| <= q^n, and the budget check gives q^n <= 10^8 < 2^31.
+    int64 (len, n_max+1), column n for degree n.  Each f below degree n_max
+    multiplies the character rows of its primes, held by `_prime_symbols`,
+    along its factorization into one reused int8 vector.  A prime P of
+    degree n_max divides no f of degree n_max but P itself, so its row is
+    made into that vector and summed at once, never held, and the
+    degree-n_max loop takes only the reducible codes (the sieve's factor
+    table).  So a batch holds (primes of degree < n_max + the |.| rows of
+    the primes with 2 deg P <= n_max) x len bytes of rows.  Each degree sums
+    in int32: |A_D(n)| <= q^n, and the budget check gives q^n <= 10^8 < 2^31.
     codes must be integers in [0, q^d); anything else is a ValueError, since
     a code past q^d or below 0 would alias another curve's digits.
     """
@@ -513,14 +535,25 @@ def _batch_sums(q: int, d: int, codes: np.ndarray, n_max: int, signed: bool) -> 
     if codes.size and (codes.min() < 0 or codes.max() >= space):
         raise ValueError(f"codes must lie in [0, q^d) = [0, {space}) for q={q}, d={d}")
     k = len(codes)
-    symbols = _prime_symbols(_monic_digit_matrix(codes, q, d), _primes_upto(q, n_max), q)
+    table = shared_table(q)
+    table.extend(n_max)  # the primes and factor tables to degree n_max
+    dig = _digit_rows(_monic_digit_matrix(codes, q, d), q)
+    symbols = _prime_symbols(dig, _primes_upto(q, n_max - 1), q, n_max)
 
     out = np.zeros((k, n_max + 1), dtype=np.int64)
     out[:, 0] = 1
     chi = np.empty(k, dtype=np.int8)
     for n in range(1, n_max + 1):
         acc = np.zeros(k, dtype=sum_dtype)
-        for code in range(q**n):
+        fs = range(q**n)
+        if n == n_max:
+            for P in table.irreducibles(n):
+                _prime_symbol(dig, P, q, chi)
+                if not signed:
+                    np.abs(chi, out=chi)
+                acc += chi
+            fs = np.flatnonzero(table.factor_index[n] >= 0).tolist()
+        for code in fs:
             _symbol_product(symbols, factorize(monic_by_code(code, n, q), q)[1], chi)
             if not signed:
                 np.abs(chi, out=chi)
@@ -548,9 +581,11 @@ def batch_coprime_counts(q: int, d: int, codes: np.ndarray, half_deg: int) -> np
 
 
 def sample_codes(q: int, d: int, count: int, seed: int) -> np.ndarray:
-    """Seeded uniform draw of `count` square-free monic degree-d codes."""
+    """Seeded uniform draw of `count` square-free monic degree-d codes; seed >= 0."""
     if count < 1:
-        raise ValueError("count must be >= 1")
+        raise ValueError(f"count must be >= 1, got {count}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))
     space = _code_space(q, d)
     out: list = []
@@ -582,27 +617,30 @@ class SampleMoment:
         return self.mean.scale(self.ensemble_size)
 
 
-def sampled_moment(q: int, g: int, count: int, seed: int) -> SampleMoment:
+def sampled_moment(q: int, g: int, sample_size: int, seed: int) -> SampleMoment:
+    """The moment estimated over `sample_size` curves drawn by `sample_codes` from seed."""
+    if sample_size < 1:
+        raise ValueError(f"sample_size must be >= 1, got {sample_size}")
     spec = EnsembleSpec(q, g)
     d = spec.poly_degree
     _check_table_budget(q, g)
-    codes = sample_codes(q, d, count, seed)
+    codes = sample_codes(q, d, sample_size, seed)
     a = batch_coefficients(q, d, codes, g)
     weights = two_block_weights(g)
     # exact means of the two-block central value and of its square summands,
     # which sit at even n = 2h and count the l of degree h coprime to D
-    mean = center_value(a.sum(axis=0).tolist(), q, weights).scale(Fraction(1, count))
+    mean = center_value(a.sum(axis=0).tolist(), q, weights).scale(Fraction(1, sample_size))
     coprime = [0] * (g + 1)
     coprime[::2] = batch_coprime_counts(q, d, codes, g // 2).sum(axis=0).tolist()
-    square_mean = center_value(coprime, q, weights).scale(Fraction(1, count))
+    square_mean = center_value(coprime, q, weights).scale(Fraction(1, sample_size))
     # float spread for the standard error
     float_weights = np.array([w * float(q) ** (-n / 2) for n, w in enumerate(weights)])
     vals = a.astype(np.float64) @ float_weights
-    stderr = float(vals.std(ddof=1) / np.sqrt(count)) if count > 1 else 0.0
+    stderr = float(vals.std(ddof=1) / np.sqrt(sample_size)) if sample_size > 1 else 0.0
     return SampleMoment(
         q=q,
         g=g,
-        sample_size=count,
+        sample_size=sample_size,
         seed=seed,
         mean=mean,
         square_mean=square_mean,

@@ -22,11 +22,23 @@ def test_repository_against_itself(capsys):
     assert "parent median: wall" in out and "change median: wall" in out
     assert "parent IQR: wall" in out and "change IQR: wall" in out
     assert "outputs identical in 2 pairs" in out
+    for label in ("wall", "cpu", "rss"):
+        assert f"\n{label} wins: change " in out
 
 
 def test_iqr_is_the_distance_between_quartiles():
     assert ab_pairs.iqr([1.0, 2.0, 3.0, 4.0, 5.0]) == 2.0  # quartiles 2 and 4
     assert ab_pairs.iqr([7.0]) == 0.0
+
+
+def test_wins_are_counted_per_metric_and_ties_count_for_neither():
+    parent = [{"wall_s": 2.0, "peak_rss_mb": 84.0}, {"wall_s": 1.0, "peak_rss_mb": 84.0},
+              {"wall_s": 3.0, "peak_rss_mb": 84.1}]
+    change = [{"wall_s": 1.5, "peak_rss_mb": 55.0}, {"wall_s": 1.0, "peak_rss_mb": 55.1},
+              {"wall_s": 3.5, "peak_rss_mb": 84.1}]
+    assert ab_pairs.wins(parent, change, "wall_s") == (1, 1)  # pair 1 ties
+    assert ab_pairs.wins(parent, change, "peak_rss_mb") == (2, 0)  # pair 2 ties
+    assert ab_pairs.wins(change, parent, "peak_rss_mb") == (0, 2)
 
 
 def test_catches_a_changed_csv_header_byte(tmp_path, capsys):

@@ -270,6 +270,27 @@ def test_verify_sample_size_below_one_exit_2(capsys, g, size):
 
 
 @pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("moment", "--q", "3", "--g", "1", "--mode", "sample", "--seed", "-1"),
+         "seed must be >= 0, got -1"),
+        (("verify", "--q", "3", "--g", "4", "--sample-size", "5", "--seed", "-1"),
+         "seed must be >= 0, got -1"),
+        (("moment", "--q", "3", "--g", "1", "--mode", "sample", "--seed", "1", "--sample-size", "0"),
+         "sample_size must be >= 1, got 0"),
+        (("verify", "--q", "3", "--g", "4", "--sample-size", "0"),
+         "sample_size must be >= 1, got 0"),
+    ],
+    ids=["moment-seed", "verify-seed", "moment-size", "verify-size"],
+)
+def test_sample_mode_boundary_errors_name_their_argument(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize(
     "extra", [("--seed", "5"), ("--sample-size", "7")], ids=["seed", "sample-size"]
 )
 def test_sample_flags_rejected_in_exhaustive_mode(capsys, extra):

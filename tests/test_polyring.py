@@ -162,6 +162,43 @@ def test_squarefree_matches_factorization(q, max_deg):
             assert squarefree(f, q) == all(e == 1 for _, e in factorize(f, q)[1]), f
 
 
+def euclid_steps(f, g, q):
+    """Divisions of Euclid's algorithm on (f, g) down to a remainder of degree <= 0."""
+    steps = 0
+    while degree(g) > 0:
+        f, g = g, rem(f, g, q)
+        steps += 1
+    return steps
+
+
+@pytest.mark.parametrize("q,n,count", [(3, 7, 400), (5, 11, 400), (7, 6, 200)])
+def test_squarefree_divides_only_down_to_a_constant_remainder(monkeypatch, q, n, count):
+    # gcd(f, f') stops at the first remainder of degree <= 0, with no
+    # division by a constant and no monic of one
+    rng = random.Random(q * 1000 + n)
+    fs = [monic_by_code(rng.randrange(q**n), n, q) for _ in range(count)]
+    fs += [mul((0, 1), mul((0, 1), (1, 1), q), q), (1, 0, 1)]  # x^2 (x+1) and x^2+1
+    expected = [euclid_steps(f, pr.derivative(f, q), q) for f in fs]
+    answers = [squarefree(f, q) for f in fs]
+    calls = []
+    kernel = pr._reduce
+    monkeypatch.setattr(pr, "_reduce", lambda *a: calls.append(1) or kernel(*a))
+    for f, steps, answer in zip(fs, expected, answers):
+        calls.clear()
+        assert squarefree(f, q) == answer, f
+        assert len(calls) == steps, f
+    assert max(expected) >= n - 2 and min(expected) <= 1
+
+
+def test_gcd_stops_at_a_constant_remainder():
+    assert gcd((1, 0, 1), (0, 1), 3) == (1,)  # x^2+1 mod x = 1
+    assert gcd((0, 2, 1), (4,), 3) == (1,)  # a nonzero constant divisor, reduced mod q
+    assert gcd((), (2,), 3) == (1,)
+    assert gcd((), (4, 2), 3) == (2, 1)  # gcd(0, g) = monic(g mod q)
+    with pytest.raises(ValueError, match="leading coefficient 0"):
+        gcd((1, 1), (3,), 3)
+
+
 def test_divisor_with_zero_leading_coefficient_is_refused():
     # (1, 0) is the constant 1 with a trailing zero: its leading coefficient is no unit
     for call in (rem, divmod_, gcd):

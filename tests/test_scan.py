@@ -20,6 +20,8 @@ from hyperell.lfunction import afe_central_value, dirichlet_coefficient
 from hyperell.polyring import (
     degree,
     factorize,
+    gcd,
+    irreducible_count,
     is_irreducible,
     monic_by_code,
     monic_polys,
@@ -277,7 +279,7 @@ def row_dtypes(monkeypatch):
 def test_batch_rows_at_width_12(monkeypatch, q, dtype):
     # the sampled workload's rows: monic curves of degree 11; B = (q-1) + 11 (q-1)^2
     codes = np.arange(0, q**11, q**11 // 50)
-    symbols = scan._prime_symbols(scan._monic_digit_matrix(codes, q, 11), scan._primes_upto(q, 1), q)
+    symbols = scan._prime_symbols(scan._monic_digit_matrix(codes, q, 11), scan._primes_upto(q, 1), q, 1)
     seen = row_dtypes(monkeypatch)
     assert batch_coefficients(q, 11, codes, 1)[:, 1].tolist() == list(
         sum(symbols[P, 1].astype(int) for P in scan._primes_upto(q, 1))
@@ -296,7 +298,7 @@ def test_rows_at_the_largest_q_are_int32(monkeypatch):
     monkeypatch.setattr(scan, "_prime_table_held", 0)
     seen = row_dtypes(monkeypatch)
     rows = scan._digit_matrix(np.arange(0, Q_MAX**4, Q_MAX**4 // 30), Q_MAX, 4)
-    symbols = scan._prime_symbols(rows, [(5, 1), (Q_MAX - 1, 1)], Q_MAX)
+    symbols = scan._prime_symbols(rows, [(5, 1), (Q_MAX - 1, 1)], Q_MAX, 1)
     # B = (q-1) + 3 (q-1)^2; the prime tables themselves reduce one row,
     # B = q - 1, which fits int16
     assert sorted(set(seen)) == [(1, np.dtype(np.int16)), (4, np.dtype(np.int32))]
@@ -328,7 +330,7 @@ def test_prime_symbols_hold_the_absolute_values_an_even_exponent_reads():
 
 def symbols_upto(q, n):
     """(x/P) over the codes x < q^n for every prime P of degree <= n, as moment_scan builds them."""
-    return scan._prime_symbols(scan._digit_matrix(np.arange(q**n), q, n), scan._primes_upto(q, n), q)
+    return scan._prime_symbols(scan._digit_matrix(np.arange(q**n), q, n), scan._primes_upto(q, n), q, n)
 
 
 def test_jacobi_residue_table_matches_jacobi():
@@ -582,6 +584,76 @@ def test_batch_coprime_counts_refuses_past_the_table_budget(monkeypatch):
         batch_coprime_counts(q, d, codes, 2)
     monkeypatch.setattr(scan, "_TABLE_BUDGET", 36)
     assert batch_coprime_counts(q, d, codes, 2).shape == (len(codes), 3)
+
+
+STREAMED_CASES = [(3, n) for n in range(5)] + [(5, n) for n in range(4)] + [(7, n) for n in range(3)]
+
+
+@pytest.mark.parametrize("q,n_max", STREAMED_CASES)
+def test_streamed_batch_sums_match_the_references(q, n_max):
+    # n_max = 1 holds no row at all: every prime of degree 1 is streamed
+    d = 5
+    rng = np.random.default_rng(q * 10 + n_max)
+    codes = np.concatenate([[0, q**d - 1], rng.integers(0, q**d, 6)])
+    a = batch_coefficients(q, d, codes, n_max)
+    counts = batch_coprime_counts(q, d, codes, n_max)
+    assert a.shape == counts.shape == (len(codes), n_max + 1)
+    for row, code in enumerate(codes):
+        D = monic_by_code(int(code), d, q)
+        for n in range(n_max + 1):
+            assert a[row, n] == dirichlet_coefficient(D, n, q), (D, n)
+            coprime = sum(1 for l in monic_polys(n, q) if degree(gcd(D, l, q)) == 0)
+            assert counts[row, n] == coprime, (D, n)
+    for batch in (batch_coefficients, batch_coprime_counts):
+        assert batch(q, d, np.array([], dtype=np.int64), n_max).shape == (0, n_max + 1)
+
+
+@pytest.mark.parametrize("q,n_max", STREAMED_CASES)
+def test_batch_holds_no_row_of_a_top_degree_prime(monkeypatch, q, n_max):
+    held, factored = [], []
+    symbols, factor = scan._prime_symbols, scan.factorize
+
+    def recording_symbols(*a):
+        out = symbols(*a)
+        held.extend(out)
+        return out
+
+    monkeypatch.setattr(scan, "_prime_symbols", recording_symbols)
+    monkeypatch.setattr(scan, "factorize", lambda f, q: factored.append(f) or factor(f, q))
+    batch_coefficients(q, 3, np.arange(0, q**3, 7), n_max)
+    assert all(degree(P) < n_max for P, _ in held)
+    assert {P for P, e in held if e == 0} == {P for P, _ in held if 2 * degree(P) <= n_max}
+    top = q**n_max - irreducible_count(q, n_max) if n_max else 0
+    assert len(factored) == sum(q**n for n in range(1, n_max)) + top
+    assert not any(degree(f) == n_max and is_irreducible(f, q) for f in factored)
+
+
+def test_batch_rows_stay_below_one_per_prime():
+    import tracemalloc
+
+    q, d, n_max, k = 5, 11, 5, 20000
+    codes = np.random.default_rng(1).integers(0, q**d, k)
+    batch_coefficients(q, d, codes[:10], n_max)  # the prime and factor tables, built once
+    tracemalloc.start()
+    try:
+        batch_coefficients(q, d, codes, n_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    every_prime = sum(irreducible_count(q, n) for n in range(1, n_max + 1))
+    assert every_prime == 829
+    assert peak < every_prime * k, peak  # one int8 row per prime of degree <= n_max
+
+
+def test_sample_boundaries_name_their_argument():
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        sample_codes(5, 3, 10, -1)
+    with pytest.raises(ValueError, match=r"^count must be >= 1, got 0$"):
+        sample_codes(5, 3, 0, 1)
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        sampled_moment(5, 1, 10, seed=-1)
+    with pytest.raises(ValueError, match=r"^sample_size must be >= 1, got 0$"):
+        sampled_moment(5, 1, 0, seed=1)
 
 
 @pytest.mark.parametrize("batch", [batch_coefficients, batch_coprime_counts])

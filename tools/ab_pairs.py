@@ -12,7 +12,8 @@ empty directory for each run.
 One line per run gives its wall time (spawn to reap), CPU time and peak RSS,
 the last two from os.wait4 on that child alone; the child's stderr passes
 through.  The summary gives each side's medians and interquartile ranges (the
-spread a gain must exceed) and the number of pairs CHANGE won on wall time.
+spread a gain must exceed) and, per metric (wall, cpu, rss), the number of
+pairs each side won: the lower value wins, and a tie counts for neither.
 
 Exits 1 as soon as a pair differs in stdout, exit code or any file written
 under `{tmp}`, 0 when every pair agrees, and 2 on a usage error.
@@ -65,6 +66,15 @@ def iqr(xs: list) -> float:
     return q3 - q1
 
 
+def wins(parent: list, change: list, metric: str) -> tuple:
+    """(pairs change won, pairs parent won) on metric, lower winning; ties count for neither."""
+    pairs = list(zip(parent, change))
+    return (
+        sum(c[metric] < p[metric] for p, c in pairs),
+        sum(p[metric] < c[metric] for p, c in pairs),
+    )
+
+
 def difference(a: dict, b: dict) -> str | None:
     """What differs between two runs' outputs, or None."""
     for key in ("exit_code", "stdout"):
@@ -94,7 +104,6 @@ def main(argv=None) -> int:
             p.error(f"no src/hyperell/cli.py under {root}")
     sides = ("parent", "change")
     runs: dict = {side: [] for side in sides}
-    wins = 0
     for k in range(ns.pairs):
         for side in sides if k % 2 == 0 else sides[::-1]:
             r = run_side(ns.parent if side == "parent" else ns.change, args)
@@ -109,7 +118,6 @@ def main(argv=None) -> int:
         if diff is not None:
             print(f"pair {k}: {diff} differs between the sides")
             return 1
-        wins += change["wall_s"] < parent["wall_s"]
     for side in sides:
         for label, stat in (("median", statistics.median), ("IQR", iqr)):
             v = {m: stat([r[m] for r in runs[side]]) for m in METRICS}
@@ -117,7 +125,10 @@ def main(argv=None) -> int:
                 f"{side} {label}: wall {v['wall_s']:.3f} s  cpu {v['cpu_s']:.3f} s  "
                 f"rss {v['peak_rss_mb']:.1f} MB"
             )
-    print(f"outputs identical in {ns.pairs} pairs; change faster on wall time in {wins}/{ns.pairs}")
+    print(f"outputs identical in {ns.pairs} pairs")
+    for m, label in zip(METRICS, ("wall", "cpu", "rss")):
+        won, lost = wins(runs["parent"], runs["change"], m)
+        print(f"{label} wins: change {won}/{ns.pairs}, parent {lost}/{ns.pairs}")
     return 0
 
 
