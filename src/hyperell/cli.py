@@ -193,6 +193,7 @@ def cmd_moment(args) -> int:
     sample_size = DEFAULT_SAMPLE_SIZE if args.sample_size is None else args.sample_size
     if args.resume and not args.checkpoint:
         raise ValueError("--resume requires --checkpoint")
+    scan._check_table_budget(args.q, g_max)  # the largest genus needs the most tables
     ec = asymptotics.euler_constants(args.q, args.cutoff)
     rows = []
     for g in range(args.g, g_max + 1):

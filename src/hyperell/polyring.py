@@ -11,7 +11,7 @@ and every deterministic scan in the package relies on it.
 
 Division has one kernel, `_reduce`, whose one pass leaves both the
 remainder and the quotient: `rem`, `divmod_` and `gcd` (the one Euclid, behind
-`squarefree`) read it, and so do scan's reduction rows, through `rem`.  The
+`squarefree`) read it, and so does scan's residue kernel, through `rem`.  The
 irreducible tables are sieved on codes in numpy, and Rabin's `is_irreducible`
 is their independent oracle.  Beside the irreducible tuples of each degree,
 the sieve leaves a factor table, one prime factor's index per monic code,

@@ -22,21 +22,20 @@ D = A^2 B and (D/f) = (B/f) when gcd(A, f) = 1, else 0.  With n = deg f,
     vanishing of complete character sums, and Phi(f) for square f.
 
 Every symbol is one product, chi_D being completely multiplicative:
-(x/f) = prod over P^e || f of (x/P)^e, taken by `_symbol_product` over the
-values `_prime_symbols` reads off each prime's table, |(x/P)| taken once
-per prime where an even exponent can read it.  `moment_scan` builds (x/P)
-once, before its worker threads start, for every residue code x < q^g and
-every prime P of degree <= g.  The residues mod an f of degree n are the
-codes [0, q^n), so f's Jacobi table is the product of the prefix slices of
-its primes' vectors.  The scan factors each f once; f is a square iff every
-exponent is even.  The batch sums over explicit curves hold rows only
-for the primes a product reads: (x/P) for each P of degree < n_max and
-|(x/P)| for each P with 2 deg P <= n_max, one int8 per curve each.  A prime
-of degree n_max divides no other f of degree n_max, so its row is summed
-as it is made; a batch of len curves holds (primes of degree < n_max +
-|.| rows) x len bytes.  Everything integral is exact: int8 symbols, int32
-batch sums per degree (|A_D(n)| <= q^n <= 10^8), int64 table sums, Python
-ints and Fractions above.
+(x/f) = prod over P^e || f of (x/P)^e, taken by `_symbol_product` over one
+signed int8 row (x/P) per prime, read once for odd e and twice for even e,
+since (x/P)^2 = |(x/P)|.  `moment_scan` builds (x/P) once, before its
+worker threads start, for every residue code x < q^g and every prime P of
+degree <= g.  The residues mod an f of degree n are the codes [0, q^n), so
+f's Jacobi table is the product of the prefix slices of its primes'
+vectors.  The scan factors each f once; f is a square iff every exponent
+is even.  The batch sums over explicit curves go up one degree at a time:
+each prime's row is made in its own degree and summed, and only the
+reducible f are factored, reading the rows of lower degree.  So a batch of
+len curves holds (primes of degree < n_max) x len bytes of rows.
+Everything integral is exact: int8 symbols, int32 batch sums per degree
+(|A_D(n)| <= q^n <= 10^8), int64 table sums, Python ints and Fractions
+above.
 
 Every residue mod a prime comes from one kernel, `_residue_codes`.  Digits
 are held digit-major, one contiguous vector per power of x, and each digit
@@ -285,39 +284,35 @@ def _prime_symbol(dig: np.ndarray, P: Poly, q: int, out: np.ndarray) -> np.ndarr
     return prime_residue_table(P, q).take(_residue_codes(dig, P, q), out=out)
 
 
-def _prime_symbols(dig: np.ndarray, primes, q: int, top: int) -> dict:
-    """(P, e % 2) -> (x/P)^e over the digit columns x of dig, laid out as `_digit_matrix` gives it.
+def _prime_symbols(dig: np.ndarray, primes, q: int) -> dict:
+    """P -> (x/P) over the digit columns x of dig, laid out as `_digit_matrix` gives it.
 
-    (P, 1) holds (x/P) for every P, and (P, 0) holds |(x/P)| for the P with
-    2 deg P <= top, the degree the caller's products reach: only such P
-    can have an even exponent in an f of degree top or less.  Both are
-    int8, each kind one block, not one array per P, so the rows held are
-    (len(primes) + the |.| rows) x len bytes.  dig is converted once by
-    `_digit_rows`.
+    One int8 block holds a row per prime, len(primes) x len bytes; dig is
+    converted once by `_digit_rows`.
     """
     dig = _digit_rows(dig, q)
-    signed = np.empty((len(primes), dig.shape[1]), dtype=np.int8)
-    for row, P in zip(signed, primes):
+    rows = dict(zip(primes, np.empty((len(primes), dig.shape[1]), dtype=np.int8)))
+    for P, row in rows.items():
         _prime_symbol(dig, P, q, row)
-    even = [i for i, P in enumerate(primes) if 2 * degree(P) <= top]
-    absolute = signed[even]
-    np.abs(absolute, out=absolute)
-    out = {(P, 1): row for P, row in zip(primes, signed)}
-    out.update({(primes[i], 0): row for i, row in zip(even, absolute)})
-    return out
+    return rows
 
 
 def _symbol_product(symbols: dict, factors, out: np.ndarray) -> np.ndarray:
     """(x/f) = prod over f's factors (P, e) of (x/P)^e, into the int8 out; f != 1.
 
-    Reads the first len(out) entries of each prime's vector in symbols, as
-    `_prime_symbols` keys them: (x/P) for odd e, |(x/P)| for even e.
+    Reads the first len(out) entries of each prime's row in symbols, keyed
+    by P as `_prime_symbols` gives them: once for odd e, twice for even e,
+    where (x/P)^e = (x/P)^2 = |(x/P)|.
     """
     size = len(out)
-    (P, e), *rest = factors
-    np.copyto(out, symbols[P, e % 2][:size])
-    for P, e in rest:
-        out *= symbols[P, e % 2][:size]
+    for i, (P, e) in enumerate(factors):
+        row = symbols[P][:size]
+        if i:
+            out *= row
+        else:
+            np.copyto(out, row)
+        if e % 2 == 0:
+            out *= row
     return out
 
 
@@ -411,7 +406,7 @@ def moment_scan(
     # (x/P) for every residue code x < q^g and prime P of degree <= g, built
     # once: f of degree n reads the prefix [0, q^n), and the worker threads
     # read only these arrays
-    symbols = _prime_symbols(_digit_matrix(np.arange(q**g), q, g), _primes_upto(q, g), q, g)
+    symbols = _prime_symbols(_digit_matrix(np.arange(q**g), q, g), _primes_upto(q, g), q)
 
     sq = [0] * (g + 1)
     nonsq = [0] * (g + 1)
@@ -513,15 +508,15 @@ def _write_checkpoint(path, q, g, done, sq, nonsq):
 def _batch_sums(q: int, d: int, codes: np.ndarray, n_max: int, signed: bool) -> np.ndarray:
     """Sums over monic f of degree n = 0..n_max of chi_D(f), or |chi_D(f)| unless signed.
 
-    int64 (len, n_max+1), column n for degree n.  Each f below degree n_max
-    multiplies the character rows of its primes, held by `_prime_symbols`,
-    along its factorization into one reused int8 vector.  A prime P of
-    degree n_max divides no f of degree n_max but P itself, so its row is
-    made into that vector and summed at once, never held, and the
-    degree-n_max loop takes only the reducible codes (the sieve's factor
-    table).  So a batch holds (primes of degree < n_max + the |.| rows of
-    the primes with 2 deg P <= n_max) x len bytes of rows.  Each degree sums
-    in int32: |A_D(n)| <= q^n, and the budget check gives q^n <= 10^8 < 2^31.
+    int64 (len, n_max+1), column n for degree n, one degree at a time.  Each
+    prime P of degree n has its row (D/P) made by `_prime_symbol` and
+    summed; the rows of degree < n_max are held in one int8 block, and a
+    prime of degree n_max, which divides no other f of its degree, is made
+    into the one reused int8 vector.  Each reducible f of degree n (the
+    sieve's factor table) multiplies the held rows of its primes along its
+    factorization into that vector.  So a batch holds (primes of degree
+    < n_max) x len bytes of rows.  Each degree sums in int32:
+    |A_D(n)| <= q^n, and the budget check gives q^n <= 10^8 < 2^31.
     codes must be integers in [0, q^d); anything else is a ValueError, since
     a code past q^d or below 0 would alias another curve's digits.
     """
@@ -538,26 +533,20 @@ def _batch_sums(q: int, d: int, codes: np.ndarray, n_max: int, signed: bool) -> 
     table = shared_table(q)
     table.extend(n_max)  # the primes and factor tables to degree n_max
     dig = _digit_rows(_monic_digit_matrix(codes, q, d), q)
-    symbols = _prime_symbols(dig, _primes_upto(q, n_max - 1), q, n_max)
+    held = _primes_upto(q, n_max - 1)
+    rows = dict(zip(held, np.empty((len(held), k), dtype=np.int8)))
 
     out = np.zeros((k, n_max + 1), dtype=np.int64)
     out[:, 0] = 1
     chi = np.empty(k, dtype=np.int8)
     for n in range(1, n_max + 1):
         acc = np.zeros(k, dtype=sum_dtype)
-        fs = range(q**n)
-        if n == n_max:
-            for P in table.irreducibles(n):
-                _prime_symbol(dig, P, q, chi)
-                if not signed:
-                    np.abs(chi, out=chi)
-                acc += chi
-            fs = np.flatnonzero(table.factor_index[n] >= 0).tolist()
-        for code in fs:
-            _symbol_product(symbols, factorize(monic_by_code(code, n, q), q)[1], chi)
-            if not signed:
-                np.abs(chi, out=chi)
-            acc += chi
+        for P in table.irreducibles(n):
+            row = _prime_symbol(dig, P, q, rows.get(P, chi))
+            acc += row if signed else np.abs(row, out=chi)
+        for code in np.flatnonzero(table.factor_index[n] >= 0).tolist():
+            _symbol_product(rows, factorize(monic_by_code(code, n, q), q)[1], chi)
+            acc += chi if signed else np.abs(chi, out=chi)
         out[:, n] = acc
     return out
 

@@ -56,6 +56,7 @@ def run_identity_suite(
     spec = EnsembleSpec(q, g)
     if sample_size < 1:
         raise ValueError(f"sample_size must be >= 1, got {sample_size}")
+    scan._check_table_budget(q, 2 * g)  # the batch coefficients reach degree 2g
     d = spec.poly_degree
     results: list = []
 

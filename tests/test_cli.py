@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from hyperell import scan
 from hyperell.cli import PolyParseError, main, parse_poly
 
 
@@ -323,6 +324,16 @@ def test_resource_cap_exit_3(capsys):
     code, _, err = run_cli(capsys, "moment", "--q", "3", "--g", "10")
     assert code == 3
     assert "cap" in err
+
+
+@pytest.mark.parametrize("mode", [(), ("--mode", "sample", "--seed", "1")])
+def test_genus_range_checks_the_cap_for_its_largest_genus_first(capsys, monkeypatch, mode):
+    # g = 5 and 6 fit the budget at q=5; g = 7 does not, so no genus is computed
+    for name in ("moment_scan", "sampled_moment"):
+        monkeypatch.setattr(scan, name, lambda *a, name=name, **k: pytest.fail(f"{name} called"))
+    code, out, err = run_cli(capsys, "moment", "--q", "5", "--g", "5", "--g-max", "7", *mode)
+    assert code == 3
+    assert out == "" and "prime tables to degree 7 at q=5" in err
 
 
 def test_g_max_validation(capsys):

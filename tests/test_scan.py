@@ -279,10 +279,10 @@ def row_dtypes(monkeypatch):
 def test_batch_rows_at_width_12(monkeypatch, q, dtype):
     # the sampled workload's rows: monic curves of degree 11; B = (q-1) + 11 (q-1)^2
     codes = np.arange(0, q**11, q**11 // 50)
-    symbols = scan._prime_symbols(scan._monic_digit_matrix(codes, q, 11), scan._primes_upto(q, 1), q, 1)
+    symbols = scan._prime_symbols(scan._monic_digit_matrix(codes, q, 11), scan._primes_upto(q, 1), q)
     seen = row_dtypes(monkeypatch)
     assert batch_coefficients(q, 11, codes, 1)[:, 1].tolist() == list(
-        sum(symbols[P, 1].astype(int) for P in scan._primes_upto(q, 1))
+        sum(symbols[P].astype(int) for P in scan._primes_upto(q, 1))
     )
     assert seen and {t for w, t in seen if w == 12} == {np.dtype(dtype)}
 
@@ -298,11 +298,11 @@ def test_rows_at_the_largest_q_are_int32(monkeypatch):
     monkeypatch.setattr(scan, "_prime_table_held", 0)
     seen = row_dtypes(monkeypatch)
     rows = scan._digit_matrix(np.arange(0, Q_MAX**4, Q_MAX**4 // 30), Q_MAX, 4)
-    symbols = scan._prime_symbols(rows, [(5, 1), (Q_MAX - 1, 1)], Q_MAX, 1)
+    symbols = scan._prime_symbols(rows, [(5, 1), (Q_MAX - 1, 1)], Q_MAX)
     # B = (q-1) + 3 (q-1)^2; the prime tables themselves reduce one row,
     # B = q - 1, which fits int16
     assert sorted(set(seen)) == [(1, np.dtype(np.int16)), (4, np.dtype(np.int32))]
-    assert set(symbols) == {((5, 1), 1), ((Q_MAX - 1, 1), 1)}
+    assert set(symbols) == {(5, 1), (Q_MAX - 1, 1)}
 
 
 def test_residue_codes_refuse_rows_too_narrow_for_the_bound():
@@ -316,33 +316,39 @@ def test_residue_codes_refuse_rows_too_narrow_for_the_bound():
         scan._residue_codes(rows.astype(np.float64), (1, 1), 5)
 
 
-def test_prime_symbols_hold_the_absolute_values_an_even_exponent_reads():
+def test_prime_symbols_hold_one_signed_row_per_prime():
     q, n = 3, 4
     symbols = symbols_upto(q, n)
     primes = scan._primes_upto(q, n)
-    assert {P for P, e in symbols if e == 1} == set(primes)
-    assert {P for P, e in symbols if e == 0} == {P for P in primes if 2 * degree(P) <= n}
+    assert list(symbols) == primes
+    block = next(iter(symbols.values())).base
+    assert block.dtype == np.int8 and block.shape == (len(primes), q**n)  # one row per prime
     for P in primes[: len(primes) // 2 : -1] + primes[:8]:  # in any order
-        if (P, 0) in symbols:
-            assert np.array_equal(symbols[P, 0], np.abs(symbols[P, 1]))
-    assert all(v.dtype == np.int8 for v in symbols.values())
+        row = symbols[P]
+        assert row.base is block
+        assert row.tolist() == [jacobi(poly_of_code(x, q), P, q) for x in range(q**n)], P
 
 
 def symbols_upto(q, n):
     """(x/P) over the codes x < q^n for every prime P of degree <= n, as moment_scan builds them."""
-    return scan._prime_symbols(scan._digit_matrix(np.arange(q**n), q, n), scan._primes_upto(q, n), q, n)
+    return scan._prime_symbols(scan._digit_matrix(np.arange(q**n), q, n), scan._primes_upto(q, n), q)
 
 
 def test_jacobi_residue_table_matches_jacobi():
     q = 3
-    symbols = symbols_upto(q, 3)  # degrees 1 and 2 read prefix slices
-    for dn in (1, 2, 3):
+    symbols = symbols_upto(q, 4)  # degrees 1 to 3 read prefix slices
+    exponents = set()
+    for dn in (1, 2, 3, 4):
         for f in monic_polys(dn, q):
-            t = jacobi_residue_table(factorize(f, q)[1], symbols, q)
+            factors = factorize(f, q)[1]
+            exponents.add(tuple(e for _, e in factors))
+            t = jacobi_residue_table(factors, symbols, q)
             assert len(t) == q**dn
             for code in range(q**dn):
                 r = poly_of_code(code, q)
                 assert t[code] == jacobi(r, f, q), (f, r)
+    # even exponents square a row: P^4, an even first factor, and P^2 Q^2
+    assert {(4,), (2, 1), (2, 1, 1), (2, 2)} <= exponents
 
 
 def test_char_sum_table_scan_matches_brute_force():
@@ -610,22 +616,31 @@ def test_streamed_batch_sums_match_the_references(q, n_max):
 
 @pytest.mark.parametrize("q,n_max", STREAMED_CASES)
 def test_batch_holds_no_row_of_a_top_degree_prime(monkeypatch, q, n_max):
-    held, factored = [], []
-    symbols, factor = scan._prime_symbols, scan.factorize
+    written, factored = [], []
+    symbol, factor = scan._prime_symbol, scan.factorize
 
-    def recording_symbols(*a):
-        out = symbols(*a)
-        held.extend(out)
-        return out
+    def recording_symbol(dig, P, q, out):
+        written.append((P, out))
+        return symbol(dig, P, q, out)
 
-    monkeypatch.setattr(scan, "_prime_symbols", recording_symbols)
+    monkeypatch.setattr(scan, "_prime_symbol", recording_symbol)
     monkeypatch.setattr(scan, "factorize", lambda f, q: factored.append(f) or factor(f, q))
-    batch_coefficients(q, 3, np.arange(0, q**3, 7), n_max)
-    assert all(degree(P) < n_max for P, _ in held)
-    assert {P for P, e in held if e == 0} == {P for P, _ in held if 2 * degree(P) <= n_max}
-    top = q**n_max - irreducible_count(q, n_max) if n_max else 0
-    assert len(factored) == sum(q**n for n in range(1, n_max)) + top
-    assert not any(degree(f) == n_max and is_irreducible(f, q) for f in factored)
+    reducible = [f for n in range(2, n_max + 1) for f in monic_polys(n, q)]
+    reducible = [f for f in reducible if not is_irreducible(f, q)]
+    for batch in (batch_coefficients, batch_coprime_counts):
+        written.clear()
+        factored.clear()
+        batch(q, 3, np.arange(0, q**3, 7), n_max)
+        # each prime's row is made once; below n_max each in its own held
+        # row, at n_max all in one reused vector that holds none of them
+        assert [P for P, _ in written] == scan._primes_upto(q, n_max)
+        held = [out for P, out in written if degree(P) < n_max]
+        top = [out for P, out in written if degree(P) == n_max]
+        for i, out in enumerate(held + top[:1]):  # pairwise disjoint
+            assert not any(np.shares_memory(out, other) for other in held[:i])
+        assert all(out is top[0] for out in top)
+        # no prime is factored: factorize sees each reducible f of degree <= n_max once
+        assert sorted(factored) == sorted(reducible)
 
 
 def test_batch_rows_stay_below_one_per_prime():
@@ -685,7 +700,7 @@ def test_batch_sums_name_their_own_degree_argument(batch, name):
 def test_batch_sums_refuse_sums_past_int32(monkeypatch):
     # |A_D(n)| <= q^n; only a budget past 2^31 entries could let q^n pass int32
     monkeypatch.setattr(scan, "_TABLE_BUDGET", 10**20)
-    monkeypatch.setattr(scan, "_prime_symbols", lambda *a: pytest.fail("symbols built"))
+    monkeypatch.setattr(scan, "_prime_symbol", lambda *a: pytest.fail("symbols built"))
     with pytest.raises(ValueError, match="overflow int32"):
         batch_coefficients(3, 21, [0], 20)
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from hyperell.scan import squarefree_mask
+from hyperell import scan
+from hyperell.scan import ResourceCapError, squarefree_mask
 from hyperell.verify import run_identity_suite
 from support import suite_passed
 
@@ -79,3 +80,11 @@ def test_rejects_sample_size_below_one(g, sample_size):
     # g=1 enumerates its family and draws no sample; the size is refused all the same
     with pytest.raises(ValueError, match="sample_size"):
         run_identity_suite(3, g, sample_size=sample_size)
+
+
+def test_checks_the_table_budget_before_it_draws(monkeypatch):
+    # the batch coefficients reach degree 2g = 10, past the cap at q=3
+    for name in ("sample_codes", "squarefree_mask"):
+        monkeypatch.setattr(scan, name, lambda *a, name=name: pytest.fail(f"{name} called"))
+    with pytest.raises(ResourceCapError, match="prime tables to degree 10 at q=3"):
+        run_identity_suite(3, 5)
