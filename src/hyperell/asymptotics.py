@@ -43,7 +43,7 @@ from .polyring import (
 _FP_BITS = 192
 _FP_ONE = 1 << _FP_BITS
 
-_DEFAULT_CUTOFF = {3: 12, 5: 10}
+_DEFAULT_CUTOFF = {5: 10}
 
 
 def _fp(x: Fraction) -> int:

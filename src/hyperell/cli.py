@@ -2,12 +2,12 @@
 
 Subcommands: verify, moment, constants, lpoly, symbol, oracle.  Exit codes:
 0 success, 1 verification failure, 2 usage, domain or I/O error (a bad
-checkpoint, an unwritable --out or --checkpoint path), 3 resource cap
-refused.  All file output is canonical (sorted keys, fixed separators, one
-trailing newline): a rerun with the same configuration must be byte
-identical, which is also what the determinism acceptance check asserts.
-Wall-clock timings are therefore opt-in (--timings) and never part of the
-canonical payload in CSV mode.
+checkpoint or one of another configuration, an unwritable --out or
+--checkpoint path), 3 resource cap refused.  All file output is canonical
+(sorted keys, fixed separators, one trailing newline): a rerun with the
+same configuration must be byte identical, which is also what the
+determinism acceptance check asserts.  Wall-clock timings are therefore
+opt-in (--timings) and never part of the canonical payload in CSV mode.
 """
 
 from __future__ import annotations
@@ -186,13 +186,11 @@ def cmd_moment(args) -> int:
         raise ValueError("--g-max must be >= --g")
     if args.mode == "sample" and args.seed is None:
         raise ValueError("sample mode requires --seed")
-    if args.mode == "sample" and (args.checkpoint or args.resume or args.threads != 1):
-        raise ValueError("--checkpoint, --resume and --threads are for the exhaustive mode")
+    if args.mode == "sample" and (args.checkpoint or args.threads != 1):
+        raise ValueError("--checkpoint and --threads are for the exhaustive mode")
     if args.mode == "exhaustive" and (args.seed is not None or args.sample_size is not None):
         raise ValueError("--seed and --sample-size are for the sample mode")
     sample_size = DEFAULT_SAMPLE_SIZE if args.sample_size is None else args.sample_size
-    if args.resume and not args.checkpoint:
-        raise ValueError("--resume requires --checkpoint")
     scan._check_table_budget(args.q, g_max)  # the largest genus needs the most tables
     ec = asymptotics.euler_constants(args.q, args.cutoff)
     rows = []
@@ -211,7 +209,6 @@ def cmd_moment(args) -> int:
                 g,
                 threads=args.threads,
                 checkpoint_path=args.checkpoint if g == g_max else None,
-                resume=args.resume,
             )
             size, total, square, stderr = acc.count, acc.total, acc.square_part, None
         row = {
@@ -343,8 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--threads", type=int, default=1)
     m.add_argument("--cutoff", type=int, default=None, help="Euler-product truncation degree")
     m.add_argument("--format", choices=("json", "csv"), default="json")
-    m.add_argument("--checkpoint", type=str, default=None)
-    m.add_argument("--resume", action="store_true")
+    m.add_argument("--checkpoint", type=str, default=None, help="progress file, resumed if present")
     m.add_argument("--timings", action="store_true", help="include wall-clock runtime in JSON")
     m.set_defaults(func=cmd_moment)
 

@@ -26,11 +26,12 @@ Every symbol is one product, chi_D being completely multiplicative:
 signed int8 row (x/P) per prime, read once for odd e and twice for even e,
 since (x/P)^2 = |(x/P)|.  `moment_scan` builds (x/P) once, before its
 worker threads start, for every residue code x < q^g and every prime P of
-degree <= g.  The residues mod an f of degree n are the codes [0, q^n), so
-f's Jacobi table is the product of the prefix slices of its primes'
-vectors.  The scan factors each f once; f is a square iff every exponent
-is even.  The batch sums over explicit curves go up one degree at a time:
-each prime's row is made in its own degree and summed, and only the
+degree < g; each x is its own residue mod a prime of degree g, whose row is
+its cached table.  The residues mod an f of degree n are the codes
+[0, q^n), so f's Jacobi table is the product of the prefix slices of its
+primes' vectors.  The scan factors each f once; f is a square iff every
+exponent is even.  The batch sums over explicit curves go up one degree at
+a time: each prime's row is made in its own degree and summed, and only the
 reducible f are factored, reading the rows of lower degree.  So a batch of
 len curves holds (primes of degree < n_max) x len bytes of rows.
 Everything integral is exact: int8 symbols, int32 batch sums per degree
@@ -48,6 +49,9 @@ codes in int16 while q^n <= 32767, else int32.  The kernel refuses rows
 too narrow for B, so no sum wraps.  The prime tables (through the digits of
 every residue's square), `moment_scan`'s V_P vectors and the batch sums all
 call it.
+
+A checkpoint path is its own resume switch: a file there is validated and
+resumed, so a rerun continues an interrupted scan; with no file it starts fresh.
 
 One guard bounds every scan: polyring's `_TABLE_BUDGET`, 10^8 int8 entries
 over the prime tables up to the degree the scan needs, checked before
@@ -68,6 +72,7 @@ from functools import lru_cache
 import numpy as np
 
 from .ensemble import EnsembleSpec, MomentAccumulator
+from .field import check_odd_prime
 from .lfunction import center_value, two_block_weights
 from .polyring import (
     _TABLE_BUDGET,
@@ -95,11 +100,13 @@ CHECKPOINT_VERSION = 1
 CHUNK_SIZE = 64  # summands f per chunk; a checkpoint records it and resume checks it
 
 
-def _code_space(q: int, n: int) -> int:
-    """q^n, the number of degree-n codes; ValueError once q^n >= 2^63, where int64 codes wrap."""
-    if q**n >= 2**63:
-        raise ValueError(f"codes of degree {n} at q={q} do not fit in int64 (q^n >= 2^63)")
-    return q**n
+def _code_space(q: int, d: int) -> int:
+    """q^d, the number of degree-d codes; ValueError if d < 0 or q^d >= 2^63, where int64 codes wrap."""
+    if d < 0:
+        raise ValueError(f"d must be >= 0, got {d}")
+    if q**d >= 2**63:
+        raise ValueError(f"codes of degree {d} at q={q} do not fit in int64 (q^d >= 2^63)")
+    return q**d
 
 
 def _check_table_budget(q: int, n_max: int) -> None:
@@ -233,9 +240,10 @@ def prime_residue_table(P: Poly, q: int) -> np.ndarray:
     """Quadratic character of F_q[x]/(P) on all residue codes (int8).
 
     Built by reducing the squares of every residue mod P at once and marking
-    the image; entry 0 is the zero residue.  Before it builds, a P that is
-    not canonical, not monic or not irreducible (one read of the sieve's
-    factor table) is a ValueError: its image would be no character table.
+    the image; entry 0 is the zero residue.  Cached, and returned read-only.
+    Before it builds, a P that is not canonical, not monic or not
+    irreducible (one read of the sieve's factor table) is a ValueError: its
+    image would be no character table.
     """
     key = (q, P)
     cached = _prime_table_cache.get(key)
@@ -256,6 +264,7 @@ def prime_residue_table(P: Poly, q: int) -> np.ndarray:
     out = np.full(M, -1, dtype=np.int8)
     out[codes] = 1
     out[0] = 0
+    out.setflags(write=False)  # shared: cached, and read by moment_scan's workers
     global _prime_table_held
     with _prime_table_lock:
         if key not in _prime_table_cache:
@@ -379,15 +388,16 @@ def moment_scan(
     *,
     threads: int = 1,
     checkpoint_path: str | None = None,
-    resume: bool = False,
 ):
     """Exhaustive first moment by the S(f) sieve.  Returns (accumulator, meta).
 
     Work is split into fixed chunks of summands f; chunks are merged in
-    index order, so the result is bit-identical for any thread count.  With
-    a checkpoint path the partial integer sums are persisted after every
-    chunk and a resumed run skips finished chunks.  The table budget for
-    degree g, which bounds the symbol vectors, is checked first.
+    index order, so the result is bit-identical for any thread count and the
+    finished chunks are the first k.  With a checkpoint path the integer
+    sums and k are persisted after every chunk; a file already there is
+    validated, left as it is if refused (ValueError), and resumed after its
+    k chunks.  The table budget for degree g, which bounds the (x/P) block
+    of the primes of degree < g, is checked first.
     """
     spec = EnsembleSpec(q, g)
     d = spec.poly_degree
@@ -403,45 +413,40 @@ def moment_scan(
     fs = [(n, code) for n in range(1, g + 1) for code in range(q**n)]
     chunks = [fs[i : i + CHUNK_SIZE] for i in range(0, len(fs), CHUNK_SIZE)]
 
-    # (x/P) for every residue code x < q^g and prime P of degree <= g, built
-    # once: f of degree n reads the prefix [0, q^n), and the worker threads
-    # read only these arrays
-    symbols = _prime_symbols(_digit_matrix(np.arange(q**g), q, g), _primes_upto(q, g), q)
-
     sq = [0] * (g + 1)
     nonsq = [0] * (g + 1)
     sq[0] = count  # f = 1 is the square of 1
-    done: set = set()
+    finished = 0
+    if checkpoint_path and os.path.exists(checkpoint_path):
+        finished, sq, nonsq = _read_checkpoint(checkpoint_path, q, g, len(chunks), count)
 
-    if resume and checkpoint_path and os.path.exists(checkpoint_path):
-        done, sq, nonsq = _read_checkpoint(checkpoint_path, q, g, len(chunks), count)
+    # (x/P) for every residue code x < q^g and prime P of degree <= g, built
+    # once: f of degree n reads the prefix [0, q^n), and the worker threads
+    # read only these arrays; each x is its own residue mod a degree-g prime
+    symbols = _prime_symbols(_digit_matrix(np.arange(q**g), q, g), _primes_upto(q, g - 1), q)
+    symbols.update((P, prime_residue_table(P, q)) for P in shared_table(q).irreducibles(g))
 
-    def work(chunk_id: int):
+    def work(chunk):
         c_sq = [0] * (g + 1)
         c_ns = [0] * (g + 1)
-        for n, code in chunks[chunk_id]:
+        for n, code in chunk:
             factors = factorize(monic_by_code(code, n, q), q)[1]
             s = char_sum_table_scan(factors, symbols, q, d)
             if all(e % 2 == 0 for _, e in factors):  # monic f is a square
                 c_sq[n] += s
             else:
                 c_ns[n] += s
-        return chunk_id, c_sq, c_ns
+        return c_sq, c_ns
 
-    todo = [i for i in range(len(chunks)) if i not in done]
-
-    def absorb(result):
-        chunk_id, c_sq, c_ns = result
-        for n in range(g + 1):
-            sq[n] += c_sq[n]
-            nonsq[n] += c_ns[n]
-        done.add(chunk_id)
-        if checkpoint_path:
-            _write_checkpoint(checkpoint_path, q, g, done, sq, nonsq)
-
+    # pool.map yields in chunk order, so the finished chunks stay a prefix
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for result in pool.map(work, todo):
-            absorb(result)
+        for c_sq, c_ns in pool.map(work, chunks[finished:]):
+            for n in range(g + 1):
+                sq[n] += c_sq[n]
+                nonsq[n] += c_ns[n]
+            finished += 1
+            if checkpoint_path:
+                _write_checkpoint(checkpoint_path, q, g, finished, sq, nonsq)
 
     acc = _assemble(q, g, count, sq, nonsq)
     meta = ScanMeta(
@@ -451,7 +456,7 @@ def moment_scan(
 
 
 def _read_checkpoint(path, q: int, g: int, n_chunks: int, count: int):
-    """(done, square sums, nonsquare sums) from a checkpoint; ValueError if malformed."""
+    """(k, square sums, nonsquare sums), "done" being chunks 0..k-1; ValueError if malformed."""
     with open(path) as fh:
         state = json.load(fh)
     if not isinstance(state, dict):
@@ -468,9 +473,9 @@ def _read_checkpoint(path, q: int, g: int, n_chunks: int, count: int):
         # type(v) is int: JSON floats and booleans are not chunk ids or exact sums
         if not isinstance(state[key], list) or any(type(v) is not int for v in state[key]):
             raise ValueError(f"checkpoint {key!r} is not a list of integers")
-    done = set(state["done"])
-    if done and (min(done) < 0 or max(done) >= n_chunks):
-        raise ValueError("checkpoint chunk ids out of range for this scan")
+    finished = len(state["done"])
+    if state["done"] != list(range(finished)) or finished > n_chunks:
+        raise ValueError(f"checkpoint 'done' is not the chunks 0..k-1 of {n_chunks}")
     sq = state["square_sums"]
     nonsq = state["nonsquare_sums"]
     if len(sq) != g + 1 or len(nonsq) != g + 1:
@@ -481,16 +486,16 @@ def _read_checkpoint(path, q: int, g: int, n_chunks: int, count: int):
         raise ValueError(
             f"checkpoint degree-0 sums are {sq[0]} and {nonsq[0]}, not the count {count} and 0"
         )
-    return done, sq, nonsq
+    return finished, sq, nonsq
 
 
-def _write_checkpoint(path, q, g, done, sq, nonsq):
+def _write_checkpoint(path, q, g, finished, sq, nonsq):
     state = {
         "version": CHECKPOINT_VERSION,
         "q": q,
         "g": g,
         "chunk_size": CHUNK_SIZE,
-        "done": sorted(done),
+        "done": list(range(finished)),
         "square_sums": list(sq),
         "nonsquare_sums": list(nonsq),
     }
@@ -571,6 +576,7 @@ def batch_coprime_counts(q: int, d: int, codes: np.ndarray, half_deg: int) -> np
 
 def sample_codes(q: int, d: int, count: int, seed: int) -> np.ndarray:
     """Seeded uniform draw of `count` square-free monic degree-d codes; seed >= 0."""
+    check_odd_prime(q)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if seed < 0:

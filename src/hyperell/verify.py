@@ -56,6 +56,8 @@ def run_identity_suite(
     spec = EnsembleSpec(q, g)
     if sample_size < 1:
         raise ValueError(f"sample_size must be >= 1, got {sample_size}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     scan._check_table_budget(q, 2 * g)  # the batch coefficients reach degree 2g
     d = spec.poly_degree
     results: list = []
@@ -121,28 +123,23 @@ def run_identity_suite(
         rh_details["first_failing_code"] = int(codes[rh_bad])
     results.append(CheckResult(name="root_modulus", passed=rh_bad is None, details=rh_details))
 
-    if g <= 6:
-        if exhaustive and len(codes) <= ORACLE_LIMIT:
-            oracle_codes = codes
-        elif exhaustive:
-            rng = np.random.Generator(np.random.PCG64(seed))
-            oracle_codes = rng.choice(codes, size=ORACLE_LIMIT, replace=False)
-        else:
-            oracle_codes = codes[:ORACLE_LIMIT]
-        code_index = {int(c): i for i, c in enumerate(codes)}
-        mismatches = 0
-        for code in oracle_codes:
-            D = monic_by_code(int(code), d, q)
-            zc = curve.zeta_numerator(D, q).coeffs
-            if list(zc) != list(a[code_index[int(code)]]):
-                mismatches += 1
-        results.append(
-            CheckResult(
-                name="point_count_oracle",
-                passed=mismatches == 0,
-                details={"curves": int(len(oracle_codes)), "mismatches": mismatches},
-            )
+    if exhaustive and len(codes) > ORACLE_LIMIT:
+        rng = np.random.Generator(np.random.PCG64(seed))
+        oracle_rows = rng.choice(len(codes), size=ORACLE_LIMIT, replace=False)
+    else:
+        oracle_rows = range(min(len(codes), ORACLE_LIMIT))
+    mismatches = 0
+    for i in oracle_rows:
+        zc = curve.zeta_numerator(monic_by_code(int(codes[i]), d, q), q).coeffs
+        if list(zc) != list(a[i]):
+            mismatches += 1
+    results.append(
+        CheckResult(
+            name="point_count_oracle",
+            passed=mismatches == 0,
+            details={"curves": len(oracle_rows), "mismatches": mismatches},
         )
+    )
 
     results.append(_reciprocity_suite(q, seed))
 

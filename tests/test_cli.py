@@ -243,9 +243,7 @@ def test_sample_mode_requires_seed(capsys):
 @pytest.mark.parametrize(
     "extra",
     [
-        ("--resume",),
         ("--mode", "sample", "--seed", "1", "--checkpoint", "ck.json"),
-        ("--mode", "sample", "--seed", "1", "--resume"),
     ],
 )
 def test_checkpoint_flags_rejected_where_unused(capsys, extra):
@@ -277,12 +275,14 @@ def test_verify_sample_size_below_one_exit_2(capsys, g, size):
          "seed must be >= 0, got -1"),
         (("verify", "--q", "3", "--g", "4", "--sample-size", "5", "--seed", "-1"),
          "seed must be >= 0, got -1"),
+        (("verify", "--q", "3", "--g", "1", "--seed", "-1"), "seed must be >= 0, got -1"),
+        (("verify", "--q", "3", "--g", "3", "--seed", "-1"), "seed must be >= 0, got -1"),
         (("moment", "--q", "3", "--g", "1", "--mode", "sample", "--seed", "1", "--sample-size", "0"),
          "sample_size must be >= 1, got 0"),
         (("verify", "--q", "3", "--g", "4", "--sample-size", "0"),
          "sample_size must be >= 1, got 0"),
     ],
-    ids=["moment-seed", "verify-seed", "moment-size", "verify-size"],
+    ids=["moment-seed", "verify-seed", "verify-seed-g1", "verify-seed-g3", "moment-size", "verify-size"],
 )
 def test_sample_mode_boundary_errors_name_their_argument(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -394,15 +394,54 @@ def test_genus_range_resumes_from_checkpoint(tmp_path, capsys):
     code, first, _ = run_cli(capsys, *argv)
     assert code == 0
     assert json.loads(Path(ck).read_text())["g"] == 2
-    code, again, err = run_cli(capsys, *argv, "--resume")
+    code, again, err = run_cli(capsys, *argv)  # the complete checkpoint is resumed
     assert code == 0, err
     assert again == first
+    with pytest.raises(SystemExit) as exit_:
+        main([*argv, "--resume"])  # the path alone decides; there is no flag
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --resume" in capsys.readouterr().err
+
+
+def test_checkpoint_of_another_scan_exit_2_and_kept(tmp_path, capsys):
+    ck = tmp_path / "ck.json"
+    assert run_cli(capsys, "moment", "--q", "3", "--g", "1", "--checkpoint", str(ck))[0] == 0
+    before = ck.read_bytes()
+    code, out, err = run_cli(capsys, "moment", "--q", "3", "--g", "2", "--checkpoint", str(ck))
+    assert (code, out) == (2, "")
+    assert err == "error: checkpoint does not match this scan configuration\n"
+    assert ck.read_bytes() == before
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_rerun_resumes_from_a_first_chunk_checkpoint(tmp_path, capsys, monkeypatch, threads):
+    ck = tmp_path / "ck.json"
+    argv = ["moment", "--q", "5", "--g", "3", "--threads", threads, "--checkpoint", str(ck)]
+    real_write = scan._write_checkpoint
+    writes = []
+
+    def recording(path, *a):
+        real_write(path, *a)
+        writes.append(Path(path).read_bytes())
+
+    monkeypatch.setattr(scan, "_write_checkpoint", recording)
+    code, full, _ = run_cli(capsys, *argv)
+    assert code == 0
+    chunks, final = len(writes), ck.read_bytes()
+    assert chunks == 3  # 5 + 25 + 125 summands in chunks of 64
+    ck.write_bytes(writes[0])  # as if the run stopped after its first chunk
+    writes.clear()
+    code, resumed, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert len(writes) == chunks - 1  # only the remaining chunks ran
+    assert resumed == full
+    assert ck.read_bytes() == final
 
 
 def test_malformed_checkpoint_exit_2(tmp_path, capsys):
     ck = tmp_path / "ck.json"
     ck.write_text("[]\n")
-    code, out, err = run_cli(capsys, "moment", "--q", "3", "--g", "1", "--checkpoint", str(ck), "--resume")
+    code, out, err = run_cli(capsys, "moment", "--q", "3", "--g", "1", "--checkpoint", str(ck))
     assert code == 2
     assert "error: checkpoint is not a JSON object" in err
     assert out == ""

@@ -466,10 +466,10 @@ def test_checkpoint_resume(tmp_path, monkeypatch):
     assert len(copies) == m1.chunks
     # resume from the state written after the first chunk
     shutil.copy(copies[0], cp)
-    a2, _ = moment_scan(3, 3, checkpoint_path=cp, resume=True)
+    a2, _ = moment_scan(3, 3, checkpoint_path=cp)
     assert a2 == full
     # a finished checkpoint resumes to the same answer without recomputing
-    a3, _ = moment_scan(3, 3, checkpoint_path=cp, resume=True)
+    a3, _ = moment_scan(3, 3, checkpoint_path=cp)
     assert a3 == full
 
 
@@ -478,10 +478,10 @@ def test_checkpoint_config_mismatch(tmp_path, monkeypatch):
     moment_scan(3, 1, checkpoint_path=cp)
     monkeypatch.setattr(scan, "CHUNK_SIZE", 5)
     with pytest.raises(ValueError):
-        moment_scan(3, 1, checkpoint_path=cp, resume=True)
+        moment_scan(3, 1, checkpoint_path=cp)
     monkeypatch.undo()
     with pytest.raises(ValueError):
-        moment_scan(3, 2, checkpoint_path=cp, resume=True)
+        moment_scan(3, 2, checkpoint_path=cp)
 
 
 def _tamper_checkpoint(path, **changes):
@@ -496,7 +496,7 @@ def test_checkpoint_rejects_other_version(tmp_path):
     moment_scan(3, 1, checkpoint_path=cp)
     _tamper_checkpoint(cp, version=99)
     with pytest.raises(ValueError, match="version"):
-        moment_scan(3, 1, checkpoint_path=cp, resume=True)
+        moment_scan(3, 1, checkpoint_path=cp)
 
 
 def test_checkpoint_rejects_square_sums_at_odd_degree(tmp_path):
@@ -504,12 +504,13 @@ def test_checkpoint_rejects_square_sums_at_odd_degree(tmp_path):
     moment_scan(3, 2, checkpoint_path=cp)
     _tamper_checkpoint(cp, square_sums=[0, 7, 0])
     with pytest.raises(ValueError, match="odd degree"):
-        moment_scan(3, 2, checkpoint_path=cp, resume=True)
+        moment_scan(3, 2, checkpoint_path=cp)
 
 
-def test_checkpoint_rejects_bad_chunk_ids(tmp_path):
+def test_checkpoint_rejects_bad_chunk_ids(tmp_path, monkeypatch):
     # and every other malformed state: each must be a ValueError, not a
     # traceback or a silently wrong resume
+    monkeypatch.setattr(scan, "CHUNK_SIZE", 1)  # the three f of degree 1, one chunk each
     cp = str(tmp_path / "ck.json")
     moment_scan(3, 1, checkpoint_path=cp)
     good = json.loads(Path(cp).read_text())
@@ -519,7 +520,12 @@ def test_checkpoint_rejects_bad_chunk_ids(tmp_path):
         return {k: v for k, v in good.items() if k != key}
 
     bad_states = [
-        ({**good, "done": [999]}, "out of range"),
+        ({**good, "done": [999]}, "not the chunks 0..k-1 of 3"),
+        ({**good, "done": [1]}, "not the chunks 0..k-1"),
+        ({**good, "done": [0, 2]}, "not the chunks 0..k-1"),
+        ({**good, "done": [1, 0]}, "not the chunks 0..k-1"),
+        ({**good, "done": [0, 0]}, "not the chunks 0..k-1"),
+        ({**good, "done": [0, 1, 2, 3]}, "not the chunks 0..k-1"),
         ([good], "not a JSON object"),
         (without("done"), "'done'"),
         (without("square_sums"), "'square_sums'"),
@@ -536,7 +542,7 @@ def test_checkpoint_rejects_bad_chunk_ids(tmp_path):
         with open(cp, "w") as fh:
             json.dump(state, fh)
         with pytest.raises(ValueError, match=message):
-            moment_scan(3, 1, checkpoint_path=cp, resume=True)
+            moment_scan(3, 1, checkpoint_path=cp)
 
 
 def test_batch_coefficients_match_naive():
@@ -663,6 +669,11 @@ def test_batch_rows_stay_below_one_per_prime():
 def test_sample_boundaries_name_their_argument():
     with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
         sample_codes(5, 3, 10, -1)
+    for q in (4, 2):  # Z/4Z is no field, and q = 2 has no quadratic character
+        with pytest.raises(ValueError, match=rf"^q must be an odd prime, got {q}$"):
+            sample_codes(q, 3, 5, 1)
+    with pytest.raises(ValueError, match=r"^d must be >= 0, got -2$"):
+        sample_codes(3, -2, 5, 1)
     with pytest.raises(ValueError, match=r"^count must be >= 1, got 0$"):
         sample_codes(5, 3, 0, 1)
     with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
@@ -695,6 +706,8 @@ def test_batch_sums_refuse_bad_codes(batch, codes, message):
 def test_batch_sums_name_their_own_degree_argument(batch, name):
     with pytest.raises(ValueError, match=f"^{name} must be >= 0, got -1$"):
         batch(5, 3, [1], -1)
+    with pytest.raises(ValueError, match=r"^d must be >= 0, got -1$"):
+        batch(3, -1, [0], 1)
 
 
 def test_batch_sums_refuse_sums_past_int32(monkeypatch):
