@@ -240,11 +240,13 @@ def test_sample_mode_requires_seed(capsys):
     assert "seed" in err
 
 
+# the id is the one this case had beside the cases of the removed --resume flag
 @pytest.mark.parametrize(
     "extra",
     [
         ("--mode", "sample", "--seed", "1", "--checkpoint", "ck.json"),
     ],
+    ids=["extra1"],
 )
 def test_checkpoint_flags_rejected_where_unused(capsys, extra):
     code, _, err = run_cli(capsys, "moment", "--q", "3", "--g", "1", *extra)
