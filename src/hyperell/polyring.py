@@ -11,12 +11,23 @@ and every deterministic scan in the package relies on it.
 
 Division has one kernel, `_reduce`, whose one pass leaves both the
 remainder and the quotient: `rem`, `divmod_` and `gcd` (the one Euclid, behind
-`squarefree`) read it, and so does scan's residue kernel, through `rem`.  The
-irreducible tables are sieved on codes in numpy, and Rabin's `is_irreducible`
-is their independent oracle.  Beside the irreducible tuples of each degree,
-the sieve leaves a factor table, one prime factor's index per monic code,
-from which `factorize` reads every factor of a polynomial within the built
-degrees; above them it trial-divides.
+`squarefree`) read it.  Residues of many polynomials at once have one kernel
+too, `_residue_codes`, which reads each x^i mod P from `rem` and folds digit
+rows held digit-major, one contiguous vector per power of x.  Before the
+reduction mod q a sum over w digit rows mod degree n is at most
+B = (q-1) + (w-n)(q-1)^2, and the residue's code is below q^n; the rows come
+in the narrowest dtype that holds B (uint8 while B <= 255, int16 while
+B <= 32767, else int32) and the codes in int16 while q^n <= 32767, else
+int32.  The kernel refuses rows too narrow for B, so no sum wraps.  scan's
+residues come from it, and so do the multiples that `mark_multiples` marks
+for the sieve and the square-free mask: the low digits of a multiple are
+the negated residue of its high part.
+
+The irreducible tables are sieved on codes in numpy, and Rabin's
+`is_irreducible` is their independent oracle.  Beside the irreducible tuples
+of each degree, the sieve leaves a factor table, one prime factor's index
+per monic code, from which `factorize` reads every factor of a polynomial
+within the built degrees; above them it trial-divides.
 """
 
 from __future__ import annotations
@@ -260,6 +271,75 @@ def monic_polys(n: int, q: int):
 
 
 # ---------------------------------------------------------------------------
+# the residue kernel
+
+_ROW_DTYPES = (np.uint8, np.int16, np.int32)  # digit rows and their sums, narrowest first
+_CODE_DTYPES = (np.int16, np.int32)  # residue codes, which index tables through take
+
+
+def _exact_dtype(bound: int, dtypes=_ROW_DTYPES):
+    """The first of dtypes that holds every integer in [0, bound]; ValueError past the last."""
+    for t in dtypes:
+        if bound <= np.iinfo(t).max:
+            return t
+    raise ValueError(f"values up to {bound} overflow {np.dtype(dtypes[-1])}")
+
+
+def _residue_bound(q: int, w: int, n: int) -> int:
+    """B = (q-1) + (w-n)(q-1)^2, the largest sum `_residue_codes` forms from w digit rows mod degree n."""
+    return (q - 1) + max(w - n, 0) * (q - 1) ** 2
+
+
+def _residue_codes(dig: np.ndarray, f: Poly, q: int) -> np.ndarray:
+    """Residue code mod f of each digit column of dig, (w, len) digit-major as `_digit_matrix` lays out.
+
+    The one residue kernel.  With n = deg f, acc starts as the low n digit
+    rows; each high digit row i >= n adds c * dig[i] to acc[j] for every
+    nonzero c = (x^i mod f)_j, one contiguous integer add per c, with
+    x^i = rem(x * x^(i-1), f) one step each.  One reduction mod q then
+    leaves the residue's digits, folded to a code by Horner.  acc is held in
+    dig's own dtype, which must hold B = `_residue_bound(q, w, n)`; callers
+    pass the narrowest that `_exact_dtype` derives.
+
+    Within the table budget the codes fit int32: q^n <= 10^8 < 2^31 for a
+    prime table of degree n, the q^2 entries of the q primes of degree 1, and
+    the q^d marks of `mark_multiples` (n <= d).  Every caller's rows have
+    q^(w-1) < 2^63: rows of width d+1 come from int64 codes of degree d
+    (monic curves and the high parts of `mark_multiples`), `moment_scan`'s
+    rows of width g from the codes below q^g <= 10^8, and the 2m-1 rows of
+    x^2 from q^m <= 10^8 residues.  So w < 1 + 63 / log2 q, and for n >= 1
+    B < w q^2 < (1 + 63 / log2 q) q^2 <= (1 + 63 / log2 10^4) 10^8 < 5.8 * 10^8 < 2^31,
+    since (1 + 63 / L) 2^(2L) grows with L = log2 q: int32 always suffices.
+    Both bounds are checked, so a caller past them gets a ValueError, not a
+    wrapped code.
+    """
+    w = dig.shape[0]
+    n = degree(f)
+    code_dtype = _exact_dtype(q**n, _CODE_DTYPES)
+    if dig.dtype.kind not in "iu" or np.iinfo(dig.dtype).max < _residue_bound(q, w, n):
+        raise ValueError(f"residues of {w}-digit rows mod degree {n} at q={q} overflow {dig.dtype}")
+    acc = dig[:n].copy()
+    acc_rows, dig_rows = list(acc), list(dig)  # row views: += adds in place, with no setitem copy
+    scratch = np.empty(dig.shape[1], dtype=dig.dtype)
+    row = (0,) * (n - 1) + (1,)  # x^(n-1), its own residue
+    for i in range(n, w):
+        row = rem((0,) + row, f, q)
+        for j, c in enumerate(row):
+            if c == 1:
+                acc_rows[j] += dig_rows[i]
+            elif c:
+                acc_rows[j] += np.multiply(dig_rows[i], c, out=scratch)
+    quot = acc // q  # acc - q (acc // q), not acc % q: numpy divides by a scalar on a fast path
+    quot *= q
+    acc -= quot
+    code = acc[-1].astype(code_dtype)  # acc has min(n, w) rows: a row narrower than f is its own residue
+    for j in range(len(acc) - 2, -1, -1):
+        code *= q
+        code += acc[j]
+    return code
+
+
+# ---------------------------------------------------------------------------
 # square-free and irreducibility tests
 
 
@@ -314,30 +394,33 @@ def is_irreducible(f: Poly, q: int) -> bool:
 def mark_multiples(marked: np.ndarray, factors, d: int, q: int, labels=True) -> None:
     """Write labels at marked[code(F·h)] for each F in factors and each monic h of degree d - k.
 
-    marked has one entry per monic code of degree d, and the factors are
-    monic of one degree k <= d.  labels is one value for every product
-    (True for a mask) or one label per factor, written at each product of
-    that factor (the sieve's prime indices).  The digits of F·h are a
-    convolution, reduced mod q and folded to a code by the place values.  A
-    block takes every factor against enough h for about
-    max(4096, q^d / (8(d+1))) products, whose int64 digits fill about q^d
-    bytes; the least block, one h against the factors, at most q^(d/2) of
-    them, stays within O(q^d).  Each block's arrays are released before the
-    next block allocates.
+    marked has one entry per monic code of degree d; the factors are monic
+    of one degree 1 <= k <= d, and labels is one value for all (True for a
+    mask) or one per factor (the sieve's prime indices).  A monic
+    G = x^k·H + L of degree d, H monic and deg L < k, is a multiple of F iff
+    L = -(x^k·H) mod F: the low k digits of a multiple are the negated
+    residue of its high part.  So F's multiples are the codes
+    q^k·j + code(-(x^k·H_j) mod F), H_j = monic_by_code(j, d - k), and F
+    costs one `_residue_codes` pass over the digit rows of -(x^k·H_j), built
+    once per block of j for all the factors.  The factors take turns in list
+    order: where several divide a code, the last one's label stays.  A block
+    holds max(4096, q^d / (8(d+1))) values of j, up to about 12(d+1) bytes
+    each with temporaries (1.5 q^d in all), freed before the next block.
     """
-    F = np.array(factors, dtype=np.int64)  # (factors, k+1) digits
-    k = F.shape[1] - 1
+    k = len(factors[0]) - 1
     m = d - k
-    place = q ** np.arange(d, dtype=np.int64)
-    labels = np.reshape(labels, (-1, 1))  # broadcasts against the (factors, h) codes
-    per_h = max(1, max(4096, q**d // (8 * (d + 1))) // len(F))
-    for h0 in range(0, q**m, per_h):
-        hdig = _monic_digit_matrix(np.arange(h0, min(h0 + per_h, q**m)), q, m)
-        digits = np.zeros((len(F), d + 1, hdig.shape[1]), dtype=np.int64)
-        for t in range(k + 1):
-            digits[:, t : t + m + 1] += F[:, t, None, None] * hdig
-        marked[np.tensordot(place, digits[:, :d] % q, axes=(0, 1))] = labels
-        del hdig, digits
+    labels = np.broadcast_to(labels, len(factors))
+    dtype = _exact_dtype(_residue_bound(q, d + 1, k))
+    per_j = max(4096, q**d // (8 * (d + 1)))
+    for j0 in range(0, q**m, per_j):
+        j = np.arange(j0, min(j0 + per_j, q**m))
+        rows = np.zeros((d + 1, len(j)), dtype=dtype)  # the digits of -(x^k·H_j), x^i in row i
+        rows[k:] = _monic_digit_matrix(j, q, m)
+        rows[k:] = (q - rows[k:]) % q
+        high = j * q**k
+        for F, label in zip(factors, labels):
+            marked[high + _residue_codes(rows, F, q)] = label
+        del j, rows, high
 
 
 class IrreducibleTable:
@@ -383,12 +466,12 @@ class IrreducibleTable:
     def _sieve(self, d: int):
         """The monic irreducibles of degree d and the factor table of degree d.
 
-        Each prime P of degree k <= d/2, against each monic h of degree
-        d - k, writes its index in `primes` at code(P·h), since every
-        reducible polynomial of degree d has such a prime factor; the codes
-        left at -1 are the irreducibles.  The indices take the narrowest
-        signed dtype that holds them: while q^d <= `_TABLE_BUDGET` there
-        are fewer than 2^15 primes of degree <= d/2, so int16 always does.
+        Every reducible code of degree d has a prime factor of degree <= d/2;
+        `mark_multiples` writes each such prime's index in `primes` at its
+        multiples, degree by degree, so a code keeps the largest index among
+        them and those left at -1 are the irreducibles.  The indices take the
+        narrowest signed dtype: while q^d <= `_TABLE_BUDGET` there are fewer
+        than 2^15 primes of degree <= d/2, so int16 always does.
         """
         q = self.q
         count = sum(len(self.by_degree[k]) for k in range(1, d // 2 + 1))

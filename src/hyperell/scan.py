@@ -36,19 +36,9 @@ reducible f are factored, reading the rows of lower degree.  So a batch of
 len curves holds (primes of degree < n_max) x len bytes of rows.
 Everything integral is exact: int8 symbols, int32 batch sums per degree
 (|A_D(n)| <= q^n <= 10^8), int64 table sums, Python ints and Fractions
-above.
-
-Every residue mod a prime comes from one kernel, `_residue_codes`.  Digits
-are held digit-major, one contiguous vector per power of x, and each digit
-at or above deg P is folded into the low ones with one integer add per
-nonzero coefficient of x^i mod P.  Before the reduction mod q a sum over w
-digit rows mod degree n is at most B = (q-1) + (w-n)(q-1)^2, and the
-residue's code is below q^n; the rows come in the narrowest dtype that
-holds B (uint8 while B <= 255, int16 while B <= 32767, else int32) and the
-codes in int16 while q^n <= 32767, else int32.  The kernel refuses rows
-too narrow for B, so no sum wraps.  The prime tables (through the digits of
-every residue's square), `moment_scan`'s V_P vectors and the batch sums all
-call it.
+above.  Every residue mod a prime, for the prime tables (through the
+digits of every residue's square), the (x/P) vectors and the batch sums,
+comes from polyring's one residue kernel, `_residue_codes`.
 
 A checkpoint path is its own resume switch: a file there is validated and
 resumed, so a rerun continues an interrupted scan; with no file it starts fresh.
@@ -79,7 +69,10 @@ from .polyring import (
     Poly,
     _check_poly,
     _digit_matrix,
+    _exact_dtype,
     _monic_digit_matrix,
+    _residue_bound,
+    _residue_codes,
     ResourceCapError,
     degree,
     factorize,
@@ -89,7 +82,6 @@ from .polyring import (
     monic_by_code,
     monic_code,
     mul,
-    rem,
     shared_table,
     squarefree,
 )
@@ -118,86 +110,11 @@ def _check_table_budget(q: int, n_max: int) -> None:
         )
 
 
-_ROW_DTYPES = (np.uint8, np.int16, np.int32)  # digit rows and their sums, narrowest first
-_CODE_DTYPES = (np.int16, np.int32)  # residue codes, which index tables through take
-
-
-def _exact_dtype(bound: int, dtypes=_ROW_DTYPES):
-    """The first of dtypes that holds every integer in [0, bound]; ValueError past the last."""
-    for t in dtypes:
-        if bound <= np.iinfo(t).max:
-            return t
-    raise ValueError(f"values up to {bound} overflow {np.dtype(dtypes[-1])}")
-
-
-def _residue_bound(q: int, w: int, n: int) -> int:
-    """B = (q-1) + (w-n)(q-1)^2, the largest sum `_residue_codes` forms from w digit rows mod degree n."""
-    return (q - 1) + max(w - n, 0) * (q - 1) ** 2
-
-
-def _residue_codes(dig: np.ndarray, f: Poly, q: int) -> np.ndarray:
-    """Residue code mod f of each digit column of dig, (w, len) digit-major as `_digit_matrix` lays out.
-
-    The one residue kernel.  With n = deg f, acc starts as the low n digit
-    rows; each high digit row i >= n adds c * dig[i] to acc[j] for every
-    nonzero c = (x^i mod f)_j, one contiguous integer add per c.  The rows
-    x^i mod f come from polyring's division kernel, x^i = rem(x * x^(i-1), f)
-    one step each.  One reduction mod q then leaves the residue's digits,
-    folded to a code by Horner.
-
-    Exact in the dtype of dig, which may be any integer dtype that holds B.
-    Digits and the c lie in [0, q), so before the reduction an entry of acc
-    is at most B = `_residue_bound(q, w, n)` = (q-1) + (w-n)(q-1)^2, and acc
-    is held in dig's own dtype; rows too narrow for B are a ValueError.
-    Callers pass the narrowest that `_exact_dtype` derives: uint8 while
-    B <= 255 (q=5 at width 12, the squares mod degree m <= 8 at q=3), int16
-    while B <= 32767 (q=7 at width 12), else int32.  Codes lie below q^n,
-    and the Horner fold never passes them, so they are folded in int16
-    while q^n <= 32767, else in int32.
-
-    Every caller checks the table budget first, so the q^n entries of a
-    degree-n prime table give q^n <= 10^8 < 2^31, and the q primes of degree
-    1, holding q^2 entries, give q^2 <= 10^8.  Every caller's rows also have
-    q^(w-1) < 2^63: monic curve rows of width d+1 come from int64 codes of
-    degree d, `moment_scan`'s rows of width g from the codes below
-    q^g <= 10^8, and the 2m-1 rows of x^2 from q^m <= 10^8 residues.  So
-    w < 1 + 63 / log2 q, and for n >= 1
-    B < w q^2 < (1 + 63 / log2 q) q^2 <= (1 + 63 / log2 10^4) 10^8 < 5.8 * 10^8 < 2^31,
-    since (1 + 63 / L) 2^(2L) grows with L = log2 q: int32 always suffices.
-    Both bounds are checked, so a caller past the budget gets a ValueError,
-    not a wrapped code.
-    """
-    w = dig.shape[0]
-    n = degree(f)
-    code_dtype = _exact_dtype(q**n, _CODE_DTYPES)
-    if dig.dtype.kind not in "iu" or np.iinfo(dig.dtype).max < _residue_bound(q, w, n):
-        raise ValueError(f"residues of {w}-digit rows mod degree {n} at q={q} overflow {dig.dtype}")
-    acc = dig[:n].copy()
-    acc_rows, dig_rows = list(acc), list(dig)  # row views: += adds in place, with no setitem copy
-    scratch = np.empty(dig.shape[1], dtype=dig.dtype)
-    row = (0,) * (n - 1) + (1,)  # x^(n-1), its own residue
-    for i in range(n, w):
-        row = rem((0,) + row, f, q)
-        for j, c in enumerate(row):
-            if c == 1:
-                acc_rows[j] += dig_rows[i]
-            elif c:
-                acc_rows[j] += np.multiply(dig_rows[i], c, out=scratch)
-    quot = acc // q  # acc - q (acc // q), not acc % q: numpy divides by a scalar on a fast path
-    quot *= q
-    acc -= quot
-    code = acc[-1].astype(code_dtype)  # acc has min(n, w) rows: a row narrower than f is its own residue
-    for j in range(len(acc) - 2, -1, -1):
-        code *= q
-        code += acc[j]
-    return code
-
-
 def squarefree_mask(q: int, d: int) -> np.ndarray:
     """Boolean mask over monic codes of degree d, True at square-free D.
 
     Non-square-free codes are marked as the multiples P^2 * M of each prime
-    square, by polyring's product-code kernel.
+    square, by polyring's `mark_multiples`, which marks them by residues.
     """
     marked = np.zeros(q**d, dtype=bool)
     for dp in range(1, d // 2 + 1):

@@ -24,6 +24,8 @@ def test_repository_against_itself(capsys):
     assert "outputs identical in 2 pairs" in out
     for label in ("wall", "cpu", "rss"):
         assert f"\n{label} wins: change " in out
+        assert f"\n{label} ratio change/parent: median " in out
+        assert f"\n{label} gain rule (>= 9/10 wins, median gap > parent IQR): " in out
 
 
 def test_iqr_is_the_distance_between_quartiles():
@@ -39,6 +41,25 @@ def test_wins_are_counted_per_metric_and_ties_count_for_neither():
     assert ab_pairs.wins(parent, change, "wall_s") == (1, 1)  # pair 1 ties
     assert ab_pairs.wins(parent, change, "peak_rss_mb") == (2, 0)  # pair 2 ties
     assert ab_pairs.wins(change, parent, "peak_rss_mb") == (0, 2)
+
+
+def test_ratio_quartiles_are_taken_over_the_per_pair_ratios():
+    parent = [{"wall_s": p} for p in (2.0, 4.0, 1.0, 5.0, 8.0)]
+    change = [{"wall_s": c} for c in (1.0, 3.0, 1.0, 2.0, 2.0)]  # ratios 0.5, 0.75, 1, 0.4, 0.25
+    assert ab_pairs.ratio_quartiles(parent, change, "wall_s") == (0.4, 0.5, 0.75)
+    assert ab_pairs.ratio_quartiles(parent[:1], change[:1], "wall_s") == (0.5, 0.5, 0.5)
+
+
+def test_gain_rule_needs_nine_in_ten_wins_and_a_gap_past_the_parent_iqr():
+    parent = [{"wall_s": 1.0 + 0.01 * k} for k in range(10)]  # median 1.045, IQR 0.045
+    assert ab_pairs.gain_holds(parent, [{"wall_s": p["wall_s"] - 0.1} for p in parent], "wall_s")
+    # nine wins of ten still hold; eight do not
+    nine = [{"wall_s": 0.9}] * 9 + [{"wall_s": 2.0}]
+    assert ab_pairs.gain_holds(parent, nine, "wall_s")
+    assert not ab_pairs.gain_holds(parent, [{"wall_s": 0.9}] * 8 + [{"wall_s": 2.0}] * 2, "wall_s")
+    # ten wins by a hair, as host drift gives them: the gap is inside the IQR
+    assert not ab_pairs.gain_holds(parent, [{"wall_s": p["wall_s"] - 0.001} for p in parent], "wall_s")
+    assert not ab_pairs.gain_holds(parent, parent, "wall_s")  # ties win nothing
 
 
 def test_catches_a_changed_csv_header_byte(tmp_path, capsys):

@@ -283,6 +283,65 @@ def test_sieved_counts_match_gauss(q, max_deg):
         assert codes == sorted(set(codes))
 
 
+@pytest.mark.parametrize("q,max_deg", [(3, 8), (5, 5), (7, 4)])
+def test_factor_table_names_a_dividing_prime_or_minus_one_at_the_irreducibles(q, max_deg):
+    table = IrreducibleTable(q)
+    table.extend(max_deg)
+    for n in range(1, max_deg + 1):
+        index = table.factor_index[n]
+        assert [monic_by_code(int(c), n, q) for c in np.flatnonzero(index < 0)] == list(table.by_degree[n])
+        for code in np.flatnonzero(index >= 0).tolist():
+            P = table.primes[index[code]]
+            assert degree(P) <= n // 2 and not rem(monic_by_code(code, n, q), P, q), (n, code)
+
+
+def marks_by_multiplication(factors, labels, d, q):
+    """code(F·h) -> label, for each F in list order and each monic h of degree d - deg F."""
+    marks = {}
+    for F, label in zip(factors, labels):
+        for h in monic_polys(d - degree(F), q):
+            marks[pr.monic_code(mul(F, h, q), q)] = label  # a later factor overwrites
+    return marks
+
+
+def assert_marks_multiples(factors, labels, d, q):
+    marked = np.full(q**d, -1, dtype=np.int32)
+    pr.mark_multiples(marked, factors, d, q, labels=np.array(labels))
+    written = {c: int(marked[c]) for c in np.flatnonzero(marked >= 0).tolist()}
+    assert written == marks_by_multiplication(factors, labels, d, q)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), q=st.sampled_from([3, 5, 7]), d=st.integers(1, 7))
+def test_mark_multiples_writes_the_last_dividing_factor(data, q, d):
+    # h runs over q^(d-k) monic polynomials per factor: at most 3^7 or 7^4
+    k = data.draw(st.integers(max(1, d - (7 if q == 3 else 4)), d), label="k")
+    codes = st.lists(st.integers(0, q**k - 1), min_size=1, max_size=min(q**k, 6), unique=True)
+    factors = [monic_by_code(c, k, q) for c in data.draw(codes, label="factor codes")]
+    labels = data.draw(
+        st.lists(st.integers(0, 10**6), min_size=len(factors), max_size=len(factors), unique=True),
+        label="labels",
+    )
+    assert_marks_multiples(factors, labels, d, q)
+
+
+def test_mark_multiples_across_blocks(monkeypatch):
+    # 5^6 high parts per linear factor: one residue pass per block, several blocks
+    q, d = 5, 7
+    passes = []
+    kernel = pr._residue_codes
+
+    def counting(dig, f, q):
+        passes.append(f)
+        return kernel(dig, f, q)
+
+    monkeypatch.setattr(pr, "_residue_codes", counting)
+    factors = [(1, 1), (3, 1), (0, 1)]
+    assert_marks_multiples(factors, [7, 3, 5], d, q)
+    blocks = Counter(passes)
+    assert set(blocks) == set(factors) and min(blocks.values()) > 1, blocks
+
+
 def test_extend_refuses_past_the_budget(monkeypatch):
     monkeypatch.setattr(pr, "_TABLE_BUDGET", 3**4)
     table = IrreducibleTable(3)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hyperell.polyring as polyring
 import hyperell.scan as scan
 from hyperell.characters import jacobi, residue_symbol_prime
 from hyperell.ensemble import EnsembleSpec, first_moment
@@ -61,8 +62,15 @@ def test_squarefree_mask_agrees_pointwise():
 
 
 def test_squarefree_mask_agrees_pointwise_across_blocks():
-    # 3^9 codes: the multiples of each prime square are marked in more than one block
-    q, d = 3, 9
+    # 3^10 codes: the 3^8 high parts over each prime square of degree 2 take
+    # two blocks of 4096
+    q, d = 3, 10
+    mask = squarefree_mask(q, d)
+    assert [bool(b) for b in mask] == [squarefree(D, q) for D in monic_polys(d, q)]
+
+
+@pytest.mark.parametrize("q,d", [(5, 6), (7, 4)])
+def test_squarefree_mask_agrees_pointwise_past_q3(q, d):
     mask = squarefree_mask(q, d)
     assert [bool(b) for b in mask] == [squarefree(D, q) for D in monic_polys(d, q)]
 
@@ -178,7 +186,7 @@ def residue_codes_by_division(columns, P, q):
 
 def residue_codes(columns, P, q):
     dig = np.array(columns, dtype=np.int32).T.copy()  # digit-major, as _digit_matrix lays out
-    return scan._residue_codes(dig, P, q).tolist()
+    return polyring._residue_codes(dig, P, q).tolist()
 
 
 def prime_at(start, n, q):
@@ -226,10 +234,10 @@ def test_residue_codes_at_the_largest_q(a, columns):
 def test_residue_codes_refuse_int32_overflow():
     dig = np.zeros((30, 2), dtype=np.int32)
     with pytest.raises(ValueError, match="overflow int32"):  # (q-1) + 29 (q-1)^2 > 2^31
-        scan._residue_codes(dig, (1, 1), Q_MAX)
+        polyring._residue_codes(dig, (1, 1), Q_MAX)
     with pytest.raises(ValueError, match="overflow int32"):  # codes up to 3^20 > 2^31
-        scan._residue_codes(dig, (0,) * 20 + (1,), 3)
-    assert scan._residue_codes(dig, (0,) * 19 + (1,), 3).tolist() == [0, 0]  # 3^19 < 2^31
+        polyring._residue_codes(dig, (0,) * 20 + (1,), 3)
+    assert polyring._residue_codes(dig, (0,) * 19 + (1,), 3).tolist() == [0, 0]  # 3^19 < 2^31
 
 
 @settings(max_examples=150, deadline=None)
@@ -241,29 +249,33 @@ def test_residue_codes_agree_in_every_dtype_that_holds_the_bound(data, q, n):
     columns = data.draw(st.lists(column, min_size=1, max_size=20), label="columns")
     columns.append([q - 1] * w)  # every accumulator at its bound
     rows = np.array(columns).T.copy()
-    bound = scan._residue_bound(q, w, n)
+    bound = polyring._residue_bound(q, w, n)
     dtypes = [t for t in (np.uint8, np.int16, np.int32) if bound <= np.iinfo(t).max]
-    assert dtypes[0] is scan._exact_dtype(bound)
-    codes = [scan._residue_codes(rows.astype(t), P, q).tolist() for t in dtypes]
+    assert dtypes[0] is polyring._exact_dtype(bound)
+    codes = [polyring._residue_codes(rows.astype(t), P, q).tolist() for t in dtypes]
     assert codes == [residue_codes_by_division(columns, P, q)] * len(dtypes)
 
 
 def test_exact_dtype_edges():
-    assert scan._exact_dtype(255) is np.uint8
-    assert scan._exact_dtype(256) is np.int16
-    assert scan._exact_dtype(32767) is np.int16
-    assert scan._exact_dtype(32768) is np.int32
-    assert scan._exact_dtype(2**31 - 1) is np.int32
+    assert polyring._exact_dtype(255) is np.uint8
+    assert polyring._exact_dtype(256) is np.int16
+    assert polyring._exact_dtype(32767) is np.int16
+    assert polyring._exact_dtype(32768) is np.int32
+    assert polyring._exact_dtype(2**31 - 1) is np.int32
     with pytest.raises(ValueError, match="overflow int32"):
-        scan._exact_dtype(2**31)
+        polyring._exact_dtype(2**31)
     # codes: int16 while q^n < 2^15, else int32
-    assert scan._exact_dtype(32767, scan._CODE_DTYPES) is np.int16
-    assert scan._exact_dtype(32768, scan._CODE_DTYPES) is np.int32
-    assert scan._exact_dtype(3, scan._CODE_DTYPES) is np.int16
+    assert polyring._exact_dtype(32767, polyring._CODE_DTYPES) is np.int16
+    assert polyring._exact_dtype(32768, polyring._CODE_DTYPES) is np.int32
+    assert polyring._exact_dtype(3, polyring._CODE_DTYPES) is np.int16
 
 
 def row_dtypes(monkeypatch):
-    """Record (width, dtype) of every row block `_residue_codes` is given."""
+    """Record (width, dtype) of every row block scan gives `_residue_codes`.
+
+    scan's callers look the kernel up in scan's namespace, which imports it
+    from polyring, so the recording stands in for it there.
+    """
     seen = []
     kernel = scan._residue_codes
 
@@ -308,12 +320,12 @@ def test_rows_at_the_largest_q_are_int32(monkeypatch):
 def test_residue_codes_refuse_rows_too_narrow_for_the_bound():
     rows = np.zeros((12, 2), dtype=np.uint8)
     with pytest.raises(ValueError, match="overflow uint8"):  # 6 + 11 * 36 > 255
-        scan._residue_codes(rows, (1, 1), 7)
-    assert scan._residue_codes(rows, (1, 1), 5).tolist() == [0, 0]  # 4 + 11 * 16 <= 255
+        polyring._residue_codes(rows, (1, 1), 7)
+    assert polyring._residue_codes(rows, (1, 1), 5).tolist() == [0, 0]  # 4 + 11 * 16 <= 255
     with pytest.raises(ValueError, match="overflow int8"):  # 4 + 11 * 16 > 127
-        scan._residue_codes(rows.astype(np.int8), (1, 1), 5)
+        polyring._residue_codes(rows.astype(np.int8), (1, 1), 5)
     with pytest.raises(ValueError, match="overflow float64"):
-        scan._residue_codes(rows.astype(np.float64), (1, 1), 5)
+        polyring._residue_codes(rows.astype(np.float64), (1, 1), 5)
 
 
 def test_prime_symbols_hold_one_signed_row_per_prime():

@@ -13,7 +13,12 @@ One line per run gives its wall time (spawn to reap), CPU time and peak RSS,
 the last two from os.wait4 on that child alone; the child's stderr passes
 through.  The summary gives each side's medians and interquartile ranges (the
 spread a gain must exceed) and, per metric (wall, cpu, rss), the number of
-pairs each side won: the lower value wins, and a tie counts for neither.
+pairs each side won (the lower value wins, and a tie counts for neither), the
+median and quartiles of the per-pair ratio change/parent, and whether the
+gain rule holds: the change wins at least 9 of 10 pairs and its median is
+below the parent's by more than the parent's IQR.  A ratio compares the two
+adjacent runs of one pair, so drift of the host across pairs, which widens
+the IQR, leaves it alone.
 
 Exits 1 as soon as a pair differs in stdout, exit code or any file written
 under `{tmp}`, 0 when every pair agrees, and 2 on a usage error.
@@ -58,11 +63,16 @@ def run_side(root: Path, args: list) -> dict:
         }
 
 
-def iqr(xs: list) -> float:
-    """Distance between the quartiles of xs, linearly interpolated; 0 for one run."""
+def quartiles(xs: list) -> tuple:
+    """(first quartile, median, third quartile) of xs, linearly interpolated; one run is all three."""
     if len(xs) < 2:
-        return 0.0
-    q1, _, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+        return (xs[0],) * 3
+    return tuple(statistics.quantiles(xs, n=4, method="inclusive"))
+
+
+def iqr(xs: list) -> float:
+    """Distance between the quartiles of xs; 0 for one run."""
+    q1, _, q3 = quartiles(xs)
     return q3 - q1
 
 
@@ -73,6 +83,19 @@ def wins(parent: list, change: list, metric: str) -> tuple:
         sum(c[metric] < p[metric] for p, c in pairs),
         sum(p[metric] < c[metric] for p, c in pairs),
     )
+
+
+def ratio_quartiles(parent: list, change: list, metric: str) -> tuple:
+    """`quartiles` of change/parent on metric, one ratio per pair."""
+    return quartiles([c[metric] / p[metric] for p, c in zip(parent, change)])
+
+
+def gain_holds(parent: list, change: list, metric: str) -> bool:
+    """The gain rule on metric: change wins >= 9/10 of pairs, and the median gap exceeds the parent's IQR."""
+    won, _ = wins(parent, change, metric)
+    before = [p[metric] for p in parent]
+    gap = statistics.median(before) - statistics.median(c[metric] for c in change)
+    return 10 * won >= 9 * len(parent) and gap > iqr(before)
 
 
 def difference(a: dict, b: dict) -> str | None:
@@ -129,6 +152,10 @@ def main(argv=None) -> int:
     for m, label in zip(METRICS, ("wall", "cpu", "rss")):
         won, lost = wins(runs["parent"], runs["change"], m)
         print(f"{label} wins: change {won}/{ns.pairs}, parent {lost}/{ns.pairs}")
+        q1, median, q3 = ratio_quartiles(runs["parent"], runs["change"], m)
+        print(f"{label} ratio change/parent: median {median:.3f}, quartiles {q1:.3f} {q3:.3f}")
+        holds = gain_holds(runs["parent"], runs["change"], m)
+        print(f"{label} gain rule (>= 9/10 wins, median gap > parent IQR): {'holds' if holds else 'fails'}")
     return 0
 
 
