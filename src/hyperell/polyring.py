@@ -242,21 +242,25 @@ def monic_code(f: Poly, q: int) -> int:
     return code
 
 
-def _digit_matrix(codes: np.ndarray, q: int, d: int) -> np.ndarray:
-    """Digits of each code, constant first, digit-major: int32 (d, len), row i for x^i."""
-    out = np.empty((d, len(codes)), dtype=np.int32)
+def _digit_matrix(codes: np.ndarray, q: int, d: int, monic: bool = False) -> np.ndarray:
+    """Digits of each code, constant first, digit-major: (d, len), row i for x^i.
+
+    The digits take `_exact_dtype(q - 1)`, uint8 for q < 256: one byte per
+    digit, which `_residue_codes`' callers widen only where its bound needs
+    it.  Each row is written in place from one int64 copy of the codes.
+    monic adds the leading 1 as row d.
+    """
+    out = np.ones((d + monic, len(codes)), dtype=_exact_dtype(q - 1))
     c = codes.astype(np.int64, copy=True)
     for i in range(d):
-        out[i] = c % q
+        np.remainder(c, q, out=out[i], casting="unsafe")  # a digit is below q, so it fits
         c //= q
     return out
 
 
 def _monic_digit_matrix(codes: np.ndarray, q: int, d: int) -> np.ndarray:
-    """Digits of monic degree-d codes with the leading 1 as row d: int32 (d+1, len)."""
-    out = np.ones((d + 1, len(codes)), dtype=np.int32)
-    out[:d] = _digit_matrix(codes, q, d)
-    return out
+    """Digits of monic degree-d codes with the leading 1 as row d: (d+1, len), dtype as `_digit_matrix`."""
+    return _digit_matrix(codes, q, d, monic=True)
 
 
 def monic_polys(n: int, q: int):

@@ -31,14 +31,17 @@ its cached table.  The residues mod an f of degree n are the codes
 [0, q^n), so f's Jacobi table is the product of the prefix slices of its
 primes' vectors.  The scan factors each f once; f is a square iff every
 exponent is even.  The batch sums over explicit curves go up one degree at
-a time: each prime's row is made in its own degree and summed, and only the
-reducible f are factored, reading the rows of lower degree.  So a batch of
-len curves holds (primes of degree < n_max) x len bytes of rows.
-Everything integral is exact: int8 symbols, int32 batch sums per degree
-(|A_D(n)| <= q^n <= 10^8), int64 table sums, Python ints and Fractions
-above.  Every residue mod a prime, for the prime tables (through the
-digits of every residue's square), the (x/P) vectors and the batch sums,
-comes from polyring's one residue kernel, `_residue_codes`.
+a time on A_D(n) = B_D(n) + sum over n_max/2 < m <= n of C_D(m) A_D(n - m),
+B_D summing over the f whose prime factors all have degree <= n_max/2 and
+C_D(m) over the primes of degree m (`_batch_sums` derives it).  So a batch
+of len curves holds (primes of degree <= n_max/2) x len bytes of rows,
+beside its (d+1) x len digit bytes and its int64 result.  Everything
+integral is exact: int8 symbols, int32 running sums per degree (|C_D(m)| is
+at most the number of primes of degree m, a sum over f of degree n at most
+q^n <= 10^8), int64 batch and table sums, Python ints and Fractions above.
+Every residue mod a prime, for the prime tables (through the digits of
+every residue's square), the (x/P) vectors and the batch sums, comes from
+polyring's one residue kernel, `_residue_codes`.
 
 A checkpoint path is its own resume switch: a file there is validated and
 resumed, so a rerun continues an interrupted scan; with no file it starts fresh.
@@ -200,7 +203,10 @@ def _digit_rows(dig: np.ndarray, q: int) -> np.ndarray:
     """dig in the narrowest dtype `_residue_codes` takes for a prime of any degree.
 
     B = `_residue_bound(q, w, n)` is largest at n = 1, so rows that hold it
-    serve every prime; dig already in that dtype is returned as it is.
+    serve every prime.  `_digit_matrix` writes digits in the narrowest dtype
+    that holds q - 1, so they are widened only where B needs it (q = 5 and
+    w = 12 stay uint8, q = 7 becomes int16); dig already in that dtype is
+    returned as it is.
     """
     return dig.astype(_exact_dtype(_residue_bound(q, dig.shape[0], 1)), copy=False)
 
@@ -430,15 +436,29 @@ def _write_checkpoint(path, q, g, finished, sq, nonsq):
 def _batch_sums(q: int, d: int, codes: np.ndarray, n_max: int, signed: bool) -> np.ndarray:
     """Sums over monic f of degree n = 0..n_max of chi_D(f), or |chi_D(f)| unless signed.
 
-    int64 (len, n_max+1), column n for degree n, one degree at a time.  Each
-    prime P of degree n has its row (D/P) made by `_prime_symbol` and
-    summed; the rows of degree < n_max are held in one int8 block, and a
-    prime of degree n_max, which divides no other f of its degree, is made
-    into the one reused int8 vector.  Each reducible f of degree n (the
-    sieve's factor table) multiplies the held rows of its primes along its
-    factorization into that vector.  So a batch holds (primes of degree
-    < n_max) x len bytes of rows.  Each degree sums in int32:
-    |A_D(n)| <= q^n, and the budget check gives q^n <= 10^8 < 2^31.
+    int64 (len, n_max+1), column n for degree n, one degree at a time.  With
+    s = n_max // 2, a monic f of degree <= n_max has at most one prime
+    factor of degree > s, to the first power, and chi_D (like |chi_D|) is
+    completely multiplicative, so
+
+        A_D(n) = B_D(n) + sum over s < m <= n of C_D(m) A_D(n - m),
+
+    B_D(n) summing over the f of degree n whose prime factors all have
+    degree <= s and C_D(m) over the primes of degree m; n - m <= n_max - s - 1
+    <= s, so A_D(n - m) is final when it is read.  Each prime of degree <= s
+    has its row (D/P) made by `_prime_symbol` into one held int8 block and
+    summed.  Each larger prime is made into the one reused int8 vector and
+    summed to C_D(m), which adds C_D(m) A_D(j - m) to each column j >= m, in
+    int64.  Each reducible f (the sieve's factor table) is factored: one
+    with a factor of degree > s was counted with that prime, and every other
+    multiplies the held rows of its primes into the reused vector.  So a
+    batch of len curves holds (primes of degree <= s) x len bytes of rows,
+    beside the (d+1) x len digit bytes of `_monic_digit_matrix` and the
+    8 (n_max+1) x len bytes of its result.  The running sum of a degree is
+    int32: it holds C_D(m), |C_D(m)| <= the number of primes of degree m,
+    or a sum over f of degree n, at most q^n, and the budget check gives
+    q^n <= 10^8 < 2^31; a partial sum of column j counts f of degree j, so
+    it is at most q^j.
     codes must be integers in [0, q^d); anything else is a ValueError, since
     a code past q^d or below 0 would alias another curve's digits.
     """
@@ -447,7 +467,7 @@ def _batch_sums(q: int, d: int, codes: np.ndarray, n_max: int, signed: bool) -> 
     codes = np.asarray(codes)
     if codes.ndim != 1 or (codes.size and codes.dtype.kind not in "iu"):
         raise ValueError(f"codes must be 1-d integers, not {codes.dtype} of shape {codes.shape}")
-    codes = codes.astype(np.int64)
+    codes = codes.astype(np.int64, copy=False)
     space = _code_space(q, d)
     if codes.size and (codes.min() < 0 or codes.max() >= space):
         raise ValueError(f"codes must lie in [0, q^d) = [0, {space}) for q={q}, d={d}")
@@ -455,21 +475,30 @@ def _batch_sums(q: int, d: int, codes: np.ndarray, n_max: int, signed: bool) -> 
     table = shared_table(q)
     table.extend(n_max)  # the primes and factor tables to degree n_max
     dig = _digit_rows(_monic_digit_matrix(codes, q, d), q)
-    held = _primes_upto(q, n_max - 1)
+    s = n_max // 2
+    held = _primes_upto(q, s)
     rows = dict(zip(held, np.empty((len(held), k), dtype=np.int8)))
 
     out = np.zeros((k, n_max + 1), dtype=np.int64)
     out[:, 0] = 1
     chi = np.empty(k, dtype=np.int8)
+    acc = np.empty(k, dtype=sum_dtype)
     for n in range(1, n_max + 1):
-        acc = np.zeros(k, dtype=sum_dtype)
+        acc[:] = 0
         for P in table.irreducibles(n):
             row = _prime_symbol(dig, P, q, rows.get(P, chi))
             acc += row if signed else np.abs(row, out=chi)
+        if n > s:  # acc is C_D(n)
+            for j in range(n, n_max + 1):
+                out[:, j] += acc * out[:, j - n]
+            acc[:] = 0
         for code in np.flatnonzero(table.factor_index[n] >= 0).tolist():
-            _symbol_product(rows, factorize(monic_by_code(code, n, q), q)[1], chi)
+            factors = factorize(monic_by_code(code, n, q), q)[1]
+            if degree(factors[-1][0]) > s:  # sorted by degree: the last is the largest
+                continue
+            _symbol_product(rows, factors, chi)
             acc += chi if signed else np.abs(chi, out=chi)
-        out[:, n] = acc
+        out[:, n] += acc
     return out
 
 

@@ -632,8 +632,26 @@ def test_streamed_batch_sums_match_the_references(q, n_max):
         assert batch(q, d, np.array([], dtype=np.int64), n_max).shape == (0, n_max + 1)
 
 
+@pytest.mark.parametrize("q,n_max", [(3, 6), (3, 7), (5, 5)])
+def test_large_primes_pair_with_smooth_cofactors(q, n_max):
+    # at degree n >= n_max/2 + 3, f = P h with deg P > n_max/2 and deg h >= 2
+    # pairs C_D(deg P) with A_D(deg h); every D of degree 3 at q = 3, a
+    # spread of them at q = 5
+    d = 3
+    codes = np.arange(q**d) if q == 3 else np.arange(0, q**d, 9)
+    a = batch_coefficients(q, d, codes, n_max)
+    counts = batch_coprime_counts(q, d, codes, n_max)
+    for row, code in enumerate(codes):
+        D = monic_by_code(int(code), d, q)
+        for n in range(n_max // 2 + 3, n_max + 1):
+            assert a[row, n] == dirichlet_coefficient(D, n, q), (D, n)
+            coprime = sum(1 for l in monic_polys(n, q) if degree(gcd(D, l, q)) == 0)
+            assert counts[row, n] == coprime, (D, n)
+
+
 @pytest.mark.parametrize("q,n_max", STREAMED_CASES)
 def test_batch_holds_no_row_of_a_top_degree_prime(monkeypatch, q, n_max):
+    # a row is held only for a prime of degree <= n_max/2, so none for a top-degree prime
     written, factored = [], []
     symbol, factor = scan._prime_symbol, scan.factorize
 
@@ -649,22 +667,24 @@ def test_batch_holds_no_row_of_a_top_degree_prime(monkeypatch, q, n_max):
         written.clear()
         factored.clear()
         batch(q, 3, np.arange(0, q**3, 7), n_max)
-        # each prime's row is made once; below n_max each in its own held
-        # row, at n_max all in one reused vector that holds none of them
+        # each prime's row is made once, in degree order; up to n_max/2 each
+        # in its own held row, above it all in one reused vector that holds
+        # none of them
         assert [P for P, _ in written] == scan._primes_upto(q, n_max)
-        held = [out for P, out in written if degree(P) < n_max]
-        top = [out for P, out in written if degree(P) == n_max]
-        for i, out in enumerate(held + top[:1]):  # pairwise disjoint
+        held = [out for P, out in written if degree(P) <= n_max // 2]
+        large = [out for P, out in written if degree(P) > n_max // 2]
+        for i, out in enumerate(held + large[:1]):  # pairwise disjoint
             assert not any(np.shares_memory(out, other) for other in held[:i])
-        assert all(out is top[0] for out in top)
+        assert all(out is large[0] for out in large)
         # no prime is factored: factorize sees each reducible f of degree <= n_max once
         assert sorted(factored) == sorted(reducible)
 
 
-def test_batch_rows_stay_below_one_per_prime():
+@pytest.mark.parametrize("q,d,n_max", [(5, 11, 5), (5, 13, 6)])
+def test_batch_memory_is_its_held_rows_digits_and_sums(q, d, n_max):
     import tracemalloc
 
-    q, d, n_max, k = 5, 11, 5, 20000
+    k = 20000
     codes = np.random.default_rng(1).integers(0, q**d, k)
     batch_coefficients(q, d, codes[:10], n_max)  # the prime and factor tables, built once
     tracemalloc.start()
@@ -673,9 +693,10 @@ def test_batch_rows_stay_below_one_per_prime():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    every_prime = sum(irreducible_count(q, n) for n in range(1, n_max + 1))
-    assert every_prime == 829
-    assert peak < every_prime * k, peak  # one int8 row per prime of degree <= n_max
+    # per curve: one int8 row per prime of degree <= n_max/2, d+1 uint8
+    # digits, the int64 result, and 48 bytes of running sums and temporaries
+    held = sum(irreducible_count(q, n) for n in range(1, n_max // 2 + 1))
+    assert peak < (held + (d + 1) + 8 * (n_max + 1) + 48) * k, peak / k
 
 
 def test_sample_boundaries_name_their_argument():
