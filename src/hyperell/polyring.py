@@ -473,9 +473,10 @@ class IrreducibleTable:
         Every reducible code of degree d has a prime factor of degree <= d/2;
         `mark_multiples` writes each such prime's index in `primes` at its
         multiples, degree by degree, so a code keeps the largest index among
-        them and those left at -1 are the irreducibles.  The indices take the
-        narrowest signed dtype: while q^d <= `_TABLE_BUDGET` there are fewer
-        than 2^15 primes of degree <= d/2, so int16 always does.
+        them and those left at -1 are the irreducibles, whose tuples are the
+        columns of one `_monic_digit_matrix` of their codes.  The indices
+        take the narrowest signed dtype: while q^d <= `_TABLE_BUDGET` there
+        are fewer than 2^15 primes of degree <= d/2, so int16 always does.
         """
         q = self.q
         count = sum(len(self.by_degree[k]) for k in range(1, d // 2 + 1))
@@ -488,7 +489,7 @@ class IrreducibleTable:
             ps = self.by_degree[k]
             mark_multiples(index, ps, d, q, labels=np.arange(first, first + len(ps)))
             first += len(ps)
-        irreducibles = tuple(monic_by_code(int(c), d, q) for c in np.flatnonzero(index < 0))
+        irreducibles = tuple(zip(*_monic_digit_matrix(np.flatnonzero(index < 0), q, d).tolist()))
         return irreducibles, index
 
     def irreducibles(self, d: int) -> tuple:

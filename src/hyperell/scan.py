@@ -35,7 +35,12 @@ a time on A_D(n) = B_D(n) + sum over n_max/2 < m <= n of C_D(m) A_D(n - m),
 B_D summing over the f whose prime factors all have degree <= n_max/2 and
 C_D(m) over the primes of degree m (`_batch_sums` derives it).  So a batch
 of len curves holds (primes of degree <= n_max/2) x len bytes of rows,
-beside its (d+1) x len digit bytes and its int64 result.  Everything
+beside its (d+1) x len digit bytes and its int64 result.
+
+`prime_residue_table` caches the tables that are read again: those of
+degree <= n_max/2 after a batch, and every table `moment_scan` reads.  A
+batch streams each larger prime's table, built from the squares of half the
+residues, read once and dropped.  Everything
 integral is exact: int8 symbols, int32 running sums per degree (|C_D(m)| is
 at most the number of primes of degree m, a sum over f of degree n at most
 q^n <= 10^8), int64 batch and table sums, Python ints and Fractions above.
@@ -139,19 +144,27 @@ _prime_table_lock = threading.Lock()
 
 @lru_cache(maxsize=1)
 def _square_digits(q: int, m: int) -> np.ndarray:
-    """Digits of x^2 before reduction, mod q, for every residue code x < q^m: (2m-1, q^m).
+    """Digits of x^2 before reduction, mod q, for half the nonzero residues x < q^m: (2m-1, (q^m-1)/2).
 
-    They do not depend on the modulus, so every prime of degree m reads one
-    read-only copy, digit-major and in the narrowest dtype that holds
-    `_residue_codes`'s sums mod degree m.  `_primes_upto` lists primes by
-    degree, so one cached (q, m) at a time builds each degree once.
+    x and -x have one square, and exactly one of them has its leading
+    coefficient in [1, (q-1)/2]: the codes [q^k, (q+1)/2 q^k) of degree k,
+    for k < m.  So these codes' squares are every nonzero square.  The
+    convolution is formed in `_exact_dtype(m (q-1)^2)`, which holds its
+    sums of at most m digit products.  The digits do not depend on the
+    modulus, so every prime of degree m reads one read-only copy,
+    digit-major and in the narrowest dtype that holds `_residue_codes`'s
+    sums mod degree m.  `_primes_upto` lists primes by degree, so one cached
+    (q, m) at a time builds each degree once per pass over the primes.
     """
-    dig = _digit_matrix(np.arange(q**m), q, m).astype(np.int64)  # (q-1)^2 may pass 2^31
-    conv = np.zeros((2 * m - 1, q**m), dtype=np.int64)
+    half = np.concatenate([np.arange(q**k, (q + 1) // 2 * q**k) for k in range(m)])
+    dig = _digit_matrix(half, q, m).astype(_exact_dtype(m * (q - 1) ** 2))
+    del half
+    conv = np.zeros((2 * m - 1, dig.shape[1]), dtype=dig.dtype)
     for i in range(m):
         for j in range(m):
             conv[i + j] += dig[i] * dig[j]
-    out = (conv % q).astype(_exact_dtype(_residue_bound(q, 2 * m - 1, m)))
+    conv %= q
+    out = conv.astype(_exact_dtype(_residue_bound(q, 2 * m - 1, m)), copy=False)
     out.setflags(write=False)
     return out
 
@@ -159,8 +172,11 @@ def _square_digits(q: int, m: int) -> np.ndarray:
 def prime_residue_table(P: Poly, q: int) -> np.ndarray:
     """Quadratic character of F_q[x]/(P) on all residue codes (int8).
 
-    Built by reducing the squares of every residue mod P at once and marking
-    the image; entry 0 is the zero residue.  Cached, and returned read-only.
+    Built by reducing the squares of half the nonzero residues
+    (`_square_digits`) mod P at once and marking the image; entry 0 is the
+    zero residue.  Cached, and returned read-only.  The cache holds what is
+    read again: `_batch_sums` drops each table of degree above n_max/2
+    after its one read, and a later batch builds it anew.
     Before it builds, a P that is not canonical, not monic or not
     irreducible (one read of the sieve's factor table) is a ValueError: its
     image would be no character table.
@@ -193,6 +209,15 @@ def prime_residue_table(P: Poly, q: int) -> np.ndarray:
         while _prime_table_held > _TABLE_BUDGET:
             _prime_table_held -= _prime_table_cache.pop(next(iter(_prime_table_cache))).size
     return out
+
+
+def _drop_prime_table(P: Poly, q: int) -> None:
+    """Remove P's table from the cache, if it is there, and its size from the held total."""
+    global _prime_table_held
+    with _prime_table_lock:
+        dropped = _prime_table_cache.pop((q, P), None)
+        if dropped is not None:
+            _prime_table_held -= dropped.size
 
 
 def _primes_upto(q: int, n: int) -> list:
@@ -449,12 +474,17 @@ def _batch_sums(q: int, d: int, codes: np.ndarray, n_max: int, signed: bool) -> 
     has its row (D/P) made by `_prime_symbol` into one held int8 block and
     summed.  Each larger prime is made into the one reused int8 vector and
     summed to C_D(m), which adds C_D(m) A_D(j - m) to each column j >= m, in
-    int64.  Each reducible f (the sieve's factor table) is factored: one
-    with a factor of degree > s was counted with that prime, and every other
-    multiplies the held rows of its primes into the reused vector.  So a
-    batch of len curves holds (primes of degree <= s) x len bytes of rows,
-    beside the (d+1) x len digit bytes of `_monic_digit_matrix` and the
-    8 (n_max+1) x len bytes of its result.  The running sum of a degree is
+    int64.  Its table is read once, so it is then dropped from
+    `prime_residue_table`'s cache (whoever built it), and the next batch
+    builds it anew; the cache keeps the tables of degree <= s, which
+    `batch_coprime_counts` reads again.  The reducible f of degree n (the
+    sieve's factor table) less the multiples of the primes of degree s+1..n-1
+    (`mark_multiples`), counted with those primes, are the f that B_D sums:
+    each is factored and multiplies the held rows of its primes into the
+    reused vector.  So a batch of len curves holds (primes of degree <= s) x
+    len bytes of rows, beside the (d+1) x len digit bytes of
+    `_monic_digit_matrix`, the 8 (n_max+1) x len bytes of its result and the
+    one table it builds at a time.  The running sum of a degree is
     int32: it holds C_D(m), |C_D(m)| <= the number of primes of degree m,
     or a sum over f of degree n, at most q^n, and the budget check gives
     q^n <= 10^8 < 2^31; a partial sum of column j counts f of degree j, so
@@ -488,14 +518,17 @@ def _batch_sums(q: int, d: int, codes: np.ndarray, n_max: int, signed: bool) -> 
         for P in table.irreducibles(n):
             row = _prime_symbol(dig, P, q, rows.get(P, chi))
             acc += row if signed else np.abs(row, out=chi)
+            if n > s:  # read once: the next batch builds it anew
+                _drop_prime_table(P, q)
         if n > s:  # acc is C_D(n)
             for j in range(n, n_max + 1):
                 out[:, j] += acc * out[:, j - n]
             acc[:] = 0
-        for code in np.flatnonzero(table.factor_index[n] >= 0).tolist():
+        smooth = table.factor_index[n] >= 0  # the reducible f of degree n
+        for m in range(s + 1, n):  # less the multiples of a prime of degree m > s
+            mark_multiples(smooth, table.irreducibles(m), n, q, labels=False)
+        for code in np.flatnonzero(smooth).tolist():
             factors = factorize(monic_by_code(code, n, q), q)[1]
-            if degree(factors[-1][0]) > s:  # sorted by degree: the last is the largest
-                continue
             _symbol_product(rows, factors, chi)
             acc += chi if signed else np.abs(chi, out=chi)
         out[:, n] += acc

@@ -151,6 +151,27 @@ def test_square_digits_hold_one_degree(monkeypatch):
     assert scan._square_digits.cache_info().hits == info.hits + 1  # the degree-2 table stayed
 
 
+@pytest.mark.parametrize("q", [3, 5, 7, 11])
+def test_half_the_residues_square_to_every_square(q):
+    # x and -x share a square, so the codes whose lead is in [1, (q-1)/2]
+    # give every nonzero square: as polynomials, and mod each prime
+    for m in range(1, 5):
+        half = scan._square_digits(q, m)
+        assert half.shape == (2 * m - 1, (q**m - 1) // 2)
+        dig = polyring._digit_matrix(np.arange(q**m), q, m).astype(np.int64)
+        full = np.zeros((2 * m - 1, q**m), dtype=np.int64)  # x^2 for every residue x
+        for i in range(m):
+            for j in range(m):
+                full[i + j] += dig[i] * dig[j]
+        full = (full % q).astype(half.dtype)
+        assert {tuple(c) for c in half.T.tolist()} == {tuple(c) for c in full[:, 1:].T.tolist()}
+        primes = shared_table(q).irreducibles(m)
+        for P in primes[:: max(1, len(primes) // 4)]:
+            image = np.unique(scan._residue_codes(half, P, q))
+            assert np.array_equal(np.union1d(image, [0]), np.unique(scan._residue_codes(full, P, q)))
+            assert image[0] > 0  # no nonzero x of degree < m squares to 0 mod P
+
+
 @pytest.mark.parametrize(
     "P,message",
     [
@@ -661,8 +682,10 @@ def test_batch_holds_no_row_of_a_top_degree_prime(monkeypatch, q, n_max):
 
     monkeypatch.setattr(scan, "_prime_symbol", recording_symbol)
     monkeypatch.setattr(scan, "factorize", lambda f, q: factored.append(f) or factor(f, q))
-    reducible = [f for n in range(2, n_max + 1) for f in monic_polys(n, q)]
-    reducible = [f for f in reducible if not is_irreducible(f, q)]
+    # the reducible f whose prime factors all have degree <= n_max/2
+    smooth = [f for n in range(2, n_max + 1) for f in monic_polys(n, q)]
+    smooth = [f for f in smooth if not is_irreducible(f, q)]
+    smooth = [f for f in smooth if all(2 * degree(P) <= n_max for P, _ in factorize(f, q)[1])]
     for batch in (batch_coefficients, batch_coprime_counts):
         written.clear()
         factored.clear()
@@ -676,8 +699,9 @@ def test_batch_holds_no_row_of_a_top_degree_prime(monkeypatch, q, n_max):
         for i, out in enumerate(held + large[:1]):  # pairwise disjoint
             assert not any(np.shares_memory(out, other) for other in held[:i])
         assert all(out is large[0] for out in large)
-        # no prime is factored: factorize sees each reducible f of degree <= n_max once
-        assert sorted(factored) == sorted(reducible)
+        # no prime and no multiple of a prime past n_max/2 is factored:
+        # factorize sees each smooth reducible f of degree <= n_max once
+        assert sorted(factored) == sorted(smooth)
 
 
 @pytest.mark.parametrize("q,d,n_max", [(5, 11, 5), (5, 13, 6)])
@@ -697,6 +721,49 @@ def test_batch_memory_is_its_held_rows_digits_and_sums(q, d, n_max):
     # digits, the int64 result, and 48 bytes of running sums and temporaries
     held = sum(irreducible_count(q, n) for n in range(1, n_max // 2 + 1))
     assert peak < (held + (d + 1) + 8 * (n_max + 1) + 48) * k, peak / k
+
+
+@pytest.mark.parametrize("q,d,n_max", [(3, 9, 8), (5, 11, 5)])
+@pytest.mark.parametrize("batch", [batch_coefficients, batch_coprime_counts])
+def test_batch_leaves_only_the_tables_read_again(monkeypatch, batch, q, d, n_max):
+    # a table of degree > n_max/2 is read once and dropped; the rest stay
+    monkeypatch.setattr(scan, "_prime_table_cache", {})
+    monkeypatch.setattr(scan, "_prime_table_held", 0)
+    batch(q, d, np.random.default_rng(q).integers(0, q**d, 50), n_max)
+    kept = [(q, P) for P in scan._primes_upto(q, n_max // 2)]
+    assert list(scan._prime_table_cache) == kept
+    assert scan._prime_table_held == sum(q ** degree(P) for _, P in kept)
+    assert scan._prime_table_held == sum(t.size for t in scan._prime_table_cache.values())
+
+
+def test_cold_batch_memory_is_its_rows_and_one_table_build(monkeypatch):
+    import tracemalloc
+
+    q, d, n_max, k = 3, 9, 8, 2000
+    codes = np.random.default_rng(1).integers(0, q**d, k)
+    shared_table(q).extend(n_max)  # the factor tables; the prime tables start cold
+    monkeypatch.setattr(scan, "_prime_table_cache", {})
+    monkeypatch.setattr(scan, "_prime_table_held", 0)
+    scan._square_digits.cache_clear()
+    tracemalloc.start()
+    try:
+        batch_coefficients(q, d, codes, n_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # per curve as in the warm bound below
+    held = sum(irreducible_count(q, n) for n in range(1, n_max // 2 + 1))
+    per_curve = (held + (d + 1) + 8 * (n_max + 1) + 48) * k
+    # one degree-m table build, m = n_max, over the h = (q^m - 1)/2 residues
+    # whose squares it reduces: at its peak it holds the cached square
+    # digits ((2m-1) h bytes), the residue kernel's acc and quotient (m h
+    # each), its int16 codes (2 h) and scratch row (h), and the int8 table
+    # (q^m); forming the square digits holds less, 8 h of int64 codes beside
+    # at most 8 h + 2m h of digits or 3m h of digits and sums
+    m = n_max
+    h = (q**m - 1) // 2
+    build = (2 * m - 1) * h + 2 * m * h + 3 * h + q**m
+    assert peak < per_curve + build, (peak, per_curve, build)
 
 
 def test_sample_boundaries_name_their_argument():
