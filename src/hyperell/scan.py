@@ -37,10 +37,13 @@ C_D(m) over the primes of degree m (`_batch_sums` derives it).  So a batch
 of len curves holds (primes of degree <= n_max/2) x len bytes of rows,
 beside its (d+1) x len digit bytes and its int64 result.
 
-`prime_residue_table` caches the tables that are read again: those of
-degree <= n_max/2 after a batch, and every table `moment_scan` reads.  A
-batch streams each larger prime's table, built from the squares of half the
-residues, read once and dropped.  Everything
+`prime_residue_table` caches every table `moment_scan` reads and, after a
+batch, only those of degree <= n_max/2.  A batch streams each larger
+prime's table, built from the squares of half the residues, read once and
+dropped, whoever built it.  So `sampled_moment` at genus g leaves the
+degrees <= g/4 cached (its coprime counts run to n_max = g/2), and a
+sample-mode genus ladder builds the tables of degree g/4 < m <= g once
+more at genus g + 1, beside that genus's own new tables.  Everything
 integral is exact: int8 symbols, int32 running sums per degree (|C_D(m)| is
 at most the number of primes of degree m, a sum over f of degree n at most
 q^n <= 10^8), int64 batch and table sums, Python ints and Fractions above.
@@ -73,6 +76,7 @@ from .ensemble import EnsembleSpec, MomentAccumulator
 from .field import check_odd_prime
 from .lfunction import center_value, two_block_weights
 from .polyring import (
+    _ROW_DTYPES,
     _TABLE_BUDGET,
     Poly,
     _check_poly,
@@ -149,15 +153,17 @@ def _square_digits(q: int, m: int) -> np.ndarray:
     x and -x have one square, and exactly one of them has its leading
     coefficient in [1, (q-1)/2]: the codes [q^k, (q+1)/2 q^k) of degree k,
     for k < m.  So these codes' squares are every nonzero square.  The
-    convolution is formed in `_exact_dtype(m (q-1)^2)`, which holds its
-    sums of at most m digit products.  The digits do not depend on the
+    convolution is formed in the narrowest of uint8/int16/int32/int64 that
+    holds its sums of at most m digit products, m (q-1)^2 (int64 only at a
+    degree-1 prime with q > 46341).  The digits do not depend on the
     modulus, so every prime of degree m reads one read-only copy,
     digit-major and in the narrowest dtype that holds `_residue_codes`'s
     sums mod degree m.  `_primes_upto` lists primes by degree, so one cached
     (q, m) at a time builds each degree once per pass over the primes.
     """
     half = np.concatenate([np.arange(q**k, (q + 1) // 2 * q**k) for k in range(m)])
-    dig = _digit_matrix(half, q, m).astype(_exact_dtype(m * (q - 1) ** 2))
+    wide = _exact_dtype(m * (q - 1) ** 2, _ROW_DTYPES + (np.int64,))
+    dig = _digit_matrix(half, q, m).astype(wide)
     del half
     conv = np.zeros((2 * m - 1, dig.shape[1]), dtype=dig.dtype)
     for i in range(m):
@@ -176,7 +182,7 @@ def prime_residue_table(P: Poly, q: int) -> np.ndarray:
     (`_square_digits`) mod P at once and marking the image; entry 0 is the
     zero residue.  Cached, and returned read-only.  The cache holds what is
     read again: `_batch_sums` drops each table of degree above n_max/2
-    after its one read, and a later batch builds it anew.
+    after its one read, and a later batch that needs it builds it anew.
     Before it builds, a P that is not canonical, not monic or not
     irreducible (one read of the sieve's factor table) is a ValueError: its
     image would be no character table.
@@ -476,8 +482,9 @@ def _batch_sums(q: int, d: int, codes: np.ndarray, n_max: int, signed: bool) -> 
     summed to C_D(m), which adds C_D(m) A_D(j - m) to each column j >= m, in
     int64.  Its table is read once, so it is then dropped from
     `prime_residue_table`'s cache (whoever built it), and the next batch
-    builds it anew; the cache keeps the tables of degree <= s, which
-    `batch_coprime_counts` reads again.  The reducible f of degree n (the
+    that needs it builds it anew; the cache keeps the tables of degree
+    <= s, which `batch_coprime_counts` reads again (and, at its own
+    n_max = s, cuts to degree <= s/2).  The reducible f of degree n (the
     sieve's factor table) less the multiples of the primes of degree s+1..n-1
     (`mark_multiples`), counted with those primes, are the f that B_D sums:
     each is factored and multiplies the held rows of its primes into the

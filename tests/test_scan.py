@@ -151,6 +151,18 @@ def test_square_digits_hold_one_degree(monkeypatch):
     assert scan._square_digits.cache_info().hits == info.hits + 1  # the degree-2 table stayed
 
 
+def test_prime_table_past_int32_squares(monkeypatch):
+    # at a degree-1 prime with q > 46341, (q-1)^2 > 2^31 - 1: the squares are formed in int64
+    monkeypatch.setattr(scan, "_prime_table_cache", {})
+    monkeypatch.setattr(scan, "_prime_table_held", 0)
+    q = 46349
+    assert (q - 1) ** 2 > np.iinfo(np.int32).max
+    t = prime_residue_table((1, 1), q)  # x + 1: the residue of a constant c is c
+    euler = [0] + [1 if pow(c, (q - 1) // 2, q) == 1 else -1 for c in range(1, q)]
+    assert t.tolist() == euler
+    scan._square_digits.cache_clear()
+
+
 @pytest.mark.parametrize("q", [3, 5, 7, 11])
 def test_half_the_residues_square_to_every_square(q):
     # x and -x share a square, so the codes whose lead is in [1, (q-1)/2]
