@@ -258,11 +258,6 @@ def _digit_matrix(codes: np.ndarray, q: int, d: int, monic: bool = False) -> np.
     return out
 
 
-def _monic_digit_matrix(codes: np.ndarray, q: int, d: int) -> np.ndarray:
-    """Digits of monic degree-d codes with the leading 1 as row d: (d+1, len), dtype as `_digit_matrix`."""
-    return _digit_matrix(codes, q, d, monic=True)
-
-
 def monic_polys(n: int, q: int):
     """All monic polynomials of degree exactly n, constant term fastest."""
     if n < 0:
@@ -419,7 +414,7 @@ def mark_multiples(marked: np.ndarray, factors, d: int, q: int, labels=True) -> 
     for j0 in range(0, q**m, per_j):
         j = np.arange(j0, min(j0 + per_j, q**m))
         rows = np.zeros((d + 1, len(j)), dtype=dtype)  # the digits of -(x^k·H_j), x^i in row i
-        rows[k:] = _monic_digit_matrix(j, q, m)
+        rows[k:] = _digit_matrix(j, q, m, monic=True)
         rows[k:] = (q - rows[k:]) % q
         high = j * q**k
         for F, label in zip(factors, labels):
@@ -474,7 +469,7 @@ class IrreducibleTable:
         `mark_multiples` writes each such prime's index in `primes` at its
         multiples, degree by degree, so a code keeps the largest index among
         them and those left at -1 are the irreducibles, whose tuples are the
-        columns of one `_monic_digit_matrix` of their codes.  The indices
+        columns of one monic `_digit_matrix` of their codes.  The indices
         take the narrowest signed dtype: while q^d <= `_TABLE_BUDGET` there
         are fewer than 2^15 primes of degree <= d/2, so int16 always does.
         """
@@ -489,7 +484,7 @@ class IrreducibleTable:
             ps = self.by_degree[k]
             mark_multiples(index, ps, d, q, labels=np.arange(first, first + len(ps)))
             first += len(ps)
-        irreducibles = tuple(zip(*_monic_digit_matrix(np.flatnonzero(index < 0), q, d).tolist()))
+        irreducibles = tuple(zip(*_digit_matrix(np.flatnonzero(index < 0), q, d, monic=True).tolist()))
         return irreducibles, index
 
     def irreducibles(self, d: int) -> tuple:

@@ -27,7 +27,7 @@ signed int8 row (x/P) per prime, read once for odd e and twice for even e,
 since (x/P)^2 = |(x/P)|.  `moment_scan` builds (x/P) once, before its
 worker threads start, for every residue code x < q^g and every prime P of
 degree < g; each x is its own residue mod a prime of degree g, whose row is
-its cached table.  The residues mod an f of degree n are the codes
+its table.  The residues mod an f of degree n are the codes
 [0, q^n), so f's Jacobi table is the product of the prefix slices of its
 primes' vectors.  The scan factors each f once; f is a square iff every
 exponent is even.  The batch sums over explicit curves go up one degree at
@@ -37,16 +37,11 @@ C_D(m) over the primes of degree m (`_batch_sums` derives it).  So a batch
 of len curves holds (primes of degree <= n_max/2) x len bytes of rows,
 beside its (d+1) x len digit bytes and its int64 result.
 
-`prime_residue_table` caches every table `moment_scan` reads and, after a
-batch, only those of degree <= n_max/2.  A batch streams each larger
-prime's table, built from the squares of half the residues, read once and
-dropped, whoever built it.  So `sampled_moment` at genus g leaves the
-degrees <= g/4 cached (its coprime counts run to n_max = g/2), and a
-sample-mode genus ladder builds the tables of degree g/4 < m <= g once
-more at genus g + 1, beside that genus's own new tables.  Everything
-integral is exact: int8 symbols, int32 running sums per degree (|C_D(m)| is
-at most the number of primes of degree m, a sum over f of degree n at most
-q^n <= 10^8), int64 batch and table sums, Python ints and Fractions above.
+Each pass builds the prime tables it reads, and `_square_digits` holds
+the square digits of one degree.  Everything integral is exact: int8
+symbols, int32 running sums per degree (|C_D(m)| is at most the number of
+primes of degree m, a sum over f of degree n at most q^n <= 10^8), int64
+batch and table sums, Python ints and Fractions above.
 Every residue mod a prime, for the prime tables (through the digits of
 every residue's square), the (x/P) vectors and the batch sums, comes from
 polyring's one residue kernel, `_residue_codes`.
@@ -64,7 +59,6 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -82,7 +76,6 @@ from .polyring import (
     _check_poly,
     _digit_matrix,
     _exact_dtype,
-    _monic_digit_matrix,
     _residue_bound,
     _residue_codes,
     ResourceCapError,
@@ -141,9 +134,7 @@ def ensemble_count(q: int, g: int) -> int:
 # ---------------------------------------------------------------------------
 # character tables
 
-_prime_table_cache: dict = {}  # (q, P) -> table, oldest first
-_prime_table_held = 0  # total entries in the cache, kept within _TABLE_BUDGET
-_prime_table_lock = threading.Lock()
+_prime_table_cache: dict = {}  # never written; benchmarks/spans.py reads it (ROADMAP item 2 re-pin drops it)
 
 
 @lru_cache(maxsize=1)
@@ -180,17 +171,11 @@ def prime_residue_table(P: Poly, q: int) -> np.ndarray:
 
     Built by reducing the squares of half the nonzero residues
     (`_square_digits`) mod P at once and marking the image; entry 0 is the
-    zero residue.  Cached, and returned read-only.  The cache holds what is
-    read again: `_batch_sums` drops each table of degree above n_max/2
-    after its one read, and a later batch that needs it builds it anew.
-    Before it builds, a P that is not canonical, not monic or not
-    irreducible (one read of the sieve's factor table) is a ValueError: its
-    image would be no character table.
+    zero residue.  Every call builds a new read-only table.  Before it
+    builds, a P that is not canonical, not monic or not irreducible (one
+    read of the sieve's factor table) is a ValueError: its image would be no
+    character table.
     """
-    key = (q, P)
-    cached = _prime_table_cache.get(key)
-    if cached is not None:
-        return cached
     m = degree(P)
     M = q**m
     if M > _TABLE_BUDGET:
@@ -206,24 +191,8 @@ def prime_residue_table(P: Poly, q: int) -> np.ndarray:
     out = np.full(M, -1, dtype=np.int8)
     out[codes] = 1
     out[0] = 0
-    out.setflags(write=False)  # shared: cached, and read by moment_scan's workers
-    global _prime_table_held
-    with _prime_table_lock:
-        if key not in _prime_table_cache:
-            _prime_table_cache[key] = out
-            _prime_table_held += M
-        while _prime_table_held > _TABLE_BUDGET:
-            _prime_table_held -= _prime_table_cache.pop(next(iter(_prime_table_cache))).size
+    out.setflags(write=False)  # read by moment_scan's workers
     return out
-
-
-def _drop_prime_table(P: Poly, q: int) -> None:
-    """Remove P's table from the cache, if it is there, and its size from the held total."""
-    global _prime_table_held
-    with _prime_table_lock:
-        dropped = _prime_table_cache.pop((q, P), None)
-        if dropped is not None:
-            _prime_table_held -= dropped.size
 
 
 def _primes_upto(q: int, n: int) -> list:
@@ -480,18 +449,14 @@ def _batch_sums(q: int, d: int, codes: np.ndarray, n_max: int, signed: bool) -> 
     has its row (D/P) made by `_prime_symbol` into one held int8 block and
     summed.  Each larger prime is made into the one reused int8 vector and
     summed to C_D(m), which adds C_D(m) A_D(j - m) to each column j >= m, in
-    int64.  Its table is read once, so it is then dropped from
-    `prime_residue_table`'s cache (whoever built it), and the next batch
-    that needs it builds it anew; the cache keeps the tables of degree
-    <= s, which `batch_coprime_counts` reads again (and, at its own
-    n_max = s, cuts to degree <= s/2).  The reducible f of degree n (the
+    int64.  The reducible f of degree n (the
     sieve's factor table) less the multiples of the primes of degree s+1..n-1
     (`mark_multiples`), counted with those primes, are the f that B_D sums:
     each is factored and multiplies the held rows of its primes into the
     reused vector.  So a batch of len curves holds (primes of degree <= s) x
-    len bytes of rows, beside the (d+1) x len digit bytes of
-    `_monic_digit_matrix`, the 8 (n_max+1) x len bytes of its result and the
-    one table it builds at a time.  The running sum of a degree is
+    len bytes of rows, beside the (d+1) x len monic digit bytes, the
+    8 (n_max+1) x len bytes of its result and the one table it builds at a
+    time.  The running sum of a degree is
     int32: it holds C_D(m), |C_D(m)| <= the number of primes of degree m,
     or a sum over f of degree n, at most q^n, and the budget check gives
     q^n <= 10^8 < 2^31; a partial sum of column j counts f of degree j, so
@@ -511,7 +476,7 @@ def _batch_sums(q: int, d: int, codes: np.ndarray, n_max: int, signed: bool) -> 
     k = len(codes)
     table = shared_table(q)
     table.extend(n_max)  # the primes and factor tables to degree n_max
-    dig = _digit_rows(_monic_digit_matrix(codes, q, d), q)
+    dig = _digit_rows(_digit_matrix(codes, q, d, monic=True), q)
     s = n_max // 2
     held = _primes_upto(q, s)
     rows = dict(zip(held, np.empty((len(held), k), dtype=np.int8)))
@@ -525,8 +490,6 @@ def _batch_sums(q: int, d: int, codes: np.ndarray, n_max: int, signed: bool) -> 
         for P in table.irreducibles(n):
             row = _prime_symbol(dig, P, q, rows.get(P, chi))
             acc += row if signed else np.abs(row, out=chi)
-            if n > s:  # read once: the next batch builds it anew
-                _drop_prime_table(P, q)
         if n > s:  # acc is C_D(n)
             for j in range(n, n_max + 1):
                 out[:, j] += acc * out[:, j - n]

@@ -1,10 +1,11 @@
 """Tests for the vectorized ensemble scan engine."""
 
+import gc
 import json
 import math
-import os
 import shutil
 import threading
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -139,9 +140,7 @@ def test_degree_8_prime_tables_are_the_euler_criterion():
         assert np.array_equal(prime_residue_table(P, 3), euler_table(P, 3)), P
 
 
-def test_square_digits_hold_one_degree(monkeypatch):
-    monkeypatch.setattr(scan, "_prime_table_cache", {})
-    monkeypatch.setattr(scan, "_prime_table_held", 0)
+def test_square_digits_hold_one_degree():
     scan._square_digits.cache_clear()
     for P in scan._primes_upto(5, 2):  # degree 1, then degree 2
         prime_residue_table(P, 5)
@@ -151,10 +150,8 @@ def test_square_digits_hold_one_degree(monkeypatch):
     assert scan._square_digits.cache_info().hits == info.hits + 1  # the degree-2 table stayed
 
 
-def test_prime_table_past_int32_squares(monkeypatch):
+def test_prime_table_past_int32_squares():
     # at a degree-1 prime with q > 46341, (q-1)^2 > 2^31 - 1: the squares are formed in int64
-    monkeypatch.setattr(scan, "_prime_table_cache", {})
-    monkeypatch.setattr(scan, "_prime_table_held", 0)
     q = 46349
     assert (q - 1) ** 2 > np.iinfo(np.int32).max
     t = prime_residue_table((1, 1), q)  # x + 1: the residue of a constant c is c
@@ -195,21 +192,39 @@ def test_half_the_residues_square_to_every_square(q):
         ((2,), "degree >= 1"),
     ],
 )
-def test_prime_residue_table_refuses_a_modulus_that_is_no_prime(monkeypatch, P, message):
-    monkeypatch.setattr(scan, "_prime_table_cache", {})
-    monkeypatch.setattr(scan, "_prime_table_held", 0)
+def test_prime_residue_table_refuses_a_modulus_that_is_no_prime(P, message):
     with pytest.raises(ValueError, match=message):
         prime_residue_table(P, 3)
-    assert (scan._prime_table_cache, scan._prime_table_held) == ({}, 0)
 
 
 def test_prime_residue_table_checks_only_what_it_builds(monkeypatch):
-    monkeypatch.setattr(scan, "_prime_table_cache", {})
-    monkeypatch.setattr(scan, "_prime_table_held", 0)
-    table = prime_residue_table((1, 0, 1), 3)  # x^2 + 1
-    monkeypatch.setattr(scan, "shared_table", lambda q: pytest.fail("a cache hit was checked"))
-    assert prime_residue_table((1, 0, 1), 3) is table
-    assert scan._prime_table_held == 9
+    # every call builds its table, so every call checks its modulus
+    checked = []
+    check = scan._check_poly
+    monkeypatch.setattr(scan, "_check_poly", lambda *a: checked.append(a[0]) or check(*a))
+    first = prime_residue_table((1, 0, 1), 3)  # x^2 + 1
+    second = prime_residue_table((1, 0, 1), 3)
+    assert checked == [(1, 0, 1), (1, 0, 1)]
+    assert np.array_equal(first, second) and first is not second
+    assert not first.flags.writeable and not second.flags.writeable
+
+
+def test_no_prime_table_outlives_its_call(monkeypatch):
+    tables = []
+    build = scan.prime_residue_table
+
+    def traced(P, q):
+        out = build(P, q)
+        tables.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(scan, "prime_residue_table", traced)
+    moment_scan(5, 3)
+    sampled_moment(5, 3, 200, seed=1)
+    batch_coefficients(3, 9, np.random.default_rng(3).integers(0, 3**9, 50), 8)
+    gc.collect()
+    assert tables and all(ref() is None for ref in tables)
+    assert scan._prime_table_cache == {}
 
 
 def residue_codes_by_division(columns, P, q):
@@ -324,7 +339,8 @@ def row_dtypes(monkeypatch):
 def test_batch_rows_at_width_12(monkeypatch, q, dtype):
     # the sampled workload's rows: monic curves of degree 11; B = (q-1) + 11 (q-1)^2
     codes = np.arange(0, q**11, q**11 // 50)
-    symbols = scan._prime_symbols(scan._monic_digit_matrix(codes, q, 11), scan._primes_upto(q, 1), q)
+    dig = polyring._digit_matrix(codes, q, 11, monic=True)
+    symbols = scan._prime_symbols(dig, scan._primes_upto(q, 1), q)
     seen = row_dtypes(monkeypatch)
     assert batch_coefficients(q, 11, codes, 1)[:, 1].tolist() == list(
         sum(symbols[P].astype(int) for P in scan._primes_upto(q, 1))
@@ -339,8 +355,6 @@ def test_square_digits_are_bytes_at_q3_to_degree_8():
 
 
 def test_rows_at_the_largest_q_are_int32(monkeypatch):
-    monkeypatch.setattr(scan, "_prime_table_cache", {})
-    monkeypatch.setattr(scan, "_prime_table_held", 0)
     seen = row_dtypes(monkeypatch)
     rows = scan._digit_matrix(np.arange(0, Q_MAX**4, Q_MAX**4 // 30), Q_MAX, 4)
     symbols = scan._prime_symbols(rows, [(5, 1), (Q_MAX - 1, 1)], Q_MAX)
@@ -735,27 +749,12 @@ def test_batch_memory_is_its_held_rows_digits_and_sums(q, d, n_max):
     assert peak < (held + (d + 1) + 8 * (n_max + 1) + 48) * k, peak / k
 
 
-@pytest.mark.parametrize("q,d,n_max", [(3, 9, 8), (5, 11, 5)])
-@pytest.mark.parametrize("batch", [batch_coefficients, batch_coprime_counts])
-def test_batch_leaves_only_the_tables_read_again(monkeypatch, batch, q, d, n_max):
-    # a table of degree > n_max/2 is read once and dropped; the rest stay
-    monkeypatch.setattr(scan, "_prime_table_cache", {})
-    monkeypatch.setattr(scan, "_prime_table_held", 0)
-    batch(q, d, np.random.default_rng(q).integers(0, q**d, 50), n_max)
-    kept = [(q, P) for P in scan._primes_upto(q, n_max // 2)]
-    assert list(scan._prime_table_cache) == kept
-    assert scan._prime_table_held == sum(q ** degree(P) for _, P in kept)
-    assert scan._prime_table_held == sum(t.size for t in scan._prime_table_cache.values())
-
-
-def test_cold_batch_memory_is_its_rows_and_one_table_build(monkeypatch):
+def test_cold_batch_memory_is_its_rows_and_one_table_build():
     import tracemalloc
 
     q, d, n_max, k = 3, 9, 8, 2000
     codes = np.random.default_rng(1).integers(0, q**d, k)
-    shared_table(q).extend(n_max)  # the factor tables; the prime tables start cold
-    monkeypatch.setattr(scan, "_prime_table_cache", {})
-    monkeypatch.setattr(scan, "_prime_table_held", 0)
+    shared_table(q).extend(n_max)  # the factor tables; each prime table is built per call
     scan._square_digits.cache_clear()
     tracemalloc.start()
     try:
@@ -850,19 +849,6 @@ def test_sampled_moment_checks_table_budget_before_sampling(monkeypatch):
     with pytest.raises(ResourceCapError, match="cap"):
         sampled_moment(5, 4, 10, seed=1)
     assert drawn == []
-
-
-def test_prime_table_cache_stays_within_budget(monkeypatch):
-    monkeypatch.setattr(scan, "_prime_table_cache", {})
-    monkeypatch.setattr(scan, "_prime_table_held", 0)
-    monkeypatch.setattr(scan, "_TABLE_BUDGET", 60)
-    primes = [P for m in (1, 2) for P in shared_table(5).irreducibles(m)]
-    for P in primes:
-        assert np.array_equal(prime_residue_table(P, 5), prime_residue_table(P, 5))
-    held = sum(t.size for t in scan._prime_table_cache.values())
-    assert held == scan._prime_table_held <= 60
-    # the newest tables stay, the oldest went first
-    assert list(scan._prime_table_cache) == [(5, P) for P in primes[-len(scan._prime_table_cache):]]
 
 
 def test_sample_codes_properties():
