@@ -13,15 +13,14 @@ Division has one kernel, `_reduce`, whose one pass leaves both the
 remainder and the quotient: `rem`, `divmod_` and `gcd` (the one Euclid, behind
 `squarefree`) read it.  Residues of many polynomials at once have one kernel
 too, `_residue_codes`, which reads each x^i mod P from `rem` and folds digit
-rows held digit-major, one contiguous vector per power of x.  Before the
-reduction mod q a sum over w digit rows mod degree n is at most
-B = (q-1) + (w-n)(q-1)^2, and the residue's code is below q^n; the rows come
-in the narrowest dtype that holds B (uint8 while B <= 255, int16 while
-B <= 32767, else int32) and the codes in int16 while q^n <= 32767, else
-int32.  The kernel refuses rows too narrow for B, so no sum wraps.  scan's
-residues come from it, and so do the multiples that `mark_multiples` marks
-for the sieve and the square-free mask: the low digits of a multiple are
-the negated residue of its high part.
+rows held digit-major, one contiguous vector per power of x.  Callers pass
+digits as `_digit_matrix` writes them, and the kernel sizes its own sums:
+before the reduction mod q a sum over w digit rows mod degree n is at most
+B = (q-1) + (w-n)(q-1)^2, which it holds in the narrowest of uint8, int16
+and int32 that fits, and its codes, below q^n, in int16 while
+q^n <= 32767, else int32.  scan's residues come from it, and so do the
+multiples that `mark_multiples` marks for the sieve and the square-free
+mask: the low digits of a multiple are the negated residue of its high part.
 
 The irreducible tables are sieved on codes in numpy, and Rabin's
 `is_irreducible` is their independent oracle.  Beside the irreducible tuples
@@ -246,8 +245,8 @@ def _digit_matrix(codes: np.ndarray, q: int, d: int, monic: bool = False) -> np.
     """Digits of each code, constant first, digit-major: (d, len), row i for x^i.
 
     The digits take `_exact_dtype(q - 1)`, uint8 for q < 256: one byte per
-    digit, which `_residue_codes`' callers widen only where its bound needs
-    it.  Each row is written in place from one int64 copy of the codes.
+    digit, as `_residue_codes` takes them.  Each row is written in place
+    from one int64 copy of the codes.
     monic adds the leading 1 as row d.
     """
     out = np.ones((d + monic, len(codes)), dtype=_exact_dtype(q - 1))
@@ -272,7 +271,7 @@ def monic_polys(n: int, q: int):
 # ---------------------------------------------------------------------------
 # the residue kernel
 
-_ROW_DTYPES = (np.uint8, np.int16, np.int32)  # digit rows and their sums, narrowest first
+_ROW_DTYPES = (np.uint8, np.int16, np.int32)  # digits and the kernel's sums, narrowest first
 _CODE_DTYPES = (np.int16, np.int32)  # residue codes, which index tables through take
 
 
@@ -296,9 +295,10 @@ def _residue_codes(dig: np.ndarray, f: Poly, q: int) -> np.ndarray:
     rows; each high digit row i >= n adds c * dig[i] to acc[j] for every
     nonzero c = (x^i mod f)_j, one contiguous integer add per c, with
     x^i = rem(x * x^(i-1), f) one step each.  One reduction mod q then
-    leaves the residue's digits, folded to a code by Horner.  acc is held in
-    dig's own dtype, which must hold B = `_residue_bound(q, w, n)`; callers
-    pass the narrowest that `_exact_dtype` derives.
+    leaves the residue's digits, folded to a code by Horner.  dig holds
+    integer digits in any dtype; acc, and the scratch row that forms each
+    product in acc's dtype, take the wider of dig's dtype and the narrowest
+    that holds B = `_residue_bound(q, w, n)`, so no sum wraps.
 
     Within the table budget the codes fit int32: q^n <= 10^8 < 2^31 for a
     prime table of degree n, the q^2 entries of the q primes of degree 1, and
@@ -312,14 +312,14 @@ def _residue_codes(dig: np.ndarray, f: Poly, q: int) -> np.ndarray:
     Both bounds are checked, so a caller past them gets a ValueError, not a
     wrapped code.
     """
+    if dig.dtype.kind not in "iu":
+        raise ValueError(f"residue rows must hold integer digits, not {dig.dtype}")
     w = dig.shape[0]
     n = degree(f)
     code_dtype = _exact_dtype(q**n, _CODE_DTYPES)
-    if dig.dtype.kind not in "iu" or np.iinfo(dig.dtype).max < _residue_bound(q, w, n):
-        raise ValueError(f"residues of {w}-digit rows mod degree {n} at q={q} overflow {dig.dtype}")
-    acc = dig[:n].copy()
+    acc = dig[:n].astype(np.promote_types(dig.dtype, _exact_dtype(_residue_bound(q, w, n))))
     acc_rows, dig_rows = list(acc), list(dig)  # row views: += adds in place, with no setitem copy
-    scratch = np.empty(dig.shape[1], dtype=dig.dtype)
+    scratch = np.empty(dig.shape[1], dtype=acc.dtype)
     row = (0,) * (n - 1) + (1,)  # x^(n-1), its own residue
     for i in range(n, w):
         row = rem((0,) + row, f, q)
@@ -327,7 +327,7 @@ def _residue_codes(dig: np.ndarray, f: Poly, q: int) -> np.ndarray:
             if c == 1:
                 acc_rows[j] += dig_rows[i]
             elif c:
-                acc_rows[j] += np.multiply(dig_rows[i], c, out=scratch)
+                acc_rows[j] += np.multiply(dig_rows[i], c, out=scratch, dtype=acc.dtype)
     quot = acc // q  # acc - q (acc // q), not acc % q: numpy divides by a scalar on a fast path
     quot *= q
     acc -= quot
@@ -400,7 +400,7 @@ def mark_multiples(marked: np.ndarray, factors, d: int, q: int, labels=True) -> 
     L = -(x^k·H) mod F: the low k digits of a multiple are the negated
     residue of its high part.  So F's multiples are the codes
     q^k·j + code(-(x^k·H_j) mod F), H_j = monic_by_code(j, d - k), and F
-    costs one `_residue_codes` pass over the digit rows of -(x^k·H_j), built
+    costs one `_residue_codes` pass over the digits of -(x^k·H_j), built
     once per block of j for all the factors.  The factors take turns in list
     order: where several divide a code, the last one's label stays.  A block
     holds max(4096, q^d / (8(d+1))) values of j, up to about 12(d+1) bytes
@@ -409,11 +409,10 @@ def mark_multiples(marked: np.ndarray, factors, d: int, q: int, labels=True) -> 
     k = len(factors[0]) - 1
     m = d - k
     labels = np.broadcast_to(labels, len(factors))
-    dtype = _exact_dtype(_residue_bound(q, d + 1, k))
     per_j = max(4096, q**d // (8 * (d + 1)))
     for j0 in range(0, q**m, per_j):
         j = np.arange(j0, min(j0 + per_j, q**m))
-        rows = np.zeros((d + 1, len(j)), dtype=dtype)  # the digits of -(x^k·H_j), x^i in row i
+        rows = np.zeros((d + 1, len(j)), dtype=_exact_dtype(q - 1))  # the digits of -(x^k·H_j), x^i in row i
         rows[k:] = _digit_matrix(j, q, m, monic=True)
         rows[k:] = (q - rows[k:]) % q
         high = j * q**k

@@ -76,7 +76,6 @@ from .polyring import (
     _check_poly,
     _digit_matrix,
     _exact_dtype,
-    _residue_bound,
     _residue_codes,
     ResourceCapError,
     degree,
@@ -146,11 +145,11 @@ def _square_digits(q: int, m: int) -> np.ndarray:
     for k < m.  So these codes' squares are every nonzero square.  The
     convolution is formed in the narrowest of uint8/int16/int32/int64 that
     holds its sums of at most m digit products, m (q-1)^2 (int64 only at a
-    degree-1 prime with q > 46341).  The digits do not depend on the
-    modulus, so every prime of degree m reads one read-only copy,
-    digit-major and in the narrowest dtype that holds `_residue_codes`'s
-    sums mod degree m.  `_primes_upto` lists primes by degree, so one cached
-    (q, m) at a time builds each degree once per pass over the primes.
+    degree-1 prime with q > 46341), and reduced mod q to digits in
+    `_digit_matrix`'s dtype.  The digits do not depend on the modulus, so
+    every prime of degree m reads one read-only copy, digit-major.
+    `_primes_upto` lists primes by degree, so one cached (q, m) at a time
+    builds each degree once per pass over the primes.
     """
     half = np.concatenate([np.arange(q**k, (q + 1) // 2 * q**k) for k in range(m)])
     wide = _exact_dtype(m * (q - 1) ** 2, _ROW_DTYPES + (np.int64,))
@@ -160,8 +159,9 @@ def _square_digits(q: int, m: int) -> np.ndarray:
     for i in range(m):
         for j in range(m):
             conv[i + j] += dig[i] * dig[j]
+    del dig
     conv %= q
-    out = conv.astype(_exact_dtype(_residue_bound(q, 2 * m - 1, m)), copy=False)
+    out = conv.astype(_exact_dtype(q - 1), copy=False)
     out.setflags(write=False)
     return out
 
@@ -199,30 +199,16 @@ def _primes_upto(q: int, n: int) -> list:
     return [P for m in range(1, n + 1) for P in shared_table(q).irreducibles(m)]
 
 
-def _digit_rows(dig: np.ndarray, q: int) -> np.ndarray:
-    """dig in the narrowest dtype `_residue_codes` takes for a prime of any degree.
-
-    B = `_residue_bound(q, w, n)` is largest at n = 1, so rows that hold it
-    serve every prime.  `_digit_matrix` writes digits in the narrowest dtype
-    that holds q - 1, so they are widened only where B needs it (q = 5 and
-    w = 12 stay uint8, q = 7 becomes int16); dig already in that dtype is
-    returned as it is.
-    """
-    return dig.astype(_exact_dtype(_residue_bound(q, dig.shape[0], 1)), copy=False)
-
-
 def _prime_symbol(dig: np.ndarray, P: Poly, q: int, out: np.ndarray) -> np.ndarray:
-    """(x/P) over the digit columns x of dig, `_digit_rows`' dtype, into the int8 out."""
+    """(x/P) over the digit columns x of dig, as `_digit_matrix` writes them, into the int8 out."""
     return prime_residue_table(P, q).take(_residue_codes(dig, P, q), out=out)
 
 
 def _prime_symbols(dig: np.ndarray, primes, q: int) -> dict:
     """P -> (x/P) over the digit columns x of dig, laid out as `_digit_matrix` gives it.
 
-    One int8 block holds a row per prime, len(primes) x len bytes; dig is
-    converted once by `_digit_rows`.
+    One int8 block holds a row per prime, len(primes) x len bytes.
     """
-    dig = _digit_rows(dig, q)
     rows = dict(zip(primes, np.empty((len(primes), dig.shape[1]), dtype=np.int8)))
     for P, row in rows.items():
         _prime_symbol(dig, P, q, row)
@@ -445,22 +431,21 @@ def _batch_sums(q: int, d: int, codes: np.ndarray, n_max: int, signed: bool) -> 
 
     B_D(n) summing over the f of degree n whose prime factors all have
     degree <= s and C_D(m) over the primes of degree m; n - m <= n_max - s - 1
-    <= s, so A_D(n - m) is final when it is read.  Each prime of degree <= s
-    has its row (D/P) made by `_prime_symbol` into one held int8 block and
-    summed.  Each larger prime is made into the one reused int8 vector and
-    summed to C_D(m), which adds C_D(m) A_D(j - m) to each column j >= m, in
-    int64.  The reducible f of degree n (the
-    sieve's factor table) less the multiples of the primes of degree s+1..n-1
-    (`mark_multiples`), counted with those primes, are the f that B_D sums:
-    each is factored and multiplies the held rows of its primes into the
-    reused vector.  So a batch of len curves holds (primes of degree <= s) x
-    len bytes of rows, beside the (d+1) x len monic digit bytes, the
-    8 (n_max+1) x len bytes of its result and the one table it builds at a
-    time.  The running sum of a degree is
-    int32: it holds C_D(m), |C_D(m)| <= the number of primes of degree m,
-    or a sum over f of degree n, at most q^n, and the budget check gives
-    q^n <= 10^8 < 2^31; a partial sum of column j counts f of degree j, so
-    it is at most q^j.
+    <= s, so A_D(n - m) is final when it is read.  The primes of degree <= s
+    have their rows (D/P) made by `_prime_symbols` into one held int8 block,
+    each summed at its degree.  Each larger prime is made by `_prime_symbol`
+    into the one reused int8 vector and summed to C_D(m), which adds
+    C_D(m) A_D(j - m) to each column j >= m, in int64.  The reducible f of
+    degree n (the sieve's factor table) less the multiples of the primes of
+    degree s+1..n-1 (`mark_multiples`), counted with those primes, are the f
+    that B_D sums: each is factored and multiplies the held rows of its
+    primes into the reused vector.  So a batch of len curves holds (primes
+    of degree <= s) x len bytes of rows, beside the (d+1) x len monic digit
+    bytes, the 8 (n_max+1) x len bytes of its result and the one table it
+    builds at a time.  The running sum of a degree is int32: it holds
+    C_D(m), |C_D(m)| <= the number of primes of degree m, or a sum over f of
+    degree n, at most q^n, and the budget check gives q^n <= 10^8 < 2^31; a
+    partial sum of column j counts f of degree j, so it is at most q^j.
     codes must be integers in [0, q^d); anything else is a ValueError, since
     a code past q^d or below 0 would alias another curve's digits.
     """
@@ -476,10 +461,9 @@ def _batch_sums(q: int, d: int, codes: np.ndarray, n_max: int, signed: bool) -> 
     k = len(codes)
     table = shared_table(q)
     table.extend(n_max)  # the primes and factor tables to degree n_max
-    dig = _digit_rows(_digit_matrix(codes, q, d, monic=True), q)
+    dig = _digit_matrix(codes, q, d, monic=True)
     s = n_max // 2
-    held = _primes_upto(q, s)
-    rows = dict(zip(held, np.empty((len(held), k), dtype=np.int8)))
+    rows = _prime_symbols(dig, _primes_upto(q, s), q)
 
     out = np.zeros((k, n_max + 1), dtype=np.int64)
     out[:, 0] = 1
@@ -488,7 +472,7 @@ def _batch_sums(q: int, d: int, codes: np.ndarray, n_max: int, signed: bool) -> 
     for n in range(1, n_max + 1):
         acc[:] = 0
         for P in table.irreducibles(n):
-            row = _prime_symbol(dig, P, q, rows.get(P, chi))
+            row = rows[P] if n <= s else _prime_symbol(dig, P, q, chi)
             acc += row if signed else np.abs(row, out=chi)
         if n > s:  # acc is C_D(n)
             for j in range(n, n_max + 1):

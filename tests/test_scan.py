@@ -300,6 +300,9 @@ def test_residue_codes_agree_in_every_dtype_that_holds_the_bound(data, q, n):
     bound = polyring._residue_bound(q, w, n)
     dtypes = [t for t in (np.uint8, np.int16, np.int32) if bound <= np.iinfo(t).max]
     assert dtypes[0] is polyring._exact_dtype(bound)
+    # digits as _digit_matrix writes them, and int8, may be narrower than
+    # the bound: the kernel widens its sums
+    dtypes += [polyring._exact_dtype(q - 1), np.int8]
     codes = [polyring._residue_codes(rows.astype(t), P, q).tolist() for t in dtypes]
     assert codes == [residue_codes_by_division(columns, P, q)] * len(dtypes)
 
@@ -335,9 +338,10 @@ def row_dtypes(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("q,dtype", [(5, np.uint8), (7, np.int16)])
+@pytest.mark.parametrize("q,dtype", [(5, np.uint8), (7, np.uint8)])
 def test_batch_rows_at_width_12(monkeypatch, q, dtype):
-    # the sampled workload's rows: monic curves of degree 11; B = (q-1) + 11 (q-1)^2
+    # the sampled workload's rows: monic curves of degree 11, handed over as
+    # digits even where B = (q-1) + 11 (q-1)^2 = 402 at q = 7 needs int16 sums
     codes = np.arange(0, q**11, q**11 // 50)
     dig = polyring._digit_matrix(codes, q, 11, monic=True)
     symbols = scan._prime_symbols(dig, scan._primes_upto(q, 1), q)
@@ -349,30 +353,40 @@ def test_batch_rows_at_width_12(monkeypatch, q, dtype):
 
 
 def test_square_digits_are_bytes_at_q3_to_degree_8():
-    for m in range(1, 9):  # B = 2 + 4 (m-1) <= 30
+    for m in range(1, 9):
         assert scan._square_digits(3, m).dtype == np.uint8, m
-    assert scan._square_digits(7, 8).dtype == np.int16  # B = 6 + 7 * 36 = 258
+    # digits, though the convolution (8 * 36 = 288) and the kernel's sums
+    # mod degree 8 (6 + 7 * 36 = 258) need int16
+    assert scan._square_digits(7, 8).dtype == np.uint8
 
 
-def test_rows_at_the_largest_q_are_int32(monkeypatch):
+def test_rows_at_the_largest_q_are_int16_digits(monkeypatch):
     seen = row_dtypes(monkeypatch)
-    rows = scan._digit_matrix(np.arange(0, Q_MAX**4, Q_MAX**4 // 30), Q_MAX, 4)
-    symbols = scan._prime_symbols(rows, [(5, 1), (Q_MAX - 1, 1)], Q_MAX)
-    # B = (q-1) + 3 (q-1)^2; the prime tables themselves reduce one row,
-    # B = q - 1, which fits int16
-    assert sorted(set(seen)) == [(1, np.dtype(np.int16)), (4, np.dtype(np.int32))]
-    assert set(symbols) == {(5, 1), (Q_MAX - 1, 1)}
+    codes = np.arange(0, Q_MAX**4, Q_MAX**4 // 30)
+    rows = scan._digit_matrix(codes, Q_MAX, 4)
+    primes = [(5, 1), (Q_MAX - 1, 1)]
+    symbols = scan._prime_symbols(rows, primes, Q_MAX)
+    # scan hands over int16 digits, both of the curves (width 4) and of the
+    # squares the prime tables reduce (width 1)
+    assert sorted(set(seen)) == [(1, np.dtype(np.int16)), (4, np.dtype(np.int16))]
+    assert set(symbols) == set(primes)
+    # the kernel's sums reach (q-1) + 3 (q-1)^2 ~ 3 * 10^8, so int16 sums would wrap
+    columns = rows.T.tolist()
+    for P in primes:
+        assert polyring._residue_codes(rows, P, Q_MAX).tolist() == residue_codes_by_division(columns, P, Q_MAX)
 
 
-def test_residue_codes_refuse_rows_too_narrow_for_the_bound():
-    rows = np.zeros((12, 2), dtype=np.uint8)
-    with pytest.raises(ValueError, match="overflow uint8"):  # 6 + 11 * 36 > 255
-        polyring._residue_codes(rows, (1, 1), 7)
-    assert polyring._residue_codes(rows, (1, 1), 5).tolist() == [0, 0]  # 4 + 11 * 16 <= 255
-    with pytest.raises(ValueError, match="overflow int8"):  # 4 + 11 * 16 > 127
-        polyring._residue_codes(rows.astype(np.int8), (1, 1), 5)
-    with pytest.raises(ValueError, match="overflow float64"):
-        polyring._residue_codes(rows.astype(np.float64), (1, 1), 5)
+def test_residue_codes_widen_narrow_rows_and_refuse_float_rows():
+    # q=7, width 12, mod x^3 + 3x^2 + 2x + 2: the x row sums to 6 + 6 * 44 = 270 > 255
+    P, columns = (2, 2, 3, 1), [[0] * 12, [6] * 12, [6, 1] * 6]
+    rows = np.array(columns, dtype=np.uint8).T.copy()
+    assert polyring._residue_codes(rows, P, 7).tolist() == residue_codes_by_division(columns, P, 7)
+    # q=5, width 14, mod x + 1: 4 + 4 * (7 * 4 + 6 * 1) = 140 > 127
+    P, columns = (1, 1), [[0] * 14, [4] * 14, [4, 1] * 7]
+    rows = np.array(columns, dtype=np.int8).T.copy()
+    assert polyring._residue_codes(rows, P, 5).tolist() == residue_codes_by_division(columns, P, 5)
+    with pytest.raises(ValueError, match="integer digits, not float64"):
+        polyring._residue_codes(rows.astype(np.float64), P, 5)
 
 
 def test_prime_symbols_hold_one_signed_row_per_prime():
@@ -730,7 +744,7 @@ def test_batch_holds_no_row_of_a_top_degree_prime(monkeypatch, q, n_max):
         assert sorted(factored) == sorted(smooth)
 
 
-@pytest.mark.parametrize("q,d,n_max", [(5, 11, 5), (5, 13, 6)])
+@pytest.mark.parametrize("q,d,n_max", [(5, 11, 5), (5, 13, 6), (7, 11, 4)])
 def test_batch_memory_is_its_held_rows_digits_and_sums(q, d, n_max):
     import tracemalloc
 
