@@ -436,8 +436,8 @@ class IrreducibleTable:
     publishes `by_degree[d]`, `factor_index[d]` and the primes of degree d
     before it advances `cutoff`, so a reader that sees `cutoff >= d` finds
     all three.  Before it allocates, `extend` refuses with ResourceCapError
-    a degree whose q^d codes pass `_TABLE_BUDGET`.  A factor table costs one
-    or two bytes per code, where the tuples beside it cost about (56+8d)/d.
+    a degree whose q^d codes pass `_TABLE_BUDGET`.  A factor table costs two
+    bytes per code, where the tuples beside it cost about (56+8d)/d.
     """
 
     def __init__(self, q: int):
@@ -469,15 +469,14 @@ class IrreducibleTable:
         multiples, degree by degree, so a code keeps the largest index among
         them and those left at -1 are the irreducibles, whose tuples are the
         columns of one monic `_digit_matrix` of their codes.  The indices
-        take the narrowest signed dtype: while q^d <= `_TABLE_BUDGET` there
-        are fewer than 2^15 primes of degree <= d/2, so int16 always does.
+        are int16: while q^d <= `_TABLE_BUDGET` there are fewer than 2^15
+        primes of degree <= d/2.
         """
         q = self.q
         count = sum(len(self.by_degree[k]) for k in range(1, d // 2 + 1))
-        dtype = next((t for t in (np.int8, np.int16) if count <= np.iinfo(t).max), None)
-        if dtype is None:
+        if count > np.iinfo(np.int16).max:
             raise ResourceCapError(f"{count} primes of degree <= {d // 2} at q={q} overflow int16 indices")
-        index = np.full(q**d, -1, dtype=dtype)
+        index = np.full(q**d, -1, dtype=np.int16)
         first = 0
         for k in range(1, d // 2 + 1):
             ps = self.by_degree[k]
@@ -490,9 +489,6 @@ class IrreducibleTable:
         if d > self.cutoff:
             self.extend(d)
         return self.by_degree[d]
-
-    def count(self, d: int) -> int:
-        return len(self.irreducibles(d))
 
     def factorize(self, f: Poly):
         """(unit, ((P, e), ...)) with P monic irreducible, sorted by (degree, code).

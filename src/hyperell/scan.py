@@ -174,12 +174,10 @@ def prime_residue_table(P: Poly, q: int) -> np.ndarray:
     zero residue.  Every call builds a new read-only table.  Before it
     builds, a P that is not canonical, not monic or not irreducible (one
     read of the sieve's factor table) is a ValueError: its image would be no
-    character table.
+    character table.  That read refuses a degree whose q^m codes pass the
+    budget (ResourceCapError), so no table is larger than the budget.
     """
     m = degree(P)
-    M = q**m
-    if M > _TABLE_BUDGET:
-        raise ResourceCapError(f"character table for degree {m} at q={q} is too large")
     if m < 1:
         raise ValueError(f"prime_residue_table needs a modulus of degree >= 1, got {P}")
     _check_poly(P, q, "prime_residue_table")
@@ -188,7 +186,7 @@ def prime_residue_table(P: Poly, q: int) -> np.ndarray:
     if not is_monic(P) or table.factor_index[m][monic_code(P, q)] >= 0:
         raise ValueError(f"prime_residue_table needs a monic irreducible modulus, got {P}")
     codes = _residue_codes(_square_digits(q, m), P, q)
-    out = np.full(M, -1, dtype=np.int8)
+    out = np.full(q**m, -1, dtype=np.int8)
     out[codes] = 1
     out[0] = 0
     out.setflags(write=False)  # read by moment_scan's workers
@@ -216,7 +214,7 @@ def _prime_symbols(dig: np.ndarray, primes, q: int) -> dict:
 
 
 def _symbol_product(symbols: dict, factors, out: np.ndarray) -> np.ndarray:
-    """(x/f) = prod over f's factors (P, e) of (x/P)^e, into the int8 out; f != 1.
+    """(x/f) = prod over f's factors (P, e) of (x/P)^e, into the int8 out.
 
     Reads the first len(out) entries of each prime's row in symbols, keyed
     by P as `_prime_symbols` gives them: once for odd e, twice for even e,
@@ -241,7 +239,8 @@ def jacobi_residue_table(factors, symbols: dict, q: int) -> np.ndarray:
     k >= deg f; the residues mod f are the prefix [0, q^deg f).
     """
     size = q ** sum(degree(P) * e for P, e in factors)
-    return _symbol_product(symbols, factors, np.empty(size, dtype=np.int8))
+    # from ones, so f = 1 (no factor) gives (r/1) = 1
+    return _symbol_product(symbols, factors, np.ones(size, dtype=np.int8))
 
 
 def char_sum_table_scan(factors, symbols: dict, q: int, d: int) -> int:

@@ -260,9 +260,9 @@ def test_gauss_count_identity(q):
     # sum over d|n of d * (number of degree-d irreducibles) = q^n
     table = shared_table(q)
     for n in range(1, 5):
-        total = sum(d * table.count(d) for d in range(1, n + 1) if n % d == 0)
+        total = sum(d * len(table.irreducibles(d)) for d in range(1, n + 1) if n % d == 0)
         assert total == q**n
-        assert table.count(n) == irreducible_count(q, n)
+        assert len(table.irreducibles(n)) == irreducible_count(q, n)
     assert shared_table(q) is table  # one table per q
 
 
@@ -278,8 +278,9 @@ def test_sieved_counts_match_gauss(q, max_deg):
     # with every entry irreducible (Rabin above), the right count makes a degree complete
     table = IrreducibleTable(q)
     for d in range(1, max_deg + 1):
-        assert table.count(d) == irreducible_count(q, d)
-        codes = [pr.monic_code(P, q) for P in table.irreducibles(d)]
+        ps = table.irreducibles(d)
+        assert len(ps) == irreducible_count(q, d)
+        codes = [pr.monic_code(P, q) for P in ps]
         assert codes == sorted(set(codes))
 
 
@@ -348,7 +349,7 @@ def test_extend_refuses_past_the_budget(monkeypatch):
     with pytest.raises(ResourceCapError, match="past the cap"):
         table.extend(5)
     assert table.cutoff == 0 and table.by_degree == {} == table.factor_index  # refused before building anything
-    assert table.count(4) == irreducible_count(3, 4)
+    assert len(table.irreducibles(4)) == irreducible_count(3, 4)
     with pytest.raises(scan.ResourceCapError):
         table.irreducibles(5)
     assert table.cutoff == 4
@@ -364,7 +365,7 @@ def test_cutoff_guard():
     assert table.factorize(mul(P, Q, 3)) == (1, ((P, 1), (Q, 1)))
     assert table.cutoff == 3
     for d in (1, 2, 3):
-        assert table.count(d) == irreducible_count(3, d)
+        assert len(table.irreducibles(d)) == irreducible_count(3, d)
     assert table.cutoff == 3
 
 
@@ -556,13 +557,11 @@ def odd_primes_below(n):
 
 
 def test_factor_index_dtype_and_bound():
-    # the narrowest signed dtype that holds the index of every prime of degree <= d/2
+    # every factor table indexes primes in int16, whatever the degree
     table = IrreducibleTable(5)
     table.extend(8)
     for d in range(1, 9):
-        count = sum(irreducible_count(5, k) for k in range(1, d // 2 + 1))
-        assert table.factor_index[d].dtype == (np.int8 if count <= 127 else np.int16)
-    assert table.factor_index[8].dtype == np.int16  # 205 primes of degree <= 4
+        assert table.factor_index[d].dtype == np.int16
     # int16 always suffices under the budget: past q = 10^4 only degree 1 fits,
     # and it needs no prime
     for q in odd_primes_below(10**4):

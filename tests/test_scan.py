@@ -17,6 +17,7 @@ import hyperell.polyring as polyring
 import hyperell.scan as scan
 from hyperell.characters import jacobi, residue_symbol_prime
 from hyperell.ensemble import EnsembleSpec, first_moment
+from hyperell.extfield import find_irreducible
 from hyperell.field import is_prime
 from hyperell.lfunction import afe_central_value, dirichlet_coefficient
 from hyperell.polyring import (
@@ -195,6 +196,16 @@ def test_half_the_residues_square_to_every_square(q):
 def test_prime_residue_table_refuses_a_modulus_that_is_no_prime(P, message):
     with pytest.raises(ValueError, match=message):
         prime_residue_table(P, 3)
+
+
+def test_prime_residue_table_refuses_a_degree_past_the_budget():
+    # 3^17 > 10^8: the sieve's read of degree 17 refuses before it sieves any degree
+    P = find_irreducible(3, 17)
+    table = shared_table(3)
+    cutoff = table.cutoff
+    with pytest.raises(ResourceCapError, match="past the cap"):
+        prime_residue_table(P, 3)
+    assert table.cutoff == cutoff
 
 
 def test_prime_residue_table_checks_only_what_it_builds(monkeypatch):
@@ -422,6 +433,14 @@ def test_jacobi_residue_table_matches_jacobi():
                 assert t[code] == jacobi(r, f, q), (f, r)
     # even exponents square a row: P^4, an even first factor, and P^2 Q^2
     assert {(4,), (2, 1), (2, 1, 1), (2, 2)} <= exponents
+
+
+@pytest.mark.parametrize("q,d", [(3, 3), (3, 4), (5, 5)])
+def test_f_one_has_a_table_of_ones(q, d):
+    # f = 1, as factorize((1,), q) gives it: (r/1) = 1 and S(1) counts the square-free D
+    assert factorize((1,), q) == (1, ())
+    assert jacobi_residue_table((), {}, q).tolist() == [1]
+    assert char_sum_table_scan((), {}, q, d) == squarefree_mask(q, d).sum()
 
 
 def test_char_sum_table_scan_matches_brute_force():
@@ -750,7 +769,9 @@ def test_batch_memory_is_its_held_rows_digits_and_sums(q, d, n_max):
 
     k = 20000
     codes = np.random.default_rng(1).integers(0, q**d, k)
-    batch_coefficients(q, d, codes[:10], n_max)  # the prime and factor tables, built once
+    # the warm-up leaves the factor tables and the last degree's square
+    # digits; every prime table is built again inside the measured call
+    batch_coefficients(q, d, codes[:10], n_max)
     tracemalloc.start()
     try:
         batch_coefficients(q, d, codes, n_max)
