@@ -31,14 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .field import check_odd_prime
-from .polyring import (
-    Poly,
-    factorize,
-    irreducible_count,
-    mobius,
-    monic_polys,
-    norm,
-)
+from .polyring import irreducible_count
 
 _FP_BITS = 192
 _FP_ONE = 1 << _FP_BITS
@@ -145,19 +138,6 @@ def log_deriv_numeric(q: int, cutoff: int, step: float = 1e-4) -> float:
 # main terms
 
 
-def square_block_main_term(q: int, g: int, ec: EulerConstants, top_degree: int) -> Fraction:
-    """Main term of the square summands f = l^2 with deg f <= top_degree.
-
-    The block sum over one character-sum window of top degree `top_degree`
-    contributes (#even degrees up to the top) + Lsum, scaled by the measure
-    of the ensemble: C/zeta(2) * q^(2g+1) * (floor(top/2) + 1 + Lsum).
-    """
-    if ec.q != q:
-        raise ValueError("constants were built for a different q")
-    bracket = Fraction(top_degree // 2 + 1) + ec.log_deriv
-    return ec.p_one / ec.zeta_a2 * Fraction(q) ** (2 * g + 1) * bracket
-
-
 def first_moment_main_term(q: int, g: int, ec: EulerConstants) -> Fraction:
     """Predicted main term of the summed first moment over the ensemble.
 
@@ -168,84 +148,3 @@ def first_moment_main_term(q: int, g: int, ec: EulerConstants) -> Fraction:
         raise ValueError("constants were built for a different q")
     bracket = Fraction(2 * g + 2) + 4 * ec.log_deriv
     return ec.p_one / (2 * ec.zeta_a2) * Fraction(q) ** (2 * g + 1) * bracket
-
-
-# ---------------------------------------------------------------------------
-# density-factor identities used by the sieve bookkeeping
-
-
-def density_factor(l: Poly, q: int) -> Fraction:
-    """prod over P | l of (1 + 1/|P|)^(-1)."""
-    out = Fraction(1)
-    for p, _ in factorize(l, q)[1]:
-        out /= 1 + Fraction(1, norm(p, q))
-    return out
-
-
-def mobius_expansion_identity_holds(l: Poly, q: int) -> bool:
-    """density_factor(l) == sum over monic d | l of mu(d) prod_{P|d} 1/(|P|+1).
-
-    Only square-free divisors survive, so the right side runs over subsets
-    of the distinct primes of l.
-    """
-    primes = [p for p, _ in factorize(l, q)[1]]
-    total = Fraction(0)
-    for mask in range(1 << len(primes)):
-        term = Fraction(1)
-        bits = 0
-        for i, p in enumerate(primes):
-            if mask >> i & 1:
-                bits += 1
-                term *= Fraction(1, norm(p, q) + 1)
-        total += (-1) ** bits * term
-    return total == density_factor(l, q)
-
-
-def aggregated_density_identity_holds(n: int, q: int) -> bool:
-    """Degree-aggregated form, for even n:
-
-    sum_{deg l = n/2} density_factor(l)
-        == q^(n/2) * sum_{deg e <= n/2} mu(e)/|e| * prod_{P|e} 1/(|P|+1).
-    """
-    if n % 2:
-        raise ValueError("aggregated identity applies to even n")
-    m = n // 2
-    lhs = sum((density_factor(l, q) for l in monic_polys(m, q)), Fraction(0))
-    rhs = Fraction(0)
-    for d in range(m + 1):
-        for e in monic_polys(d, q):
-            mu = mobius(e, q)
-            if mu == 0:
-                continue
-            term = Fraction(mu, norm(e, q))
-            for p, _ in factorize(e, q)[1]:
-                term *= Fraction(1, norm(p, q) + 1)
-            rhs += term
-    rhs *= q**m
-    return lhs == rhs
-
-
-# ---------------------------------------------------------------------------
-# random-matrix comparison point
-
-
-def usp_moment(g: int, s: int) -> Fraction:
-    """Moment of the characteristic polynomial at the symmetry point in USp(2g).
-
-    2^(2gs) * prod_{j=1}^{g} [Gamma(1+g+j) Gamma(1/2+s+j)] / [Gamma(1/2+j) Gamma(1+s+g+j)],
-    rational for integer s >= 0 since the gamma ratios telescope into
-    products of half-integers and integers.
-    """
-    if not isinstance(s, int) or s < 0:
-        raise ValueError("only integer moments s >= 0 are supported exactly")
-    if g < 1:
-        raise ValueError("g must be >= 1")
-    out = Fraction(2) ** (2 * g * s)
-    for j in range(1, g + 1):
-        # Gamma(1/2+s+j)/Gamma(1/2+j) = prod_{i=0}^{s-1} (j + i + 1/2)
-        for i in range(s):
-            out *= j + i + Fraction(1, 2)
-        # Gamma(1+g+j)/Gamma(1+s+g+j) = 1 / prod_{i=0}^{s-1} (1+g+j+i)
-        for i in range(s):
-            out /= 1 + g + j + i
-    return out

@@ -1,9 +1,9 @@
 """The hyperelliptic ensemble: square-free monic D of degree 2g+1 over F_q.
 
 Everything here is the straightforward reference route: explicit loops over
-the ensemble, per-curve central values, direct character sums.  The
-vectorized engine in `scan` must reproduce these numbers exactly; the slow
-honest loop is the yardstick, so it stays simple.
+the ensemble and per-curve central values.  The vectorized engine in `scan`
+must reproduce these numbers exactly; the slow honest loop is the yardstick,
+so it stays simple.
 
 The first-moment accumulator keeps three exact totals: the full sum of
 central values, the contribution of square summands f = l^2 (these carry
@@ -16,23 +16,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
-from .characters import jacobi
 from .field import check_odd_prime
 from .lfunction import afe_central_value, center_value, two_block_weights
 from .polyring import (
     Poly,
     degree,
-    euler_phi,
     gcd,
-    is_monic,
-    is_perfect_square,
     mobius,
     monic_polys,
     mul,
-    norm,
-    radical,
     squarefree,
 )
 from .sqrtq import SqrtQRational
@@ -163,69 +156,3 @@ def expected_value_sieved(F, q: int, g: int) -> SqrtQRational:
                 inner = inner + F(mul(A2, B, q))
             acc = acc + inner.scale(m)
     return acc.scale(Fraction(1, spec.size))
-
-
-def coprime_monic_count(d: int, l: Poly, q: int) -> int:
-    """#{monic N of degree d with gcd(N, l) = 1} = q^d Phi(l)/|l|.
-
-    The closed form is exact precisely when d is at least the degree of the
-    radical of l (inclusion-exclusion over the distinct primes of l needs a
-    monic multiple of each divisor); shorter d raises rather than returning
-    a wrong integer.
-    """
-    if not l:
-        raise ValueError("l must be nonzero")
-    if d < 0:
-        raise ValueError("degree must be >= 0")
-    rad_deg = degree(radical(l, q))
-    if d < rad_deg:
-        raise ValueError(
-            f"closed form needs d >= deg rad(l) = {rad_deg}, got d = {d}"
-        )
-    count, left = divmod(q**d * euler_phi(l, q), norm(l, q))
-    if left:
-        raise ArithmeticError(f"q^d Phi(l)/|l| is not an integer for d = {d}")
-    return count
-
-
-def char_sum_over_ensemble(f: Poly, q: int, g: int) -> int:
-    """S(f) = sum over the ensemble of chi_D(f), by direct enumeration."""
-    return sum(jacobi(D, f, q) for D in enumerate_ensemble(q, g))
-
-
-def ensemble_char_sum_bound_holds(f: Poly, q: int, g: int) -> tuple:
-    """For monic non-square f: |S(f)| <= 2^(deg f - 1) q^(g + 1/2).
-
-    Exact check via squares: S^2 <= 4^(deg f - 1) q^(2g+1).  Returns
-    (holds, S) so callers can record the observed sum.
-    """
-    if not is_monic(f) or degree(f) < 1:
-        raise ValueError("f must be monic of positive degree")
-    if is_perfect_square(f, q):
-        raise ValueError("bound applies to non-square f only")
-    s = char_sum_over_ensemble(f, q, g)
-    df = degree(f)
-    return s * s <= 4 ** (df - 1) * q ** (2 * g + 1), s
-
-
-def fixed_degree_char_sum(f: Poly, n: int, q: int) -> int:
-    """sum over monic B of degree n of (B/f)."""
-    return sum(jacobi(B, f, q) for B in monic_polys(n, q))
-
-
-def fixed_degree_bound_holds(f: Poly, n: int, q: int):
-    """Short-sum bound for non-square monic f.
-
-    The sum vanishes for n >= deg f; below that it is at most
-    binomial(deg f - 1, n) q^(n/2) in absolute value.  Exact integer check;
-    returns (holds, sum).
-    """
-    if not is_monic(f) or degree(f) < 1:
-        raise ValueError("f must be monic of positive degree")
-    if is_perfect_square(f, q):
-        raise ValueError("bound applies to non-square f only")
-    t = fixed_degree_char_sum(f, n, q)
-    if n >= degree(f):
-        return t == 0, t
-    c = comb(degree(f) - 1, n)
-    return t * t <= c * c * q**n, t

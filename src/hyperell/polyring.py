@@ -37,7 +37,7 @@ from math import prod
 
 import numpy as np
 
-from .field import check_odd_prime, legendre_scalar, prime_divisors
+from .field import check_odd_prime, prime_divisors
 
 Poly = tuple
 
@@ -557,37 +557,6 @@ def mobius(f: Poly, q: int) -> int:
     if any(e > 1 for _, e in factors):
         return 0
     return -1 if len(factors) % 2 else 1
-
-
-def euler_phi(f: Poly, q: int) -> int:
-    """Order of the unit group of F_q[x]/(f): |f| * prod over P|f of (1 - 1/|P|)."""
-    if not f:
-        raise ValueError("euler_phi undefined at zero")
-    out = 1
-    for p, e in factorize(f, q)[1]:
-        np_ = norm(p, q)
-        out *= np_ ** (e - 1) * (np_ - 1)
-    return out
-
-
-def radical(f: Poly, q: int) -> Poly:
-    """Product of the distinct monic irreducible divisors."""
-    out: Poly = (1,)
-    for p, _ in factorize(f, q)[1]:
-        out = mul(out, p, q)
-    return out
-
-
-def is_perfect_square(f: Poly, q: int) -> bool:
-    """Whether f = g^2 for some g in F_q[x]."""
-    if not f:
-        return True
-    if degree(f) % 2:
-        return False
-    unit, factors = factorize(f, q)
-    if legendre_scalar(unit, q) != 1:
-        return False
-    return all(e % 2 == 0 for _, e in factors)
 
 
 @lru_cache(maxsize=None)

@@ -16,17 +16,10 @@ from hyperell.asymptotics import (
     euler_constants,
     first_moment_main_term,
     log_deriv_numeric,
-    mobius_expansion_identity_holds,
-    aggregated_density_identity_holds,
 )
 from hyperell.characters import jacobi, jacobi_factorization, reciprocity_holds
 from hyperell.curve import oracle_matches
-from hyperell.ensemble import (
-    coprime_monic_count,
-    ensemble_char_sum_bound_holds,
-    enumerate_ensemble,
-    fixed_degree_bound_holds,
-)
+from hyperell.ensemble import enumerate_ensemble
 from hyperell.lfunction import (
     LPolynomial,
     afe_central_value,
@@ -38,13 +31,10 @@ from hyperell.lfunction import (
     two_block_weights,
 )
 from hyperell.polyring import (
-    euler_phi,
     gcd,
     degree,
-    is_perfect_square,
     monic_by_code,
     monic_polys,
-    radical,
     shared_table,
 )
 from hyperell.cli import main as cli_main
@@ -54,6 +44,16 @@ from hyperell.scan import (
     moment_scan,
     sample_codes,
     squarefree_mask,
+)
+from support import (
+    aggregated_density_identity_holds,
+    coprime_monic_count,
+    ensemble_char_sum_bound_holds,
+    euler_phi,
+    fixed_degree_bound_holds,
+    is_perfect_square,
+    mobius_expansion_identity_holds,
+    radical,
 )
 
 # exhaustive families: degree-3 and degree-5 discriminants over F_3, degree-3

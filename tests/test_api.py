@@ -1,5 +1,6 @@
 """The supported API: README's library example and `hyperell.__all__`."""
 
+import ast
 import contextlib
 import io
 import re
@@ -8,6 +9,7 @@ from pathlib import Path
 import hyperell
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+PACKAGE = Path(hyperell.__file__).resolve().parent
 
 
 def test_readme_library_example_prints_its_results():
@@ -29,3 +31,33 @@ def test_all_names_resolve():
     assert len(set(hyperell.__all__)) == 16
     for name in hyperell.__all__:
         assert getattr(hyperell, name) is not None, name
+
+
+def test_no_library_code_is_called_only_by_tests():
+    """Every top-level function and class in the package earns its place.
+
+    It is referred to, by name or attribute, from other code in the package;
+    or it is in `hyperell.__all__`; or its docstring says it is an oracle.
+    Code that only tests call belongs in tests/support.py.
+    """
+    defs = []
+    users: dict[str, set] = {}  # name -> {(module, enclosing top-level name)}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            owner = getattr(top, "name", None)
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs.append((path.stem, top))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    users.setdefault(node.id, set()).add((path.stem, owner))
+                elif isinstance(node, ast.Attribute):
+                    users.setdefault(node.attr, set()).add((path.stem, owner))
+    assert defs
+    unused = [
+        f"{module}.{node.name}"
+        for module, node in defs
+        if not users.get(node.name, set()) - {(module, node.name)}
+        and node.name not in hyperell.__all__
+        and "oracle" not in (ast.get_docstring(node) or "")
+    ]
+    assert not unused, f"no caller in the package: {unused}"

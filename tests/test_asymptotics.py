@@ -6,20 +6,23 @@ from fractions import Fraction
 import pytest
 
 from hyperell.asymptotics import (
-    aggregated_density_identity_holds,
     default_cutoff,
-    density_factor,
     euler_constants,
     euler_factor,
     first_moment_main_term,
     log_deriv_numeric,
-    mobius_expansion_identity_holds,
-    square_block_main_term,
-    usp_moment,
     zeta_ring,
 )
 from hyperell.polyring import monic_polys, mul, shared_table
-from support import average_leading_term, main_term_split
+from support import (
+    aggregated_density_identity_holds,
+    average_leading_term,
+    density_factor,
+    main_term_split,
+    mobius_expansion_identity_holds,
+    square_block_main_term,
+    usp_moment,
+)
 
 X = (0, 1)
 
@@ -150,6 +153,21 @@ def test_usp_moment_pins():
     assert usp_moment(1, 0) == 1
     assert usp_moment(5, 0) == 1
     assert usp_moment(3, 1) == 4
+
+
+def test_usp_moment_matches_the_main_term():
+    # the first two USp(2g) moments in closed form, and the first one is the
+    # g-dependence of the main term's bracket: 2g + 2 = 2 * usp_moment(g, 1)
+    for g in range(1, 41):
+        assert usp_moment(g, 1) == g + 1
+    for g in range(1, 21):
+        assert usp_moment(g, 2) == Fraction((g + 1) * (g + 2) * (2 * g + 3), 6)
+    for q in (3, 5, 7):
+        ec = euler_constants(q)
+        for g in range(1, 9):
+            bracket = 2 * usp_moment(g, 1) + 4 * ec.log_deriv
+            expected = ec.p_one / (2 * ec.zeta_a2) * q ** (2 * g + 1) * bracket
+            assert first_moment_main_term(q, g, ec) == expected
 
 
 def test_usp_moment_growth_in_s():

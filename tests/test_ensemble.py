@@ -9,16 +9,11 @@ from hyperell.characters import jacobi
 from hyperell.ensemble import (
     EnsembleSpec,
     MomentAccumulator,
-    char_sum_over_ensemble,
-    coprime_monic_count,
     central_value_square_split,
-    ensemble_char_sum_bound_holds,
     enumerate_ensemble,
     expected_value,
     expected_value_sieved,
     first_moment,
-    fixed_degree_bound_holds,
-    fixed_degree_char_sum,
 )
 from hyperell.extfield import ExtField
 from hyperell.field import check_odd_prime
@@ -26,7 +21,14 @@ from hyperell.lfunction import afe_central_value, dirichlet_coefficient, l_polyn
 from hyperell.polyring import IrreducibleTable, mul, shared_table, squarefree
 from hyperell.scan import moment_scan
 from hyperell.sqrtq import SqrtQRational
-from support import coefficient_vanishes_at
+from support import (
+    char_sum_over_ensemble,
+    coefficient_vanishes_at,
+    coprime_monic_count,
+    ensemble_char_sum_bound_holds,
+    fixed_degree_bound_holds,
+    fixed_degree_char_sum,
+)
 
 X = (0, 1)
 
@@ -183,7 +185,8 @@ def test_ensemble_char_sum_bound_q3():
 
 
 def test_ensemble_char_sum_bound_exhaustive_q5():
-    from hyperell.polyring import is_perfect_square, monic_polys
+    from hyperell.polyring import monic_polys
+    from support import is_perfect_square
 
     q = 5
     for deg_f in (1, 2):
@@ -208,7 +211,8 @@ def test_fixed_degree_char_sum_vanishes_past_degree():
 
 
 def test_fixed_degree_bound_small():
-    from hyperell.polyring import is_perfect_square, monic_polys
+    from hyperell.polyring import monic_polys
+    from support import is_perfect_square
 
     q = 3
     for deg_f in (1, 2, 3):

@@ -22,9 +22,9 @@ from hyperell.lfunction import (
     two_block_weights,
 )
 from hyperell.ensemble import enumerate_ensemble
-from hyperell.polyring import is_perfect_square, monic_polys, mul, squarefree
+from hyperell.polyring import monic_polys, mul, squarefree
 from hyperell.sqrtq import SqrtQRational
-from support import poly_of_code
+from support import is_perfect_square, poly_of_code
 
 D0 = (0, 1, 0, 1)  # x^3 + x over F_3
 
@@ -85,7 +85,8 @@ def test_even_degree_divides_out_trivial_zero():
 def test_even_degree_larger_case():
     # first square-free non-square monic quartic over F_5 in code order
     q = 5
-    from hyperell.polyring import is_perfect_square, squarefree
+    from hyperell.polyring import squarefree
+    from support import is_perfect_square
 
     found = None
     for low in range(q**4):

@@ -18,12 +18,10 @@ from hyperell.polyring import (
     ResourceCapError,
     degree,
     divmod_,
-    euler_phi,
     factorize,
     gcd,
     irreducible_count,
     is_irreducible,
-    is_perfect_square,
     mobius,
     monic,
     monic_by_code,
@@ -31,12 +29,11 @@ from hyperell.polyring import (
     mul,
     norm,
     normalize,
-    radical,
     rem,
     shared_table,
     squarefree,
 )
-from support import poly_code, poly_of_code
+from support import euler_phi, is_perfect_square, poly_code, poly_of_code, radical
 
 X = (0, 1)
 
