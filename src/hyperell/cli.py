@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -192,6 +193,11 @@ def cmd_moment(args) -> int:
         raise ValueError("--seed and --sample-size are for the sample mode")
     sample_size = DEFAULT_SAMPLE_SIZE if args.sample_size is None else args.sample_size
     scan._check_table_budget(args.q, g_max)  # the largest genus needs the most tables
+    if args.checkpoint:
+        # moment_scan writes the checkpoint after every chunk: refuse an unwritable path before any work
+        folder = os.path.dirname(args.checkpoint) or "."
+        if os.path.isdir(args.checkpoint) or not os.access(folder, os.W_OK | os.X_OK):
+            raise OSError(f"checkpoint {args.checkpoint} is not a writable file path")
     ec = asymptotics.euler_constants(args.q, args.cutoff)
     rows = []
     for g in range(args.g, g_max + 1):

@@ -37,11 +37,12 @@ C_D(m) over the primes of degree m (`_batch_sums` derives it).  So a batch
 of len curves holds (primes of degree <= n_max/2) x len bytes of rows,
 beside its (d+1) x len digit bytes and its int64 result.
 
-Each pass builds the prime tables it reads, and `_square_digits` holds
-the square digits of one degree.  Everything integral is exact: int8
-symbols, int32 running sums per degree (|C_D(m)| is at most the number of
-primes of degree m, a sum over f of degree n at most q^n <= 10^8), int64
-batch and table sums, Python ints and Fractions above.
+A pass owns its square digits and prime tables: `_prime_tables` builds a
+degree's square digits once, yields its tables and drops the digits after
+the degree, so nothing a pass builds outlives it.  Everything integral is
+exact: int8 symbols, int32 running sums per degree (|C_D(m)| is at most the
+number of primes of degree m, a sum over f of degree n at most
+q^n <= 10^8), int64 batch and table sums, Python ints and Fractions above.
 Every residue mod a prime, for the prime tables (through the digits of
 every residue's square), the (x/P) vectors and the batch sums, comes from
 polyring's one residue kernel, `_residue_codes`.
@@ -62,7 +63,6 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -136,7 +136,6 @@ def ensemble_count(q: int, g: int) -> int:
 _prime_table_cache: dict = {}  # never written; benchmarks/spans.py reads it (ROADMAP item 2 re-pin drops it)
 
 
-@lru_cache(maxsize=1)
 def _square_digits(q: int, m: int) -> np.ndarray:
     """Digits of x^2 before reduction, mod q, for half the nonzero residues x < q^m: (2m-1, (q^m-1)/2).
 
@@ -147,9 +146,8 @@ def _square_digits(q: int, m: int) -> np.ndarray:
     holds its sums of at most m digit products, m (q-1)^2 (int64 only at a
     degree-1 prime with q > 46341), and reduced mod q to digits in
     `_digit_matrix`'s dtype.  The digits do not depend on the modulus, so
-    every prime of degree m reads one read-only copy, digit-major.
-    `_primes_upto` lists primes by degree, so one cached (q, m) at a time
-    builds each degree once per pass over the primes.
+    every prime of degree m reads one read-only copy, digit-major, which
+    `_prime_tables` builds once per degree of a pass.
     """
     half = np.concatenate([np.arange(q**k, (q + 1) // 2 * q**k) for k in range(m)])
     wide = _exact_dtype(m * (q - 1) ** 2, _ROW_DTYPES + (np.int64,))
@@ -166,16 +164,16 @@ def _square_digits(q: int, m: int) -> np.ndarray:
     return out
 
 
-def prime_residue_table(P: Poly, q: int) -> np.ndarray:
+def prime_residue_table(P: Poly, q: int, squares: np.ndarray) -> np.ndarray:
     """Quadratic character of F_q[x]/(P) on all residue codes (int8).
 
-    Built by reducing the squares of half the nonzero residues
-    (`_square_digits`) mod P at once and marking the image; entry 0 is the
-    zero residue.  Every call builds a new read-only table.  Before it
-    builds, a P that is not canonical, not monic or not irreducible (one
-    read of the sieve's factor table) is a ValueError: its image would be no
-    character table.  That read refuses a degree whose q^m codes pass the
-    budget (ResourceCapError), so no table is larger than the budget.
+    Built by reducing squares, `_square_digits(q, deg P)`, mod P at once and
+    marking the image; entry 0 is the zero residue.  Every call builds a
+    new read-only table.  Before it builds, a P that is not canonical, not
+    monic or not irreducible (one read of the sieve's factor table) is a
+    ValueError: its image would be no character table.  That read refuses a
+    degree whose q^m codes pass the budget (ResourceCapError), so no table
+    is larger than the budget.
     """
     m = degree(P)
     if m < 1:
@@ -185,7 +183,7 @@ def prime_residue_table(P: Poly, q: int) -> np.ndarray:
     table.irreducibles(m)  # builds the factor table of degree m
     if not is_monic(P) or table.factor_index[m][monic_code(P, q)] >= 0:
         raise ValueError(f"prime_residue_table needs a monic irreducible modulus, got {P}")
-    codes = _residue_codes(_square_digits(q, m), P, q)
+    codes = _residue_codes(squares, P, q)
     out = np.full(q**m, -1, dtype=np.int8)
     out[codes] = 1
     out[0] = 0
@@ -193,32 +191,19 @@ def prime_residue_table(P: Poly, q: int) -> np.ndarray:
     return out
 
 
-def _primes_upto(q: int, n: int) -> list:
-    return [P for m in range(1, n + 1) for P in shared_table(q).irreducibles(m)]
-
-
-def _prime_symbol(dig: np.ndarray, P: Poly, q: int, out: np.ndarray) -> np.ndarray:
-    """(x/P) over the digit columns x of dig, as `_digit_matrix` writes them, into the int8 out."""
-    return prime_residue_table(P, q).take(_residue_codes(dig, P, q), out=out)
-
-
-def _prime_symbols(dig: np.ndarray, primes, q: int) -> dict:
-    """P -> (x/P) over the digit columns x of dig, laid out as `_digit_matrix` gives it.
-
-    One int8 block holds a row per prime, len(primes) x len bytes.
-    """
-    rows = dict(zip(primes, np.empty((len(primes), dig.shape[1]), dtype=np.int8)))
-    for P, row in rows.items():
-        _prime_symbol(dig, P, q, row)
-    return rows
+def _prime_tables(q: int, m: int):
+    """(P, its prime_residue_table) for each prime P of degree m in code order, one digit build for all."""
+    squares = _square_digits(q, m)
+    for P in shared_table(q).irreducibles(m):
+        yield P, prime_residue_table(P, q, squares)
 
 
 def _symbol_product(symbols: dict, factors, out: np.ndarray) -> np.ndarray:
     """(x/f) = prod over f's factors (P, e) of (x/P)^e, into the int8 out.
 
-    Reads the first len(out) entries of each prime's row in symbols, keyed
-    by P as `_prime_symbols` gives them: once for odd e, twice for even e,
-    where (x/P)^e = (x/P)^2 = |(x/P)|.
+    Reads the first len(out) entries of each prime's int8 row (x/P) in
+    symbols, keyed by P: once for odd e, twice for even e, where
+    (x/P)^e = (x/P)^2 = |(x/P)|.
     """
     size = len(out)
     for i, (P, e) in enumerate(factors):
@@ -235,8 +220,8 @@ def _symbol_product(symbols: dict, factors, out: np.ndarray) -> np.ndarray:
 def jacobi_residue_table(factors, symbols: dict, q: int) -> np.ndarray:
     """(r/f) for every residue code r mod f, from f's factorization ((P, e), ...).
 
-    symbols is as `_prime_symbols` gives it, over the codes x in [0, q^k),
-    k >= deg f; the residues mod f are the prefix [0, q^deg f).
+    symbols maps each prime P of f to its row (x/P) over the codes x in
+    [0, q^k), k >= deg f; the residues mod f are the prefix [0, q^deg f).
     """
     size = q ** sum(degree(P) * e for P, e in factors)
     # from ones, so f = 1 (no factor) gives (r/1) = 1
@@ -304,7 +289,7 @@ def moment_scan(
     finished chunks are the first k.  With a checkpoint path the integer
     sums and k are persisted after every chunk; a file already there is
     validated, left as it is if refused (ValueError), and resumed after its
-    k chunks.  The table budget for degree g, which bounds the (x/P) block
+    k chunks.  The table budget for degree g, which bounds the (x/P) rows
     of the primes of degree < g, is checked first.
     """
     spec = EnsembleSpec(q, g)
@@ -331,8 +316,9 @@ def moment_scan(
     # (x/P) for every residue code x < q^g and prime P of degree <= g, built
     # once: f of degree n reads the prefix [0, q^n), and the worker threads
     # read only these arrays; each x is its own residue mod a degree-g prime
-    symbols = _prime_symbols(_digit_matrix(np.arange(q**g), q, g), _primes_upto(q, g - 1), q)
-    symbols.update((P, prime_residue_table(P, q)) for P in shared_table(q).irreducibles(g))
+    dig = _digit_matrix(np.arange(q**g), q, g)
+    symbols = {P: t.take(_residue_codes(dig, P, q)) for m in range(1, g) for P, t in _prime_tables(q, m)}
+    symbols.update(_prime_tables(q, g))
 
     def work(chunk):
         c_sq = [0] * (g + 1)
@@ -430,11 +416,12 @@ def _batch_sums(q: int, d: int, codes: np.ndarray, n_max: int, signed: bool) -> 
 
     B_D(n) summing over the f of degree n whose prime factors all have
     degree <= s and C_D(m) over the primes of degree m; n - m <= n_max - s - 1
-    <= s, so A_D(n - m) is final when it is read.  The primes of degree <= s
-    have their rows (D/P) made by `_prime_symbols` into one held int8 block,
-    each summed at its degree.  Each larger prime is made by `_prime_symbol`
-    into the one reused int8 vector and summed to C_D(m), which adds
-    C_D(m) A_D(j - m) to each column j >= m, in int64.  The reducible f of
+    <= s, so A_D(n - m) is final when it is read.  Each prime's row (D/P)
+    is taken from its table, as `_prime_tables` yields them at its degree.
+    A prime of degree <= s has its row in one held int8 block, summed at
+    its degree.  Each larger prime's row goes into the one reused int8
+    vector and is summed to C_D(m), which adds C_D(m) A_D(j - m) to each
+    column j >= m, in int64.  The reducible f of
     degree n (the sieve's factor table) less the multiples of the primes of
     degree s+1..n-1 (`mark_multiples`), counted with those primes, are the f
     that B_D sums: each is factored and multiplies the held rows of its
@@ -459,10 +446,10 @@ def _batch_sums(q: int, d: int, codes: np.ndarray, n_max: int, signed: bool) -> 
         raise ValueError(f"codes must lie in [0, q^d) = [0, {space}) for q={q}, d={d}")
     k = len(codes)
     table = shared_table(q)
-    table.extend(n_max)  # the primes and factor tables to degree n_max
     dig = _digit_matrix(codes, q, d, monic=True)
     s = n_max // 2
-    rows = _prime_symbols(dig, _primes_upto(q, s), q)
+    held = iter(np.empty((sum(irreducible_count(q, m) for m in range(1, s + 1)), k), dtype=np.int8))
+    rows = {}  # P -> (D/P) for each prime of degree <= s, a row of held
 
     out = np.zeros((k, n_max + 1), dtype=np.int64)
     out[:, 0] = 1
@@ -470,8 +457,10 @@ def _batch_sums(q: int, d: int, codes: np.ndarray, n_max: int, signed: bool) -> 
     acc = np.empty(k, dtype=sum_dtype)
     for n in range(1, n_max + 1):
         acc[:] = 0
-        for P in table.irreducibles(n):
-            row = rows[P] if n <= s else _prime_symbol(dig, P, q, chi)
+        for P, residues in _prime_tables(q, n):
+            row = residues.take(_residue_codes(dig, P, q), out=next(held) if n <= s else chi)
+            if n <= s:
+                rows[P] = row
             acc += row if signed else np.abs(row, out=chi)
         if n > s:  # acc is C_D(n)
             for j in range(n, n_max + 1):

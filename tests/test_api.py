@@ -61,3 +61,36 @@ def test_no_library_code_is_called_only_by_tests():
         and "oracle" not in (ast.get_docstring(node) or "")
     ]
     assert not unused, f"no caller in the package: {unused}"
+
+
+# every functools cache in the package lives as long as the process, so each is listed with why it may
+MODULE_CACHES = {
+    "field.check_odd_prime": "at most 64 None results; every exact value in Q(sqrt q) checks its q",
+    "polyring._int_mobius": "one small int per integer up to the largest degree whose primes are counted",
+    "extfield.find_irreducible": "one modulus of n+1 digits per (q, n) of the oracle's fields",
+    "extfield.get_field": "the oracle's F_{q^r}, r <= g, shared by every curve whose points it counts",
+}
+CACHE_DECORATORS = {"cache", "lru_cache", "cached_property"}
+
+
+def _name(node) -> str | None:
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def test_module_caches_are_listed():
+    """Every functools cache in the package decorates a function of MODULE_CACHES; scan holds none.
+
+    A pass's tables live for the pass that reads them, not in a module cache.
+    """
+    decorated, uses = [], 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        uses += sum(_name(node) in CACHE_DECORATORS for node in ast.walk(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in node.decorator_list:
+                    if _name(dec.func if isinstance(dec, ast.Call) else dec) in CACHE_DECORATORS:
+                        decorated.append(f"{path.stem}.{node.name}")
+    assert sorted(decorated) == sorted(MODULE_CACHES)
+    assert uses == len(decorated)  # no cache is made other than by decorating a function
+    assert not any(name.startswith("scan.") for name in decorated)

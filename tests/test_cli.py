@@ -449,6 +449,16 @@ def test_malformed_checkpoint_exit_2(tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("genera", [("--g", "9"), ("--g", "1", "--g-max", "9")])
+def test_unwritable_checkpoint_refused_before_any_scan(tmp_path, capsys, monkeypatch, genera):
+    # without the check, q=3 g=9 builds its tables and its first chunk before the first write fails
+    monkeypatch.setattr(scan, "moment_scan", lambda *a, **k: pytest.fail("scan started"))
+    for ck in (tmp_path / "no-such-dir" / "ck.json", tmp_path):  # a missing directory, and a directory
+        code, out, err = run_cli(capsys, "moment", "--q", "3", *genera, "--checkpoint", str(ck))
+        assert (code, out) == (2, "")
+        assert err == f"error: checkpoint {ck} is not a writable file path\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

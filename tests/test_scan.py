@@ -77,11 +77,25 @@ def test_squarefree_mask_agrees_pointwise_past_q3(q, d):
     assert [bool(b) for b in mask] == [squarefree(D, q) for D in monic_polys(d, q)]
 
 
+def primes_upto(q, n):
+    """The monic irreducibles of degree 1..n, degree by degree in code order."""
+    return [P for m in range(1, n + 1) for P in shared_table(q).irreducibles(m)]
+
+
+def prime_table(P, q):
+    """P's prime table, from square digits built for it alone."""
+    return prime_residue_table(P, q, scan._square_digits(q, degree(P)))
+
+
+def prime_rows(dig, primes, q):
+    """P -> (x/P) over the digit columns x of dig, through scan's residue kernel."""
+    return {P: prime_table(P, q).take(scan._residue_codes(dig, P, q)) for P in primes}
+
+
 @pytest.mark.parametrize("q", [3, 5])
 def test_prime_residue_table_matches_symbol(q):
     for dp in (1, 2):
-        for P in shared_table(q).irreducibles(dp):
-            t = prime_residue_table(P, q)
+        for P, t in scan._prime_tables(q, dp):
             for code in range(q**dp):
                 f = poly_of_code(code, q)
                 assert t[code] == residue_symbol_prime(f, P, q)
@@ -121,7 +135,7 @@ def euler_table(P, q):
 
 @pytest.mark.parametrize("q,n_max", [(3, 4), (5, 3), (7, 2)])
 def test_euler_table_matches_pow_mod(q, n_max):
-    for P in scan._primes_upto(q, n_max):
+    for P in primes_upto(q, n_max):
         t = euler_table(P, q)
         e = (q ** degree(P) - 1) // 2
         for code in range(q ** degree(P)):
@@ -131,34 +145,52 @@ def test_euler_table_matches_pow_mod(q, n_max):
 
 @pytest.mark.parametrize("q", [3, 5, 7])
 def test_prime_residue_table_is_the_euler_criterion(q):
-    for P in scan._primes_upto(q, 4):
-        assert np.array_equal(prime_residue_table(P, q), euler_table(P, q)), P
+    for m in range(1, 5):
+        for P, t in scan._prime_tables(q, m):
+            assert np.array_equal(t, euler_table(P, q)), P
 
 
 def test_degree_8_prime_tables_are_the_euler_criterion():
     primes = shared_table(3).irreducibles(8)
+    squares = scan._square_digits(3, 8)
     for P in primes[:: len(primes) // 20][:20]:
-        assert np.array_equal(prime_residue_table(P, 3), euler_table(P, 3)), P
+        assert np.array_equal(prime_residue_table(P, 3, squares), euler_table(P, 3)), P
 
 
-def test_square_digits_hold_one_degree():
-    scan._square_digits.cache_clear()
-    for P in scan._primes_upto(5, 2):  # degree 1, then degree 2
-        prime_residue_table(P, 5)
-    info = scan._square_digits.cache_info()
-    assert (info.misses, info.currsize) == (2, 1)
+def record_square_digits(monkeypatch):
+    """The (q, m) of every `_square_digits` build, and a weak reference to each result."""
+    builds, refs = [], []
+    square_digits = scan._square_digits
+
+    def recording(q, m):
+        out = square_digits(q, m)
+        builds.append((q, m))
+        refs.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(scan, "_square_digits", recording)
+    return builds, refs
+
+
+def test_square_digits_build_once_per_degree_of_a_pass(monkeypatch):
+    # every prime of a degree reads one build of its square digits: a build
+    # per prime would cost verify's 810 primes of degree 8 at q=3 about 0.4 s
+    builds, _ = record_square_digits(monkeypatch)
+    batch_coefficients(5, 11, np.arange(0, 5**11, 5**11 // 40), 5)
+    assert builds == [(5, m) for m in range(1, 6)]
+    builds.clear()
+    moment_scan(5, 4)
+    assert builds == [(5, m) for m in range(1, 5)]
     assert not scan._square_digits(5, 2).flags.writeable
-    assert scan._square_digits.cache_info().hits == info.hits + 1  # the degree-2 table stayed
 
 
 def test_prime_table_past_int32_squares():
     # at a degree-1 prime with q > 46341, (q-1)^2 > 2^31 - 1: the squares are formed in int64
     q = 46349
     assert (q - 1) ** 2 > np.iinfo(np.int32).max
-    t = prime_residue_table((1, 1), q)  # x + 1: the residue of a constant c is c
+    t = prime_table((1, 1), q)  # x + 1: the residue of a constant c is c
     euler = [0] + [1 if pow(c, (q - 1) // 2, q) == 1 else -1 for c in range(1, q)]
     assert t.tolist() == euler
-    scan._square_digits.cache_clear()
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 11])
@@ -195,7 +227,7 @@ def test_half_the_residues_square_to_every_square(q):
 )
 def test_prime_residue_table_refuses_a_modulus_that_is_no_prime(P, message):
     with pytest.raises(ValueError, match=message):
-        prime_residue_table(P, 3)
+        prime_residue_table(P, 3, np.empty((0, 0), dtype=np.uint8))  # refused before squares are read
 
 
 def test_prime_residue_table_refuses_a_degree_past_the_budget():
@@ -204,7 +236,7 @@ def test_prime_residue_table_refuses_a_degree_past_the_budget():
     table = shared_table(3)
     cutoff = table.cutoff
     with pytest.raises(ResourceCapError, match="past the cap"):
-        prime_residue_table(P, 3)
+        prime_residue_table(P, 3, np.empty((0, 0), dtype=np.uint8))
     assert table.cutoff == cutoff
 
 
@@ -213,8 +245,9 @@ def test_prime_residue_table_checks_only_what_it_builds(monkeypatch):
     checked = []
     check = scan._check_poly
     monkeypatch.setattr(scan, "_check_poly", lambda *a: checked.append(a[0]) or check(*a))
-    first = prime_residue_table((1, 0, 1), 3)  # x^2 + 1
-    second = prime_residue_table((1, 0, 1), 3)
+    squares = scan._square_digits(3, 2)
+    first = prime_residue_table((1, 0, 1), 3, squares)  # x^2 + 1
+    second = prime_residue_table((1, 0, 1), 3, squares)
     assert checked == [(1, 0, 1), (1, 0, 1)]
     assert np.array_equal(first, second) and first is not second
     assert not first.flags.writeable and not second.flags.writeable
@@ -224,17 +257,19 @@ def test_no_prime_table_outlives_its_call(monkeypatch):
     tables = []
     build = scan.prime_residue_table
 
-    def traced(P, q):
-        out = build(P, q)
+    def traced(P, q, squares):
+        out = build(P, q, squares)
         tables.append(weakref.ref(out))
         return out
 
     monkeypatch.setattr(scan, "prime_residue_table", traced)
+    _, squares = record_square_digits(monkeypatch)
     moment_scan(5, 3)
     sampled_moment(5, 3, 200, seed=1)
     batch_coefficients(3, 9, np.random.default_rng(3).integers(0, 3**9, 50), 8)
     gc.collect()
     assert tables and all(ref() is None for ref in tables)
+    assert squares and all(ref() is None for ref in squares)  # nor do the square digits
     assert scan._prime_table_cache == {}
 
 
@@ -355,10 +390,10 @@ def test_batch_rows_at_width_12(monkeypatch, q, dtype):
     # digits even where B = (q-1) + 11 (q-1)^2 = 402 at q = 7 needs int16 sums
     codes = np.arange(0, q**11, q**11 // 50)
     dig = polyring._digit_matrix(codes, q, 11, monic=True)
-    symbols = scan._prime_symbols(dig, scan._primes_upto(q, 1), q)
+    symbols = prime_rows(dig, primes_upto(q, 1), q)
     seen = row_dtypes(monkeypatch)
     assert batch_coefficients(q, 11, codes, 1)[:, 1].tolist() == list(
-        sum(symbols[P].astype(int) for P in scan._primes_upto(q, 1))
+        sum(symbols[P].astype(int) for P in primes_upto(q, 1))
     )
     assert seen and {t for w, t in seen if w == 12} == {np.dtype(dtype)}
 
@@ -376,7 +411,7 @@ def test_rows_at_the_largest_q_are_int16_digits(monkeypatch):
     codes = np.arange(0, Q_MAX**4, Q_MAX**4 // 30)
     rows = scan._digit_matrix(codes, Q_MAX, 4)
     primes = [(5, 1), (Q_MAX - 1, 1)]
-    symbols = scan._prime_symbols(rows, primes, Q_MAX)
+    symbols = prime_rows(rows, primes, Q_MAX)
     # scan hands over int16 digits, both of the curves (width 4) and of the
     # squares the prime tables reduce (width 1)
     assert sorted(set(seen)) == [(1, np.dtype(np.int16)), (4, np.dtype(np.int16))]
@@ -400,22 +435,31 @@ def test_residue_codes_widen_narrow_rows_and_refuse_float_rows():
         polyring._residue_codes(rows.astype(np.float64), P, 5)
 
 
-def test_prime_symbols_hold_one_signed_row_per_prime():
+def test_symbol_rows_are_one_signed_row_per_prime():
     q, n = 3, 4
     symbols = symbols_upto(q, n)
-    primes = scan._primes_upto(q, n)
+    primes = primes_upto(q, n)
     assert list(symbols) == primes
-    block = next(iter(symbols.values())).base
-    assert block.dtype == np.int8 and block.shape == (len(primes), q**n)  # one row per prime
+    rows = list(symbols.values())
+    assert all(row.dtype == np.int8 and row.shape == (q**n,) for row in rows)  # one row per prime
+    for i, row in enumerate(rows):  # each its own
+        assert not any(np.shares_memory(row, other) for other in rows[:i])
     for P in primes[: len(primes) // 2 : -1] + primes[:8]:  # in any order
         row = symbols[P]
-        assert row.base is block
         assert row.tolist() == [jacobi(poly_of_code(x, q), P, q) for x in range(q**n)], P
 
 
 def symbols_upto(q, n):
-    """(x/P) over the codes x < q^n for every prime P of degree <= n, as moment_scan builds them."""
-    return scan._prime_symbols(scan._digit_matrix(np.arange(q**n), q, n), scan._primes_upto(q, n), q)
+    """(x/P) over the codes x < q^n for every prime P of degree < n, as moment_scan builds them.
+
+    Each x is its own residue mod a prime of degree n, whose row is its table.
+    """
+    dig = scan._digit_matrix(np.arange(q**n), q, n)
+    symbols = {}
+    for m in range(1, n):
+        symbols.update((P, t.take(scan._residue_codes(dig, P, q))) for P, t in scan._prime_tables(q, m))
+    symbols.update(scan._prime_tables(q, n))
+    return symbols
 
 
 def test_jacobi_residue_table_matches_jacobi():
@@ -461,9 +505,9 @@ def test_moment_scan_builds_prime_tables_on_the_main_thread(monkeypatch):
     callers = []
     table = scan.prime_residue_table
 
-    def traced(P, q):
+    def traced(*a):
         callers.append(threading.current_thread() is threading.main_thread())
-        return table(P, q)
+        return table(*a)
 
     monkeypatch.setattr(scan, "prime_residue_table", traced)
     moment_scan(3, 3, threads=2)
@@ -733,13 +777,24 @@ def test_large_primes_pair_with_smooth_cofactors(q, n_max):
 def test_batch_holds_no_row_of_a_top_degree_prime(monkeypatch, q, n_max):
     # a row is held only for a prime of degree <= n_max/2, so none for a top-degree prime
     written, factored = [], []
-    symbol, factor = scan._prime_symbol, scan.factorize
+    tables, factor = scan._prime_tables, scan.factorize
 
-    def recording_symbol(dig, P, q, out):
-        written.append((P, out))
-        return symbol(dig, P, q, out)
+    class RecordingTable:
+        """A prime table whose take records the row it writes."""
 
-    monkeypatch.setattr(scan, "_prime_symbol", recording_symbol)
+        def __init__(self, P, table):
+            self.P, self.table = P, table
+
+        def take(self, codes, out=None):
+            row = self.table.take(codes, out=out)
+            written.append((self.P, row))
+            return row
+
+    def recording_tables(q, m):
+        for P, table in tables(q, m):
+            yield P, RecordingTable(P, table)
+
+    monkeypatch.setattr(scan, "_prime_tables", recording_tables)
     monkeypatch.setattr(scan, "factorize", lambda f, q: factored.append(f) or factor(f, q))
     # the reducible f whose prime factors all have degree <= n_max/2
     smooth = [f for n in range(2, n_max + 1) for f in monic_polys(n, q)]
@@ -752,7 +807,7 @@ def test_batch_holds_no_row_of_a_top_degree_prime(monkeypatch, q, n_max):
         # each prime's row is made once, in degree order; up to n_max/2 each
         # in its own held row, above it all in one reused vector that holds
         # none of them
-        assert [P for P, _ in written] == scan._primes_upto(q, n_max)
+        assert [P for P, _ in written] == primes_upto(q, n_max)
         held = [out for P, out in written if degree(P) <= n_max // 2]
         large = [out for P, out in written if degree(P) > n_max // 2]
         for i, out in enumerate(held + large[:1]):  # pairwise disjoint
@@ -769,8 +824,8 @@ def test_batch_memory_is_its_held_rows_digits_and_sums(q, d, n_max):
 
     k = 20000
     codes = np.random.default_rng(1).integers(0, q**d, k)
-    # the warm-up leaves the factor tables and the last degree's square
-    # digits; every prime table is built again inside the measured call
+    # the warm-up leaves the factor tables; every prime table and its
+    # square digits are built again inside the measured call
     batch_coefficients(q, d, codes[:10], n_max)
     tracemalloc.start()
     try:
@@ -790,7 +845,6 @@ def test_cold_batch_memory_is_its_rows_and_one_table_build():
     q, d, n_max, k = 3, 9, 8, 2000
     codes = np.random.default_rng(1).integers(0, q**d, k)
     shared_table(q).extend(n_max)  # the factor tables; each prime table is built per call
-    scan._square_digits.cache_clear()
     tracemalloc.start()
     try:
         batch_coefficients(q, d, codes, n_max)
@@ -801,7 +855,7 @@ def test_cold_batch_memory_is_its_rows_and_one_table_build():
     held = sum(irreducible_count(q, n) for n in range(1, n_max // 2 + 1))
     per_curve = (held + (d + 1) + 8 * (n_max + 1) + 48) * k
     # one degree-m table build, m = n_max, over the h = (q^m - 1)/2 residues
-    # whose squares it reduces: at its peak it holds the cached square
+    # whose squares it reduces: at its peak it holds the degree's square
     # digits ((2m-1) h bytes), the residue kernel's acc and quotient (m h
     # each), its int16 codes (2 h) and scratch row (h), and the int8 table
     # (q^m); forming the square digits holds less, 8 h of int64 codes beside
@@ -859,7 +913,7 @@ def test_batch_sums_name_their_own_degree_argument(batch, name):
 def test_batch_sums_refuse_sums_past_int32(monkeypatch):
     # |A_D(n)| <= q^n; only a budget past 2^31 entries could let q^n pass int32
     monkeypatch.setattr(scan, "_TABLE_BUDGET", 10**20)
-    monkeypatch.setattr(scan, "_prime_symbol", lambda *a: pytest.fail("symbols built"))
+    monkeypatch.setattr(scan, "_prime_tables", lambda *a: pytest.fail("tables built"))
     with pytest.raises(ValueError, match="overflow int32"):
         batch_coefficients(3, 21, [0], 20)
 
