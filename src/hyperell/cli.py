@@ -3,9 +3,11 @@
 Subcommands: verify, moment, constants, lpoly, symbol, oracle.  Exit codes:
 0 success, 1 verification failure, 2 usage, domain or I/O error (a bad
 checkpoint or one of another configuration, an unwritable --out or
---checkpoint path), 3 resource cap refused.  All file output is canonical
-(sorted keys, fixed separators, one trailing newline): a rerun with the
-same configuration must be byte identical, which is also what the
+--checkpoint path), 3 resource cap refused.  The library makes every
+refusal: a genus range calls it for its largest, costliest genus first, so
+its checks refuse before any genus is computed.  All file output is
+canonical (sorted keys, fixed separators, one trailing newline): a rerun
+with the same configuration must be byte identical, which is also what the
 determinism acceptance check asserts.  Wall-clock timings are therefore
 opt-in (--timings) and never part of the canonical payload in CSV mode.
 """
@@ -14,13 +16,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
 
 from . import asymptotics, curve, lfunction, polyring, scan, verify
 from .characters import jacobi
+from .ensemble import EnsembleSpec
 from .field import check_odd_prime
 from .polyring import Poly
 from .sqrtq import SqrtQRational
@@ -192,15 +194,10 @@ def cmd_moment(args) -> int:
     if args.mode == "exhaustive" and (args.seed is not None or args.sample_size is not None):
         raise ValueError("--seed and --sample-size are for the sample mode")
     sample_size = DEFAULT_SAMPLE_SIZE if args.sample_size is None else args.sample_size
-    scan._check_table_budget(args.q, g_max)  # the largest genus needs the most tables
-    if args.checkpoint:
-        # moment_scan writes the checkpoint after every chunk: refuse an unwritable path before any work
-        folder = os.path.dirname(args.checkpoint) or "."
-        if os.path.isdir(args.checkpoint) or not os.access(folder, os.W_OK | os.X_OK):
-            raise OSError(f"checkpoint {args.checkpoint} is not a writable file path")
     ec = asymptotics.euler_constants(args.q, args.cutoff)
+    EnsembleSpec(args.q, args.g)  # a bad smallest genus is refused before the largest is computed
     rows = []
-    for g in range(args.g, g_max + 1):
+    for g in range(g_max, args.g - 1, -1):  # the costliest genus first; rows stay in ascending g
         main = asymptotics.first_moment_main_term(args.q, g, ec)
         t0 = time.monotonic()
         sampled = args.mode == "sample"
@@ -209,7 +206,7 @@ def cmd_moment(args) -> int:
             size, total, stderr = sm.ensemble_size, sm.total_estimate, sm.stderr
             square = sm.square_mean.scale(size)
         else:
-            # a checkpoint file holds one genus: the last, costliest one
+            # a checkpoint file holds one genus: the largest, computed first
             acc, _ = scan.moment_scan(
                 args.q,
                 g,
@@ -236,7 +233,7 @@ def cmd_moment(args) -> int:
         }
         if args.timings:
             row["runtime_seconds"] = time.monotonic() - t0
-        rows.append(row)
+        rows.insert(0, row)
     if args.format == "csv":
         lines = [CSV_HEADER, ",".join(CSV_CELLS)] + [csv_row(r) for r in rows]
         write_text("\n".join(lines) + "\n", args.out)

@@ -52,8 +52,10 @@ resumed, so a rerun continues an interrupted scan; with no file it starts fresh.
 
 One guard bounds every scan: polyring's `_TABLE_BUDGET`, 10^8 int8 entries
 over the prime tables up to the degree the scan needs, checked before
-anything is built.  The exhaustive count is the closed form (q - 1) q^(2g),
-checked against `squarefree_mask` only while q^(2g+1) <= MASK_CHECK_LIMIT.
+anything is built, as is `moment_scan`'s checkpoint path.  The library
+makes every refusal, so a front end keeps no copy of one.  The exhaustive
+count is the closed form (q - 1) q^(2g), checked against `squarefree_mask`
+only while q^(2g+1) <= MASK_CHECK_LIMIT.
 """
 
 from __future__ import annotations
@@ -262,19 +264,6 @@ class ScanMeta:
     chunks: int
 
 
-def _assemble(q: int, g: int, count: int, sq: list, nonsq: list) -> MomentAccumulator:
-    weights = two_block_weights(g)
-    square = center_value(sq, q, weights)
-    nonsquare = center_value(nonsq, q, weights)
-    return MomentAccumulator(
-        q=q,
-        total=square + nonsquare,
-        square_part=square,
-        nonsquare_part=nonsquare,
-        count=count,
-    )
-
-
 def moment_scan(
     q: int,
     g: int,
@@ -289,14 +278,19 @@ def moment_scan(
     finished chunks are the first k.  With a checkpoint path the integer
     sums and k are persisted after every chunk; a file already there is
     validated, left as it is if refused (ValueError), and resumed after its
-    k chunks.  The table budget for degree g, which bounds the (x/P) rows
-    of the primes of degree < g, is checked first.
+    k chunks.  Before anything is built it checks the table budget for
+    degree g, which bounds the (x/P) rows of the primes of degree < g, then
+    that the checkpoint path is a writable file path (OSError).
     """
     spec = EnsembleSpec(q, g)
     d = spec.poly_degree
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     _check_table_budget(q, g)
+    if checkpoint_path:  # written after every chunk, so an unwritable path is refused before any work
+        folder = os.path.dirname(checkpoint_path) or "."
+        if os.path.isdir(checkpoint_path) or not os.access(folder, os.W_OK | os.X_OK):
+            raise OSError(f"checkpoint {checkpoint_path} is not a writable file path")
     count = spec.size
     if spec.monic_count <= MASK_CHECK_LIMIT:
         enumerated = ensemble_count(q, g)
@@ -342,10 +336,13 @@ def moment_scan(
             if checkpoint_path:
                 _write_checkpoint(checkpoint_path, q, g, finished, sq, nonsq)
 
-    acc = _assemble(q, g, count, sq, nonsq)
-    meta = ScanMeta(
-        q=q, g=g, square_sums=tuple(sq), nonsquare_sums=tuple(nonsq), chunks=len(chunks)
+    weights = two_block_weights(g)
+    square = center_value(sq, q, weights)
+    nonsquare = center_value(nonsq, q, weights)
+    acc = MomentAccumulator(
+        q=q, total=square + nonsquare, square_part=square, nonsquare_part=nonsquare, count=count
     )
+    meta = ScanMeta(q=q, g=g, square_sums=tuple(sq), nonsquare_sums=tuple(nonsq), chunks=len(chunks))
     return acc, meta
 
 

@@ -94,3 +94,28 @@ def test_module_caches_are_listed():
     assert sorted(decorated) == sorted(MODULE_CACHES)
     assert uses == len(decorated)  # no cache is made other than by decorating a function
     assert not any(name.startswith("scan.") for name in decorated)
+
+
+def test_cli_names_no_private_attribute_of_a_package_module():
+    """cli.py reaches the package through public names only.
+
+    A refusal the library makes behind a private helper stays the library's,
+    so the front end keeps no copy of its rule to update.
+    """
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    modules = {p.stem for p in PACKAGE.glob("*.py")}
+    imported = set()  # the package modules cli.py binds to a name
+    private = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None and alias.name in modules:
+                    imported.add(alias.asname or alias.name)
+                elif alias.name.startswith("_"):
+                    private.append(f"{node.module}.{alias.name}")
+    assert {"scan", "verify"} <= imported
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in imported and node.attr.startswith("_"):
+                private.append(f"{node.value.id}.{node.attr}")
+    assert not private, f"cli.py names private attributes: {private}"

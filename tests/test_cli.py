@@ -328,14 +328,41 @@ def test_resource_cap_exit_3(capsys):
     assert "cap" in err
 
 
+def record_genera(monkeypatch) -> list:
+    """The genus of each scan.moment_scan or scan.sampled_moment call, in order.
+
+    Both still run, so their own checks refuse; the builders behind them
+    (prime tables, the square-free mask, the sample draw) fail the test.
+    """
+    attempted = []
+    for name in ("moment_scan", "sampled_moment"):
+
+        def recording(q, g, *a, real=getattr(scan, name), **k):
+            attempted.append(g)
+            return real(q, g, *a, **k)
+
+        monkeypatch.setattr(scan, name, recording)
+    for name in ("_prime_tables", "squarefree_mask", "sample_codes"):
+        monkeypatch.setattr(scan, name, lambda *a, name=name, **k: pytest.fail(f"{name} called"))
+    return attempted
+
+
 @pytest.mark.parametrize("mode", [(), ("--mode", "sample", "--seed", "1")])
 def test_genus_range_checks_the_cap_for_its_largest_genus_first(capsys, monkeypatch, mode):
     # g = 5 and 6 fit the budget at q=5; g = 7 does not, so no genus is computed
-    for name in ("moment_scan", "sampled_moment"):
-        monkeypatch.setattr(scan, name, lambda *a, name=name, **k: pytest.fail(f"{name} called"))
+    attempted = record_genera(monkeypatch)
     code, out, err = run_cli(capsys, "moment", "--q", "5", "--g", "5", "--g-max", "7", *mode)
     assert code == 3
     assert out == "" and "prime tables to degree 7 at q=5" in err
+    assert attempted == [7]
+
+
+@pytest.mark.parametrize("mode", [(), ("--mode", "sample", "--seed", "1")])
+def test_a_bad_smallest_genus_is_refused_before_any_genus(capsys, monkeypatch, mode):
+    attempted = record_genera(monkeypatch)
+    code, out, err = run_cli(capsys, "moment", "--q", "3", "--g", "0", "--g-max", "2", *mode)
+    assert (code, out, err) == (2, "", "error: genus must be >= 1\n")
+    assert attempted == []
 
 
 def test_g_max_validation(capsys):
@@ -451,12 +478,15 @@ def test_malformed_checkpoint_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("genera", [("--g", "9"), ("--g", "1", "--g-max", "9")])
 def test_unwritable_checkpoint_refused_before_any_scan(tmp_path, capsys, monkeypatch, genera):
-    # without the check, q=3 g=9 builds its tables and its first chunk before the first write fails
-    monkeypatch.setattr(scan, "moment_scan", lambda *a, **k: pytest.fail("scan started"))
+    # without the check, q=3 g=9 builds its tables and its first chunk before the first write fails;
+    # moment_scan refuses the path itself, and a range calls it for g = 9 first
+    attempted = record_genera(monkeypatch)
     for ck in (tmp_path / "no-such-dir" / "ck.json", tmp_path):  # a missing directory, and a directory
         code, out, err = run_cli(capsys, "moment", "--q", "3", *genera, "--checkpoint", str(ck))
         assert (code, out) == (2, "")
         assert err == f"error: checkpoint {ck} is not a writable file path\n"
+        assert attempted == [9]
+        attempted.clear()
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ from hyperell.characters import jacobi, residue_symbol_prime
 from hyperell.ensemble import EnsembleSpec, first_moment
 from hyperell.extfield import find_irreducible
 from hyperell.field import is_prime
-from hyperell.lfunction import afe_central_value, dirichlet_coefficient
+from hyperell.lfunction import afe_central_value, dirichlet_coefficient, l_polynomial
 from hyperell.polyring import (
     degree,
     factorize,
@@ -556,6 +556,16 @@ def test_moment_scan_checks_table_budget_before_building(monkeypatch):
     assert built == []
 
 
+def test_moment_scan_refuses_an_unwritable_checkpoint_before_any_work(tmp_path, monkeypatch):
+    # without this check, (3, 8) builds its rows and its first chunk before the first write fails
+    for name in ("squarefree_mask", "_prime_tables"):
+        monkeypatch.setattr(scan, name, lambda *a, name=name, **k: pytest.fail(f"{name} called"))
+    for ck in (tmp_path / "no-such-dir" / "ck.json", tmp_path):  # a missing directory, and a directory
+        with pytest.raises(OSError) as refused:
+            moment_scan(3, 8, checkpoint_path=str(ck))
+        assert str(refused.value) == f"checkpoint {ck} is not a writable file path"
+
+
 def test_moment_scan_skips_the_mask_past_its_limit(monkeypatch):
     monkeypatch.setattr(scan, "MASK_CHECK_LIMIT", 10)
     monkeypatch.setattr(scan, "squarefree_mask", lambda *a: pytest.fail("mask built"))
@@ -754,6 +764,32 @@ def test_streamed_batch_sums_match_the_references(q, n_max):
             assert counts[row, n] == coprime, (D, n)
     for batch in (batch_coefficients, batch_coprime_counts):
         assert batch(q, d, np.array([], dtype=np.int64), n_max).shape == (0, n_max + 1)
+
+
+@pytest.mark.parametrize(
+    "q,m,count",
+    [(3, 2, None), (3, 4, None), (5, 2, None), (3, 6, 40), (5, 4, 40), (7, 4, 40), (3, 8, 10)],
+)
+def test_even_degree_batch_sums_are_the_completed_l_polynomial(q, m, count):
+    """Square-free D of even degree m: the prefix sums of A_D(0..m-2) are P in L = (1 - u) P.
+
+    A_D sums to 0 over n <= m - 1 (the zero at u = 1), p_(m-2-k) = q^((m-2)/2 - k) p_k,
+    and P is `l_polynomial`'s completed polynomial.  Every square-free code, or count
+    seeded ones.
+    """
+    if count is None:
+        codes = np.flatnonzero(squarefree_mask(q, m))
+    else:
+        codes = sample_codes(q, m, count, seed=q * 100 + m)
+    a = batch_coefficients(q, m, codes, m - 1)
+    assert not a.sum(axis=1).any()  # the zero at u = 1
+    p = np.cumsum(a[:, : m - 1], axis=1)
+    half = (m - 2) // 2
+    for k in range(m - 1):  # p_(m-2-k) q^k = q^half p_k, cleared of the negative powers
+        assert np.array_equal(p[:, m - 2 - k] * q**k, q**half * p[:, k]), k
+    for row, code in zip(p.tolist(), codes.tolist()):
+        L = l_polynomial(monic_by_code(code, m, q), q)
+        assert (L.lam, L.coeffs) == (1, tuple(row)), code
 
 
 @pytest.mark.parametrize("q,n_max", [(3, 6), (3, 7), (5, 5)])
