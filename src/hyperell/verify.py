@@ -54,10 +54,8 @@ def run_identity_suite(
 ) -> list:
     """Run every applicable cross-check for one (q, g); returns CheckResults."""
     spec = EnsembleSpec(q, g)
-    if sample_size < 1:
-        raise ValueError(f"sample_size must be >= 1, got {sample_size}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    scan._check_at_least("sample_size", sample_size, 1)
+    scan._check_at_least("seed", seed, 0)
     scan._check_table_budget(q, 2 * g)  # the batch coefficients reach degree 2g
     d = spec.poly_degree
     results: list = []

@@ -10,6 +10,8 @@ calls any of these, so they live beside the tests that check them.
 from fractions import Fraction
 from math import comb
 
+import numpy as np
+
 from hyperell.asymptotics import EulerConstants
 from hyperell.characters import jacobi
 from hyperell.curve import PowerSums
@@ -22,9 +24,11 @@ from hyperell.polyring import (
     factorize,
     is_monic,
     mobius,
+    monic_by_code,
     monic_polys,
     mul,
     norm,
+    squarefree,
 )
 
 
@@ -43,6 +47,26 @@ def poly_of_code(code: int, q: int) -> Poly:
         code, c = divmod(code, q)
         out.append(c)
     return tuple(out)
+
+
+def sample_codes_by_scalar_test(q: int, d: int, count: int, seed: int) -> np.ndarray:
+    """The oracle for `scan.sample_codes`: its draws, each decided by `squarefree` alone.
+
+    The same RNG calls in the same order, with no pre-pass: every draw up to
+    the count-th square-free one is built by `monic_by_code` and tested.
+    Arguments are taken as valid.
+    """
+    rng = np.random.Generator(np.random.PCG64(seed))
+    space = q**d
+    out: list = []
+    while len(out) < count:
+        batch = rng.integers(0, space, size=max(64, count), dtype=np.int64)
+        for c in batch:
+            if squarefree(monic_by_code(int(c), d, q), q):
+                out.append(int(c))
+                if len(out) == count:
+                    break
+    return np.array(out, dtype=np.int64)
 
 
 def suite_passed(results: list) -> bool:

@@ -28,6 +28,7 @@ from hyperell.polyring import (
     is_irreducible,
     monic_by_code,
     monic_polys,
+    mul,
     pow_mod,
     rem,
     shared_table,
@@ -45,7 +46,7 @@ from hyperell.scan import (
     sampled_moment,
     squarefree_mask,
 )
-from support import poly_code, poly_of_code
+from support import poly_code, poly_of_code, sample_codes_by_scalar_test
 
 
 @pytest.mark.parametrize("q,g", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2)])
@@ -918,6 +919,24 @@ def test_sample_boundaries_name_their_argument():
         sampled_moment(5, 1, 0, seed=1)
 
 
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])
+def test_sample_boundaries_refuse_a_count_or_seed_that_is_no_int(monkeypatch, value):
+    # every refusal comes before a batch's digits are built
+    monkeypatch.setattr(scan, "_digit_matrix", lambda *a, **k: pytest.fail("digits built"))
+    with pytest.raises(ValueError, match=rf"^count must be an int, got {value!r}$"):
+        sample_codes(5, 3, value, 1)
+    with pytest.raises(ValueError, match=rf"^seed must be an int, got {value!r}$"):
+        sample_codes(5, 3, 10, value)
+    with pytest.raises(ValueError, match="^q must be an odd prime"):  # q is checked first
+        sample_codes(4, 3, value, 1)
+    with pytest.raises(ValueError, match="^count must be an int"):  # count before seed
+        sample_codes(5, 3, value, -1)
+    with pytest.raises(ValueError, match=rf"^sample_size must be an int, got {value!r}$"):
+        sampled_moment(5, 2, value, 1)
+    with pytest.raises(ValueError, match=rf"^seed must be an int, got {value!r}$"):
+        sampled_moment(5, 2, 10, value)
+
+
 @pytest.mark.parametrize("batch", [batch_coefficients, batch_coprime_counts])
 @pytest.mark.parametrize(
     "codes,message",
@@ -984,9 +1003,70 @@ def test_sample_codes_properties():
     assert np.array_equal(codes, again)
     assert not np.array_equal(codes, other)
     assert codes.shape == (64,)
-    for code in codes[:16]:
+    for code in codes:
         D = monic_by_code(int(code), d, q)
         assert squarefree(D, q)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 31, 37, 101])
+def test_sample_codes_equal_the_scalar_oracle(q):
+    # 31 and 37 sit on either side of the pre-pass bound, d = 9 is verify's
+    # shape, and counts past 64 take several batches
+    for d in (0, 1, 2, 3, 9):
+        for count in (1, 63, 64, 65, 700):
+            for seed in (0, 1, 7):
+                codes = sample_codes(q, d, count, seed)
+                assert codes.dtype == np.int64
+                assert codes.tolist() == sample_codes_by_scalar_test(q, d, count, seed).tolist(), (
+                    d, count, seed,
+                )
+
+
+def _scalar_calls(monkeypatch, q, d, count, seed):
+    """The polynomials scan.squarefree is called on by sample_codes(q, d, count, seed), in order."""
+    calls = []
+    monkeypatch.setattr(scan, "squarefree", lambda D, q: calls.append(D) or squarefree(D, q))
+    codes = sample_codes(q, d, count, seed)
+    monkeypatch.undo()
+    assert codes.tolist() == sample_codes_by_scalar_test(q, d, count, seed).tolist()
+    return calls
+
+
+def _tested_draws(q, d, count, seed, prepass):
+    """The draws of sample_codes' batches up to the count-th accepted one, as (index, D, kept)."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    out, accepted = [], 0
+    while accepted < count:
+        batch = rng.integers(0, q**d, size=max(64, count), dtype=np.int64)
+        kept = {i for i, _ in scan._survivors(batch, q, d)} if prepass else range(len(batch))
+        for i, code in enumerate(batch.tolist()):
+            D = monic_by_code(code, d, q)
+            out.append((i, D, i in kept))
+            if i in kept and squarefree(D, q):
+                accepted += 1
+                if accepted == count:
+                    break
+    return out
+
+
+def test_prepass_strikes_only_draws_with_a_square_linear_factor(monkeypatch):
+    q, d, count, seed = 5, 11, 2000, 1
+    draws = _tested_draws(q, d, count, seed, prepass=True)
+    struck = [D for _, D, kept in draws if not kept]
+    squares = [mul((-a % q, 1), (-a % q, 1), q) for a in range(q)]
+    assert len(struck) > count // 20  # about 1/q of the draws
+    for D in struck:
+        assert any(rem(D, S, q) == () for S in squares), D
+    # the scalar test decides each survivor once, up to the last accepted draw
+    assert _scalar_calls(monkeypatch, q, d, count, seed) == [D for _, D, kept in draws if kept]
+
+
+@pytest.mark.parametrize("q", [37, 101])
+def test_scalar_test_sees_every_draw_past_the_strike_limit(monkeypatch, q):
+    d, count, seed = 5, 300, 1
+    assert q * q > scan.STRIKE_LIMIT
+    draws = _tested_draws(q, d, count, seed, prepass=False)
+    assert _scalar_calls(monkeypatch, q, d, count, seed) == [D for _, D, _ in draws]
 
 
 def test_sampled_moment_deterministic_and_exact_per_curve():

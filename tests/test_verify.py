@@ -82,6 +82,15 @@ def test_rejects_sample_size_below_one(g, sample_size):
         run_identity_suite(3, g, sample_size=sample_size)
 
 
+@pytest.mark.parametrize("value", [2.5, True])
+def test_rejects_a_sample_size_or_seed_that_is_no_int(monkeypatch, value):
+    monkeypatch.setattr(scan, "sample_codes", lambda *a: pytest.fail("sample_codes called"))
+    with pytest.raises(ValueError, match=rf"^sample_size must be an int, got {value!r}$"):
+        run_identity_suite(3, 3, sample_size=value)
+    with pytest.raises(ValueError, match=rf"^seed must be an int, got {value!r}$"):
+        run_identity_suite(3, 3, seed=value)
+
+
 def test_checks_the_table_budget_before_it_draws(monkeypatch):
     # the batch coefficients reach degree 2g = 10, past the cap at q=3
     for name in ("sample_codes", "squarefree_mask"):
