@@ -50,11 +50,10 @@ mod (x - a)^2 in the sampler's pre-pass.
 
 `sample_codes` draws seeded batches of codes and keeps the square-free ones
 in draw order.  Each batch becomes one digit matrix; while d >= 2 and
-q^2 <= STRIKE_LIMIT (q <= 31, a bound its docstring derives from the cost
-of one kernel pass against one scalar test), a pre-pass strikes every draw
-divisible by some (x - a)^2, a in F_q, and the scalar `squarefree` decides
-each draw left, its tuple read from the matrix a block at a time.  The
-accepted codes fill one preallocated int64 array.
+q <= STRIKE_LIMIT (measured in `sample_codes`' docstring), a pre-pass
+strikes every draw divisible by some (x - a)^2, a in F_q, and the scalar
+`squarefree` decides each draw left, its tuple read from the matrix a block
+at a time.  The accepted codes fill one preallocated int64 array.
 
 A checkpoint path is its own resume switch: a file there is validated and
 resumed, so a rerun continues an interrupted scan; with no file it starts fresh.
@@ -105,7 +104,7 @@ from .sqrtq import SqrtQRational
 MASK_CHECK_LIMIT = 10**7  # monic D of degree 2g+1 up to which moment_scan enumerates its count
 CHECKPOINT_VERSION = 1
 CHUNK_SIZE = 64  # summands f per chunk; a checkpoint records it and resume checks it
-STRIKE_LIMIT = 1000  # q^2 up to which sample_codes' pre-pass strikes draws divisible by an (x - a)^2
+STRIKE_LIMIT = 31  # largest q at which sample_codes' pre-pass strikes draws divisible by an (x - a)^2
 TUPLE_BLOCK = 1024  # draws whose tuples sample_codes reads from the digit matrix at once
 
 
@@ -514,14 +513,14 @@ def _check_at_least(name: str, value, low: int) -> None:
 def _survivors(batch: np.ndarray, q: int, d: int):
     """(index, D) for each draw of batch the pre-pass leaves, in draw order; D is its monic tuple.
 
-    While d >= 2 and q^2 <= STRIKE_LIMIT the pre-pass strikes each draw
+    While d >= 2 and q <= STRIKE_LIMIT the pre-pass strikes each draw
     whose residue mod (x - a)^2 is 0 for some a in F_q.  The tuples are read
     from the batch's digit matrix TUPLE_BLOCK columns at a time, so no list
     of d + 1 digits is held for every draw of the batch at once.
     """
     dig = _digit_matrix(batch, q, d, monic=True)
     keep = np.ones(len(batch), dtype=bool)
-    if d >= 2 and q * q <= STRIKE_LIMIT:
+    if d >= 2 and q <= STRIKE_LIMIT:
         for a in range(q):
             keep &= _residue_codes(dig, mul((q - a, 1), (q - a, 1), q), q) != 0
     idx = np.flatnonzero(keep)
@@ -540,18 +539,31 @@ def sample_codes(q: int, d: int, count: int, seed: int) -> np.ndarray:
     factor (x - a)^2, so the scalar test would refuse it: the codes are the
     ones every draw tested by `squarefree` alone would give.
 
-    The pre-pass bound.  About 1/q of the draws have a repeated root in
-    F_q (q roots, each a square factor with probability 1/q^2), so the q
-    passes, at c_pass per code each, save c_sf / q per draw, c_sf being one
-    scalar test: they pay while q^2 < c_sf / c_pass.  On a 2-core Xeon
-    host one pass took about 5 ns per code at q = 5, d = 11 and 10 ns at
-    q = 31, and one scalar test 25 us at q = 3, d = 9 and 45-70 us at
-    d = 11: a break-even q^2 of about 4700 or more.  STRIKE_LIMIT = 1000
-    (q <= 31) leaves a margin for hosts and shapes that were not measured.
-    The pass strikes about 92% of the refused draws at q = 5 (62,455
-    scalar calls down to 50,984 for 50,000 codes at d = 11, seed 1); the
-    squares of the degree-2 primes struck 835 more there and moved no wall
-    time, so the pass stops at degree 1.
+    The pre-pass bound.  The pass makes q kernel calls per batch and spares
+    the scalar test on the about 1/q of the draws with a repeated root in
+    F_q, so it pays only at small q.  STRIKE_LIMIT was measured with
+    alternating in-process pairs of sample_codes, the pass forced on and
+    off, at d = 9 (verify's shape) and d = 11 (sampled's), 5-11 pairs a
+    cell, on a 2-core Xeon host.  Median CPU ratios on/off:
+
+                   3000 codes   10,000 codes   50,000 codes
+        q = 3-7    0.70-0.88
+        q = 11-17  0.86-0.99    0.89-0.96
+        q = 19-23  0.90-1.03    0.96-0.99
+        q = 29-37  1.02-1.15    0.98-1.01      0.93-0.98
+        q = 53     1.12                        0.93
+        q = 67     1.16                        1.05
+        q = 101    1.23                        1.39
+        q = 127    1.33
+
+    (q >= 53 at d = 9 only: d = 11 codes pass int64 beyond q = 47.)  The
+    crossover moves up with the count, from near q = 20 at 3000 codes to
+    30 at 10,000 and 60 at 50,000; STRIKE_LIMIT = 31 is the 10,000-code
+    one, and `sampled` (q = 5) and `verify` (q = 3) sit far inside it.  The
+    pass strikes about 92% of the refused draws at q = 5 (62,455 scalar
+    calls down to 50,984 for 50,000 codes at d = 11, seed 1); the squares
+    of the degree-2 primes struck 835 more there and moved no wall time,
+    so the pass stops at degree 1.
     """
     check_odd_prime(q)
     _check_at_least("count", count, 1)

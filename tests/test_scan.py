@@ -1064,7 +1064,7 @@ def test_prepass_strikes_only_draws_with_a_square_linear_factor(monkeypatch):
 @pytest.mark.parametrize("q", [37, 101])
 def test_scalar_test_sees_every_draw_past_the_strike_limit(monkeypatch, q):
     d, count, seed = 5, 300, 1
-    assert q * q > scan.STRIKE_LIMIT
+    assert q > scan.STRIKE_LIMIT
     draws = _tested_draws(q, d, count, seed, prepass=False)
     assert _scalar_calls(monkeypatch, q, d, count, seed) == [D for _, D, _ in draws]
 
