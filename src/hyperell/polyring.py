@@ -9,9 +9,11 @@ order, code(f) = sum(c_i * q**i) over the sub-leading coefficients.  The
 constant term is the fastest-varying digit; the order is total and stable,
 and every deterministic scan in the package relies on it.
 
-Division has one kernel, `_reduce`, whose one pass leaves both the
-remainder and the quotient: `rem`, `divmod_` and `gcd` (the one Euclid, behind
-`squarefree`) read it.  Residues of many polynomials at once have one kernel
+Single division has one kernel, `_reduce`, whose one pass leaves both the
+remainder and the quotient: `rem` and `divmod_` read it.  Euclid has one
+kernel, `_euclid`, behind `gcd` and `squarefree`: it packs each polynomial
+into one int, k bits a digit, so one big-integer add does a whole
+elimination step.  Residues of many polynomials at once have one kernel
 too, `_residue_codes`, which reads each x^i mod P from `rem` and folds digit
 rows held digit-major, one contiguous vector per power of x.  Callers pass
 digits as `_digit_matrix` writes them, and the kernel sizes its own sums:
@@ -45,7 +47,7 @@ _TABLE_BUDGET = 10**8  # entries one table may hold: sieve codes here, int8 prim
 
 
 class ResourceCapError(RuntimeError):
-    """A table or a scan would exceed the table budget, `_TABLE_BUDGET`."""
+    """A table, a scan or a sample would exceed the table budget, `_TABLE_BUDGET`."""
 
 
 # ---------------------------------------------------------------------------
@@ -124,19 +126,17 @@ def _unit_lead(g, q: int) -> int:
     return lead
 
 
-def _reduce(r: list, g, q: int, neg_inv: int | None = None) -> list:
+def _reduce(r: list, g, q: int) -> list:
     """Long division of the digit list r by g in place; returns r mod g, normalised.
 
-    The one division kernel.  The step at i >= deg g adds c·g·x^(i - deg g),
-    c = -r[i] / lead(g) mod q, to the digits below i and stores c in r[i]:
-    minus the quotient digit.  So r[deg g:] is left holding the negated
-    quotient, which `divmod_` reads; the remainder r[:deg g] is reduced mod q
-    and stripped once.  neg_inv = -1 / lead(g) mod q comes from
-    `_unit_lead`'s checked lead unless the caller passes it for a divisor
-    known canonical (`gcd`'s own remainders).
+    The kernel of single divisions.  The step at i >= deg g adds
+    c·g·x^(i - deg g), c = -r[i] / lead(g) mod q, to the digits below i and
+    stores c in r[i]: minus the quotient digit.  So r[deg g:] is left
+    holding the negated quotient, which `divmod_` reads; the remainder
+    r[:deg g] is reduced mod q and stripped once.  lead(g) is checked by
+    `_unit_lead`.
     """
-    if neg_inv is None:
-        neg_inv = q - pow(_unit_lead(g, q), q - 2, q)
+    neg_inv = q - pow(_unit_lead(g, q), q - 2, q)
     dg = len(g) - 1
     low = g[:dg]
     for i in range(len(r) - 1, dg - 1, -1):
@@ -174,28 +174,76 @@ def monic(f: Poly, q: int) -> Poly:
     return tuple((c * inv_lead) % q for c in f)
 
 
-def gcd(f: Poly, g: Poly, q: int) -> Poly:
-    """Monic gcd; gcd(f, 0) = monic(f mod q).  The one Euclid, on digit lists.
+def _euclid(A: int, da: int, B: int, db: int, k: int, q: int):
+    """(G, deg G): Euclid on packed polynomials, down to the first remainder of degree <= 0.
 
-    It stops at the first remainder of degree <= 0: zero leaves the last
-    divisor, and a nonzero constant makes the gcd 1.  The caller's g is
-    checked once by `_unit_lead`; each later divisor is `_reduce`'s own
-    remainder, reduced mod q and stripped, so its lead is a unit as it is.
+    The one Euclid, behind `gcd` and `squarefree`.  A polynomial of degree
+    n is one int of n + 1 digits of k bits, leading coefficient first:
+    bits [k·j, k·(j+1)) hold the coefficient of x^(n-j) (Kronecker
+    substitution), so a lead is read and shifted off at the low end.
+    Digits are nonnegative and left unreduced mod q.  A is
+    0 with da = -1, or its lead is a unit mod q, as B's is.
+
+    One elimination step adds c·B to A, c = -lead(A)/lead(B) mod q in
+    [0, q), lined up at the lead; so digits only grow and no borrow crosses
+    a digit.  The lead digit, now 0 mod q, is shifted off, and after the
+    last step of a division every leading digit that is 0 mod q goes the
+    same way.  The first remainder of degree <= 0 stops it: zero leaves the
+    last divisor, and a nonzero constant comes back with degree 0.
+
+    The digit width.  Say the division of r_(i-1) by r_i adds t_i multiples
+    of r_i, and M_i bounds the digits of r_i, with M_0, M_1 <= q - 1 for
+    operands reduced mod q.  Then M_(i+1) <= M_(i-1) + t_i(q-1)M_i.  So by
+    induction, taking the bounds N_0 = N_1 = q - 1, N_(i+1) = N_i q^(t_i),
+    which never decrease, M_(i+1) <= N_i (1 + t_i(q-1)) <= N_(i+1), since
+    1 + t(q-1) <= q^t.  A division takes t_i <= deg r_(i-1) - deg r_i + 1
+    steps (none while deg A < deg B), and the divisors' degrees fall
+    strictly from deg B to at least 1, so the t_i sum to at most
+    deg A + deg B.  Every digit is then at most (q-1) q^(deg A + deg B) and
+    below 2^k for k = bit_length(q^(deg A + deg B + 1)), the width the
+    callers pack with: no carry crosses a digit either.
     """
-    a, b = list(f), list(g)
-    if not b:
-        return monic(normalize(c % q for c in a), q)
-    neg_inv = q - pow(_unit_lead(b, q), q - 2, q)
-    while len(b) > 1:
-        a, b = b, _reduce(a, b, q, neg_inv)
-        if not b:
-            return monic(normalize(c % q for c in a), q)
-        neg_inv = q - pow(b[-1], q - 2, q)
-    return (1,)
+    mask = (1 << k) - 1
+    while db > 0:
+        neg_inv = q - pow((B & mask) % q, q - 2, q)
+        while da >= db:
+            A = (A + (A & mask) * neg_inv % q * B) >> k
+            da -= 1
+        while da >= 0 and not (A & mask) % q:
+            A >>= k
+            da -= 1
+        A, da, B, db = B, db, A, da
+    return (B, 0) if db == 0 else (A, da)
 
 
-def derivative(f: Poly, q: int) -> Poly:
-    return normalize([i * f[i] % q for i in range(1, len(f))])
+def _pack(f, k: int) -> int:
+    """f's digits as one int of k-bit digits, leading coefficient in the lowest, as `_euclid` reads them."""
+    out = 0
+    for c in f:
+        out = out << k | c
+    return out
+
+
+def gcd(f: Poly, g: Poly, q: int) -> Poly:
+    """Monic gcd; gcd(f, 0) = monic(f mod q).
+
+    Both operands are reduced mod q and packed for the one Euclid,
+    `_euclid`, and only the gcd is unpacked.  The caller's g is checked by
+    `_unit_lead`; a constant g makes the gcd 1.
+    """
+    check_odd_prime(q)
+    a = normalize(c % q for c in f)
+    if not g:
+        return monic(a, q)
+    _unit_lead(g, q)
+    if len(g) == 1:
+        return (1,)
+    k = (q ** (len(a) + len(g) - 1)).bit_length()  # deg a + deg g + 1
+    G, dg = _euclid(_pack(a, k), len(a) - 1, _pack((c % q for c in g), k), len(g) - 1, k, q)
+    if dg == 0:
+        return (1,)
+    mask = (1 << k) - 1
+    return monic(tuple((G >> k * (dg - i) & mask) % q for i in range(dg + 1)), q)
 
 
 def mul_mod(f: Poly, g: Poly, m: Poly, q: int) -> Poly:
@@ -346,17 +394,30 @@ def squarefree(f: Poly, q: int) -> bool:
     """True iff f has no repeated irreducible factor.
 
     gcd(f, f') constant does it, except f' = 0: then a nonconstant f is a
-    p-th power (p = char), hence not square-free.
+    p-th power (p = char), hence not square-free.  f and f' are packed in
+    one pass over f's digits, f' reduced mod q and stripped of its leading
+    zeros, and the one Euclid, `_euclid`, answers by the degree of the gcd
+    alone.
     """
     if not f:
         raise ValueError("square-free test undefined for the zero polynomial")
+    check_odd_prime(q)
     _check_poly(f, q, "the square-free test")
-    if len(f) == 1:
+    n = len(f) - 1
+    if not n:
         return True
-    d = derivative(f, q)
-    if not d:
-        return False
-    return degree(gcd(f, d, q)) == 0
+    k = (q ** (2 * n)).bit_length()  # deg f + deg f' + 1 <= 2n
+    F, D = f[0], 0
+    for i in range(1, n + 1):
+        c = f[i]
+        F = F << k | c
+        D = D << k | i * c % q
+    mask = (1 << k) - 1
+    dd = n - 1
+    while dd >= 0 and not D & mask:
+        D >>= k
+        dd -= 1
+    return dd >= 0 and _euclid(F, n, D, dd, k, q)[1] == 0
 
 
 def is_irreducible(f: Poly, q: int) -> bool:

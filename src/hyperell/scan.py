@@ -104,7 +104,7 @@ from .sqrtq import SqrtQRational
 MASK_CHECK_LIMIT = 10**7  # monic D of degree 2g+1 up to which moment_scan enumerates its count
 CHECKPOINT_VERSION = 1
 CHUNK_SIZE = 64  # summands f per chunk; a checkpoint records it and resume checks it
-STRIKE_LIMIT = 31  # largest q at which sample_codes' pre-pass strikes draws divisible by an (x - a)^2
+STRIKE_LIMIT = 19  # largest q at which sample_codes' pre-pass strikes draws divisible by an (x - a)^2
 TUPLE_BLOCK = 1024  # draws whose tuples sample_codes reads from the digit matrix at once
 
 
@@ -123,6 +123,19 @@ def _check_table_budget(q: int, n_max: int) -> None:
     if entries > _TABLE_BUDGET:
         raise ResourceCapError(
             f"prime tables to degree {n_max} at q={q} need {entries} entries, past the cap"
+        )
+
+
+def _check_sample_budget(sample_size: int, n_max: int) -> None:
+    """Refuse a sample whose batch sums, sample_size x (n_max + 1) int64 entries, pass the budget.
+
+    That bounds the batch result at 8 * 10^8 bytes; the budget also caps the
+    draws themselves, in `sample_codes`.
+    """
+    entries = sample_size * (n_max + 1)
+    if entries > _TABLE_BUDGET:
+        raise ResourceCapError(
+            f"a sample of {sample_size} curves to degree {n_max} needs {entries} batch entries, past the cap"
         )
 
 
@@ -544,29 +557,35 @@ def sample_codes(q: int, d: int, count: int, seed: int) -> np.ndarray:
     F_q, so it pays only at small q.  STRIKE_LIMIT was measured with
     alternating in-process pairs of sample_codes, the pass forced on and
     off, at d = 9 (verify's shape) and d = 11 (sampled's), 5-11 pairs a
-    cell, on a 2-core Xeon host.  Median CPU ratios on/off:
+    cell and two to four runs a 10,000-code cell, on a 2-core Xeon host,
+    with the packed scalar Euclid.  Median CPU ratios on/off:
 
                    3000 codes   10,000 codes   50,000 codes
-        q = 3-7    0.70-0.88
-        q = 11-17  0.86-0.99    0.89-0.96
-        q = 19-23  0.90-1.03    0.96-0.99
-        q = 29-37  1.02-1.15    0.98-1.01      0.93-0.98
-        q = 53     1.12                        0.93
-        q = 67     1.16                        1.05
-        q = 101    1.23                        1.39
-        q = 127    1.33
+        q = 3      0.70-0.72
+        q = 5                   0.82-0.84
+        q = 7      0.89-0.93
+        q = 11-13  0.95-1.03    0.88-0.98      0.89-0.95
+        q = 17-19  0.97-1.03    0.94-1.02      0.96-0.97
+        q = 23     1.06-1.07    0.97-1.12      0.83-0.95
+        q = 29-37               0.98-1.06      0.76-0.98
 
-    (q >= 53 at d = 9 only: d = 11 codes pass int64 beyond q = 47.)  The
-    crossover moves up with the count, from near q = 20 at 3000 codes to
-    30 at 10,000 and 60 at 50,000; STRIKE_LIMIT = 31 is the 10,000-code
-    one, and `sampled` (q = 5) and `verify` (q = 3) sit far inside it.  The
-    pass strikes about 92% of the refused draws at q = 5 (62,455 scalar
-    calls down to 50,984 for 50,000 codes at d = 11, seed 1); the squares
-    of the degree-2 primes struck 835 more there and moved no wall time,
-    so the pass stops at degree 1.
+    The crossover moves up with the count, from near q = 11 at 3000 codes
+    to about 20 at 10,000, and past 37 at 50,000, where 5 pairs a cell
+    spread widely; STRIKE_LIMIT = 19 is the 10,000-code one, and `sampled`
+    (q = 5) and `verify` (q = 3) sit far inside it.  The pass strikes about
+    92% of the refused draws at q = 5 (62,455 scalar calls down to 50,984
+    for 50,000 codes at d = 11, seed 1); the squares of the degree-2 primes
+    struck 835 more there and moved no wall time, so the pass stops at
+    degree 1.
+
+    A count past `_TABLE_BUDGET` is refused with ResourceCapError before
+    any draw: that bounds the output at 8 * 10^8 bytes, and each batch at
+    count int64 draws and their (d + 1) x count digit bytes.
     """
     check_odd_prime(q)
     _check_at_least("count", count, 1)
+    if count > _TABLE_BUDGET:
+        raise ResourceCapError(f"a sample of {count} codes is past the cap of {_TABLE_BUDGET}")
     _check_at_least("seed", seed, 0)
     rng = np.random.Generator(np.random.PCG64(seed))
     space = _code_space(q, d)
@@ -602,11 +621,16 @@ class SampleMoment:
 
 
 def sampled_moment(q: int, g: int, sample_size: int, seed: int) -> SampleMoment:
-    """The moment estimated over `sample_size` curves drawn by `sample_codes` from seed."""
+    """The moment estimated over `sample_size` curves drawn by `sample_codes` from seed.
+
+    Before any draw it checks the prime tables to degree g and the batch
+    sums, sample_size x (g + 1) int64 entries, against the budget.
+    """
     _check_at_least("sample_size", sample_size, 1)
     spec = EnsembleSpec(q, g)
     d = spec.poly_degree
     _check_table_budget(q, g)
+    _check_sample_budget(sample_size, g)
     codes = sample_codes(q, d, sample_size, seed)
     a = batch_coefficients(q, d, codes, g)
     weights = two_block_weights(g)

@@ -52,15 +52,23 @@ def run_identity_suite(
     seed: int = 1,
     inject_fault: bool = False,
 ) -> list:
-    """Run every applicable cross-check for one (q, g); returns CheckResults."""
+    """Run every applicable cross-check for one (q, g); returns CheckResults.
+
+    Before any draw it checks the prime tables to degree 2g and, when it
+    samples, the batch sums, sample_size x (2g + 1) int64 entries, against
+    the budget.  An ensemble of at most EXHAUSTIVE_LIMIT curves is
+    enumerated, whatever sample_size is.
+    """
     spec = EnsembleSpec(q, g)
     scan._check_at_least("sample_size", sample_size, 1)
     scan._check_at_least("seed", seed, 0)
     scan._check_table_budget(q, 2 * g)  # the batch coefficients reach degree 2g
+    exhaustive = spec.size <= EXHAUSTIVE_LIMIT
+    if not exhaustive:
+        scan._check_sample_budget(sample_size, 2 * g)
     d = spec.poly_degree
     results: list = []
 
-    exhaustive = spec.size <= EXHAUSTIVE_LIMIT
     if exhaustive:
         mask = scan.squarefree_mask(q, d)
         codes = np.nonzero(mask)[0].astype(np.int64)

@@ -20,14 +20,18 @@ from hyperell.field import legendre_scalar
 from hyperell.lfunction import dirichlet_coefficient
 from hyperell.polyring import (
     Poly,
+    _reduce,
+    _unit_lead,
     degree,
     factorize,
     is_monic,
     mobius,
+    monic,
     monic_by_code,
     monic_polys,
     mul,
     norm,
+    normalize,
     squarefree,
 )
 
@@ -47,6 +51,30 @@ def poly_of_code(code: int, q: int) -> Poly:
         code, c = divmod(code, q)
         out.append(c)
     return tuple(out)
+
+
+def derivative(f: Poly, q: int) -> Poly:
+    return normalize([i * f[i] % q for i in range(1, len(f))])
+
+
+def gcd_by_digit_lists(f: Poly, g: Poly, q: int) -> Poly:
+    """The oracle for `polyring.gcd`: Euclid on digit lists by repeated `_reduce`.
+
+    Monic gcd; gcd(f, 0) = monic(f mod q).  It stops at the first remainder
+    of degree <= 0: zero leaves the last divisor, and a nonzero constant
+    makes the gcd 1.  The caller's g is checked by `_unit_lead`; each later
+    divisor is `_reduce`'s own remainder, reduced mod q and stripped.  It
+    shares no code with the packed Euclid, `polyring._euclid`.
+    """
+    a, b = list(f), list(g)
+    if not b:
+        return monic(normalize(c % q for c in a), q)
+    _unit_lead(b, q)
+    while len(b) > 1:
+        a, b = b, _reduce(a, b, q)
+        if not b:
+            return monic(normalize(c % q for c in a), q)
+    return (1,)
 
 
 def sample_codes_by_scalar_test(q: int, d: int, count: int, seed: int) -> np.ndarray:

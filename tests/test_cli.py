@@ -321,6 +321,21 @@ def test_sample_table_cap_exit_3(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("moment", "--q", "5", "--g", "2", "--mode", "sample", "--seed", "1"),
+        ("verify", "--q", "5", "--g", "3"),
+    ],
+)
+def test_huge_sample_size_exit_3(capsys, argv):
+    # refused in one line before anything is allocated: 10^12 int64 draws would not fit
+    code, out, err = run_cli(capsys, *argv, "--sample-size", "1000000000000")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: a sample of 1000000000000 curves") and err.count("\n") == 1
+
+
 def test_resource_cap_exit_3(capsys):
     # the prime tables to degree 10 at q=3 need 396,290,484 entries
     code, _, err = run_cli(capsys, "moment", "--q", "3", "--g", "10")

@@ -33,7 +33,15 @@ from hyperell.polyring import (
     shared_table,
     squarefree,
 )
-from support import euler_phi, is_perfect_square, poly_code, poly_of_code, radical
+from support import (
+    derivative,
+    euler_phi,
+    gcd_by_digit_lists,
+    is_perfect_square,
+    poly_code,
+    poly_of_code,
+    radical,
+)
 
 X = (0, 1)
 
@@ -171,20 +179,74 @@ def euclid_steps(f, g, q):
 @pytest.mark.parametrize("q,n,count", [(3, 7, 400), (5, 11, 400), (7, 6, 200)])
 def test_squarefree_divides_only_down_to_a_constant_remainder(monkeypatch, q, n, count):
     # gcd(f, f') stops at the first remainder of degree <= 0, with no
-    # division by a constant and no monic of one
+    # division by a constant: the packed Euclid inverts each divisor's lead
+    # once, so its pow calls count its divisors
     rng = random.Random(q * 1000 + n)
     fs = [monic_by_code(rng.randrange(q**n), n, q) for _ in range(count)]
     fs += [mul((0, 1), mul((0, 1), (1, 1), q), q), (1, 0, 1)]  # x^2 (x+1) and x^2+1
-    expected = [euclid_steps(f, pr.derivative(f, q), q) for f in fs]
+    expected = [euclid_steps(f, derivative(f, q), q) for f in fs]
     answers = [squarefree(f, q) for f in fs]
     calls = []
-    kernel = pr._reduce
-    monkeypatch.setattr(pr, "_reduce", lambda *a: calls.append(1) or kernel(*a))
+    monkeypatch.setattr(pr, "pow", lambda *a: calls.append(1) or pow(*a), raising=False)
     for f, steps, answer in zip(fs, expected, answers):
         calls.clear()
         assert squarefree(f, q) == answer, f
         assert len(calls) == steps, f
     assert max(expected) >= n - 2 and min(expected) <= 1
+
+
+def raw_polys(q, max_deg):
+    """Digit lists as callers may pass them: unreduced, negative, with trailing zeros, or empty."""
+    return st.lists(st.integers(-2 * q, 3 * q), max_size=max_deg + 1)
+
+
+def outcome(call, *args):
+    try:
+        return call(*args)
+    except (ValueError, ZeroDivisionError) as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), q=st.sampled_from([3, 5, 7, 31, 101, 10007]))
+def test_gcd_equals_the_digit_list_euclid(data, q):
+    # a drawn common factor c gives most pairs a gcd past 1; the lifts by
+    # multiples of q leave the digits unreduced
+    c = normalize(data.draw(st.lists(st.integers(0, q - 1), max_size=4)))
+    f, g = (tuple(data.draw(raw_polys(q, 14 - max(degree(c), 0)))) for _ in "fg")
+    if c and data.draw(st.booleans()):
+        lifts = data.draw(st.lists(st.integers(-2, 2), min_size=15, max_size=15))
+        f, g = (
+            tuple(x + q * k for x, k in zip(mul(normalize(x % q for x in h), c, q), lifts))
+            for h in (f, g)
+        )
+    for a, b in ((f, g), (g, f)):
+        assert outcome(gcd, a, b, q) == outcome(gcd_by_digit_lists, a, b, q), (a, b)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 19, 23, 31, 37, 101])
+def test_squarefree_matches_factorization_on_the_sampler_shapes(q):
+    # sample_codes' test grid, with d = 4 for d = 9 at q >= 31: there
+    # factorize would trial-divide an irreducible f of degree 9 by every one
+    # of the 10^5 to 10^7 primes of degree 4
+    rng = random.Random(q)
+    for d in (0, 1, 2, 3, 9 if q <= 7 else 4):
+        fs = [monic_by_code(rng.randrange(q**d), d, q) for _ in range(150)]
+        for _ in range(50 if d >= 2 else 0):  # a square factor s^2, deg s <= d/2
+            s = monic_by_code(rng.randrange(q ** (e := rng.randint(1, d // 2))), e, q)
+            fs.append(mul(mul(s, s, q), monic_by_code(rng.randrange(q ** (d - 2 * e)), d - 2 * e, q), q))
+        for f in fs:
+            assert squarefree(f, q) == all(e == 1 for _, e in factorize(f, q)[1]), f
+
+
+def test_gcd_and_squarefree_refuse_a_q_that_is_no_odd_prime():
+    # Z/9Z and Z/4Z are no fields: Euclid's answer over them would mean nothing
+    with pytest.raises(ValueError, match=r"^q must be an odd prime, got 9$"):
+        squarefree((1, 0, 1), 9)
+    with pytest.raises(ValueError, match=r"^q must be an odd prime, got 4$"):
+        gcd((1, 0, 1), (0, 2), 4)
+    with pytest.raises(ValueError, match=r"^q must be an odd prime, got 2$"):
+        gcd((1, 1), (), 2)
 
 
 def test_gcd_stops_at_a_constant_remainder():

@@ -995,6 +995,30 @@ def test_sampled_moment_checks_table_budget_before_sampling(monkeypatch):
     assert drawn == []
 
 
+def test_sample_codes_refuses_a_count_past_the_budget(monkeypatch):
+    with pytest.raises(ResourceCapError, match=r"^a sample of 1000000000000 codes is past the cap"):
+        sample_codes(5, 3, 10**12, 1)
+    monkeypatch.setattr(scan, "_TABLE_BUDGET", 100)
+    assert len(sample_codes(5, 3, 100, 1)) == 100
+    monkeypatch.setattr(scan, "_digit_matrix", lambda *a, **k: pytest.fail("digits built"))
+    with pytest.raises(ResourceCapError, match="^a sample of 101 codes is past the cap of 100$"):
+        sample_codes(5, 3, 101, 1)
+
+
+def test_sampled_moment_checks_its_batch_size_before_sampling(monkeypatch):
+    # sample_size x (g + 1) int64 batch sums: 51 x 2 = 102 entries pass a budget
+    # of 100, which the 25 entries of the prime tables to degree 1 do not
+    drawn = []
+    monkeypatch.setattr(scan, "_TABLE_BUDGET", 100)
+    monkeypatch.setattr(scan, "sample_codes", lambda *a: drawn.append(a))
+    with pytest.raises(ResourceCapError, match="^a sample of 51 curves to degree 1 needs 102 batch"):
+        sampled_moment(5, 1, 51, seed=1)
+    assert drawn == []
+    monkeypatch.undo()
+    with pytest.raises(ResourceCapError, match="needs 3000000000000 batch entries, past the cap$"):
+        sampled_moment(5, 2, 10**12, seed=1)
+
+
 def test_sample_codes_properties():
     q, d = 5, 7
     codes = sample_codes(q, d, 64, seed=3)
@@ -1008,9 +1032,9 @@ def test_sample_codes_properties():
         assert squarefree(D, q)
 
 
-@pytest.mark.parametrize("q", [3, 5, 7, 31, 37, 101])
+@pytest.mark.parametrize("q", [3, 5, 7, 19, 23, 31, 37, 101])
 def test_sample_codes_equal_the_scalar_oracle(q):
-    # 31 and 37 sit on either side of the pre-pass bound, d = 9 is verify's
+    # 19 and 23 sit on either side of the pre-pass bound, d = 9 is verify's
     # shape, and counts past 64 take several batches
     for d in (0, 1, 2, 3, 9):
         for count in (1, 63, 64, 65, 700):

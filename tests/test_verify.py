@@ -97,3 +97,12 @@ def test_checks_the_table_budget_before_it_draws(monkeypatch):
         monkeypatch.setattr(scan, name, lambda *a, name=name: pytest.fail(f"{name} called"))
     with pytest.raises(ResourceCapError, match="prime tables to degree 10 at q=3"):
         run_identity_suite(3, 5)
+
+
+def test_checks_its_batch_size_before_it_draws(monkeypatch):
+    # a sampled suite holds sample_size x (2g + 1) int64 batch sums: 7 x 10^12 at (5, 3)
+    monkeypatch.setattr(scan, "sample_codes", lambda *a: pytest.fail("sample_codes called"))
+    with pytest.raises(ResourceCapError, match="^a sample of 1000000000000 curves to degree 6 needs"):
+        run_identity_suite(5, 3, sample_size=10**12)
+    # (5, 2) has 2500 curves and is enumerated, so its sample size is not read
+    assert suite_passed(run_identity_suite(5, 2, sample_size=10**12))
