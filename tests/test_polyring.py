@@ -226,9 +226,9 @@ def test_gcd_equals_the_digit_list_euclid(data, q):
 
 @pytest.mark.parametrize("q", [3, 5, 7, 19, 23, 31, 37, 101])
 def test_squarefree_matches_factorization_on_the_sampler_shapes(q):
-    # sample_codes' test grid, with d = 4 for d = 9 at q >= 31: there
+    # sample_codes' test grid, with d = 4 for d = 9 at q >= 19: there
     # factorize would trial-divide an irreducible f of degree 9 by every one
-    # of the 10^5 to 10^7 primes of degree 4
+    # of the 3·10^4 to 2.6·10^7 primes of degree 4
     rng = random.Random(q)
     for d in (0, 1, 2, 3, 9 if q <= 7 else 4):
         fs = [monic_by_code(rng.randrange(q**d), d, q) for _ in range(150)]
