@@ -104,7 +104,7 @@ from .sqrtq import SqrtQRational
 MASK_CHECK_LIMIT = 10**7  # monic D of degree 2g+1 up to which moment_scan enumerates its count
 CHECKPOINT_VERSION = 1
 CHUNK_SIZE = 64  # summands f per chunk; a checkpoint records it and resume checks it
-STRIKE_LIMIT = 19  # largest q at which sample_codes' pre-pass strikes draws divisible by an (x - a)^2
+STRIKE_LIMIT = 31  # largest q at which sample_codes' pre-pass strikes draws divisible by an (x - a)^2
 TUPLE_BLOCK = 1024  # draws whose tuples sample_codes reads from the digit matrix at once
 
 
@@ -570,23 +570,26 @@ def sample_codes(q: int, d: int, count: int, seed: int) -> np.ndarray:
         q = 29-37               0.98-1.06      0.76-0.98
 
     The crossover moves up with the count, from near q = 11 at 3000 codes
-    to about 20 at 10,000, and past 37 at 50,000, where 5 pairs a cell
-    spread widely; STRIKE_LIMIT = 19 is the 10,000-code one, and `sampled`
-    (q = 5) and `verify` (q = 3) sit far inside it.  The pass strikes about
+    to somewhere in q = 19-37 at 10,000, where these runs do not resolve
+    it, and past 37 at 50,000, where 5 pairs a cell spread widely.
+    STRIKE_LIMIT stays 31, the crossover measured before the packed Euclid:
+    lowering it would turn off the pass where it won at 50,000 codes
+    (q = 23-31), and no benchmark workload samples between 19 and 31 to
+    decide it.  `sampled` (q = 5) and `verify` (q = 3) sit far inside it.  The pass strikes about
     92% of the refused draws at q = 5 (62,455 scalar calls down to 50,984
     for 50,000 codes at d = 11, seed 1); the squares of the degree-2 primes
     struck 835 more there and moved no wall time, so the pass stops at
     degree 1.
 
-    A count past `_TABLE_BUDGET` is refused with ResourceCapError before
-    any draw: that bounds the output at 8 * 10^8 bytes, and each batch at
+    A count past `_TABLE_BUDGET` is refused with ResourceCapError, after
+    the seed check and before any draw: that bounds the output at 8 * 10^8 bytes, and each batch at
     count int64 draws and their (d + 1) x count digit bytes.
     """
     check_odd_prime(q)
     _check_at_least("count", count, 1)
+    _check_at_least("seed", seed, 0)
     if count > _TABLE_BUDGET:
         raise ResourceCapError(f"a sample of {count} codes is past the cap of {_TABLE_BUDGET}")
-    _check_at_least("seed", seed, 0)
     rng = np.random.Generator(np.random.PCG64(seed))
     space = _code_space(q, d)
     out = np.empty(count, dtype=np.int64)
@@ -630,6 +633,7 @@ def sampled_moment(q: int, g: int, sample_size: int, seed: int) -> SampleMoment:
     spec = EnsembleSpec(q, g)
     d = spec.poly_degree
     _check_table_budget(q, g)
+    _check_at_least("seed", seed, 0)  # a bad seed is reported before a sample too large
     _check_sample_budget(sample_size, g)
     codes = sample_codes(q, d, sample_size, seed)
     a = batch_coefficients(q, d, codes, g)

@@ -336,6 +336,21 @@ def test_huge_sample_size_exit_3(capsys, argv):
     assert err.startswith("error: a sample of 1000000000000 curves") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("moment", "--q", "5", "--g", "2", "--mode", "sample"),
+        ("verify", "--q", "5", "--g", "3"),
+    ],
+)
+def test_huge_sample_size_with_a_bad_seed_reports_the_seed(capsys, argv):
+    # the seed is checked before the sample-size cap, as before the cap existed
+    code, out, err = run_cli(capsys, *argv, "--sample-size", "1000000000000", "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: seed must be >= 0, got -1\n"
+
+
 def test_resource_cap_exit_3(capsys):
     # the prime tables to degree 10 at q=3 need 396,290,484 entries
     code, _, err = run_cli(capsys, "moment", "--q", "3", "--g", "10")

@@ -998,6 +998,8 @@ def test_sampled_moment_checks_table_budget_before_sampling(monkeypatch):
 def test_sample_codes_refuses_a_count_past_the_budget(monkeypatch):
     with pytest.raises(ResourceCapError, match=r"^a sample of 1000000000000 codes is past the cap"):
         sample_codes(5, 3, 10**12, 1)
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        sample_codes(5, 3, 10**12, -1)  # the seed is checked before the cap
     monkeypatch.setattr(scan, "_TABLE_BUDGET", 100)
     assert len(sample_codes(5, 3, 100, 1)) == 100
     monkeypatch.setattr(scan, "_digit_matrix", lambda *a, **k: pytest.fail("digits built"))
