@@ -575,15 +575,16 @@ def sample_codes(q: int, d: int, count: int, seed: int) -> np.ndarray:
     STRIKE_LIMIT stays 31, the crossover measured before the packed Euclid:
     lowering it would turn off the pass where it won at 50,000 codes
     (q = 23-31), and no benchmark workload samples between 19 and 31 to
-    decide it.  `sampled` (q = 5) and `verify` (q = 3) sit far inside it.  The pass strikes about
-    92% of the refused draws at q = 5 (62,455 scalar calls down to 50,984
-    for 50,000 codes at d = 11, seed 1); the squares of the degree-2 primes
-    struck 835 more there and moved no wall time, so the pass stops at
-    degree 1.
+    decide it.  `sampled` (q = 5) and `verify` (q = 3) sit far inside it.
+    The pass strikes about 92% of the refused draws at q = 5 (62,455 scalar
+    calls down to 50,984 for 50,000 codes at d = 11, seed 1); the squares
+    of the degree-2 primes struck 835 more there and moved no wall time, so
+    the pass stops at degree 1.
 
     A count past `_TABLE_BUDGET` is refused with ResourceCapError, after
-    the seed check and before any draw: that bounds the output at 8 * 10^8 bytes, and each batch at
-    count int64 draws and their (d + 1) x count digit bytes.
+    the seed check and before any draw: that bounds the output at
+    8 * 10^8 bytes, and each batch at count int64 draws and their
+    (d + 1) x count digit bytes.
     """
     check_odd_prime(q)
     _check_at_least("count", count, 1)
