@@ -91,7 +91,7 @@ def zeta_numerator(D: Poly, q: int) -> LPolynomial:
         a.append(int(step))
     for n in range(g + 1, 2 * g + 1):
         a.append(a[2 * g - n] * q ** (n - g))
-    return LPolynomial(q=q, D=D, coeffs=tuple(a), lam=0)
+    return LPolynomial(q=q, coeffs=tuple(a), lam=0)
 
 
 def oracle_matches(D: Poly, q: int) -> bool:

@@ -5,7 +5,7 @@ the ensemble and per-curve central values.  The vectorized engine in `scan`
 must reproduce these numbers exactly; the slow honest loop is the yardstick,
 so it stays simple.
 
-The first-moment accumulator keeps three exact totals: the full sum of
+The first-moment record `MomentAccumulator` holds three exact totals: the full sum of
 central values, the contribution of square summands f = l^2 (these carry
 the main term) and the contribution of the non-square summands (these are
 oscillatory and should stay small).  total = square + nonsquare always, and
@@ -65,32 +65,13 @@ def enumerate_ensemble(q: int, g: int):
 
 @dataclass(frozen=True)
 class MomentAccumulator:
-    """Exact, mergeable first-moment totals over a set of curves."""
+    """Exact first-moment totals over a set of curves."""
 
     q: int
     total: SqrtQRational
     square_part: SqrtQRational
     nonsquare_part: SqrtQRational
     count: int
-
-    @staticmethod
-    def empty(q: int) -> "MomentAccumulator":
-        z = SqrtQRational.zero(q)
-        return MomentAccumulator(q=q, total=z, square_part=z, nonsquare_part=z, count=0)
-
-    def __add__(self, other: "MomentAccumulator") -> "MomentAccumulator":
-        if self.q != other.q:
-            raise ValueError("merging accumulators over different q")
-        return MomentAccumulator(
-            q=self.q,
-            total=self.total + other.total,
-            square_part=self.square_part + other.square_part,
-            nonsquare_part=self.nonsquare_part + other.nonsquare_part,
-            count=self.count + other.count,
-        )
-
-    def consistent(self) -> bool:
-        return self.total == self.square_part + self.nonsquare_part
 
 
 def central_value_square_split(D: Poly, q: int):
@@ -112,17 +93,16 @@ def first_moment(q: int, g: int) -> MomentAccumulator:
 
     The oracle for `scan.moment_scan`, which must equal it exactly.
     """
-    acc = MomentAccumulator.empty(q)
+    total = square = SqrtQRational.zero(q)
+    count = 0
     for D in enumerate_ensemble(q, g):
-        sq_val, total = central_value_square_split(D, q)
-        acc = acc + MomentAccumulator(
-            q=q,
-            total=total,
-            square_part=sq_val,
-            nonsquare_part=total - sq_val,
-            count=1,
-        )
-    return acc
+        sq_val, value = central_value_square_split(D, q)
+        total = total + value
+        square = square + sq_val
+        count += 1
+    return MomentAccumulator(
+        q=q, total=total, square_part=square, nonsquare_part=total - square, count=count
+    )
 
 
 def expected_value(F, q: int, g: int) -> SqrtQRational:

@@ -59,7 +59,6 @@ class LPolynomial:
     """
 
     q: int
-    D: Poly
     coeffs: tuple
     lam: int
 
@@ -82,10 +81,6 @@ def dirichlet_coefficient(D: Poly, n: int, q: int) -> int:
     return sum(jacobi(D, f, q) for f in monic_polys(n, q))
 
 
-def _raw_coefficients(D: Poly, q: int) -> list:
-    return [dirichlet_coefficient(D, n, q) for n in range(degree(D))]
-
-
 def l_polynomial(D: Poly, q: int) -> LPolynomial:
     """Build the completed L-polynomial of a square-free monic D by direct summation.
 
@@ -96,9 +91,9 @@ def l_polynomial(D: Poly, q: int) -> LPolynomial:
         raise ValueError("D must be monic of positive degree")
     if not squarefree(D, q):
         raise ValueError("D must be square-free (in particular not a perfect square)")
-    a = _raw_coefficients(D, q)
+    a = [dirichlet_coefficient(D, n, q) for n in range(degree(D))]
     if degree(D) % 2 == 1:
-        return LPolynomial(q=q, D=D, coeffs=tuple(a), lam=0)
+        return LPolynomial(q=q, coeffs=tuple(a), lam=0)
     # even degree: remove the forced zero at u = 1
     if sum(a) != 0:
         raise ArithmeticError("expected zero at u = 1 for even-degree D is missing")
@@ -109,7 +104,7 @@ def l_polynomial(D: Poly, q: int) -> LPolynomial:
         b.append(acc)
     if b and b[-1] == 0:
         raise ArithmeticError("completed polynomial dropped degree unexpectedly")
-    return LPolynomial(q=q, D=D, coeffs=tuple(b), lam=1)
+    return LPolynomial(q=q, coeffs=tuple(b), lam=1)
 
 
 def functional_equation_defect(L: LPolynomial):

@@ -309,9 +309,6 @@ def monic_polys(n: int, q: int):
     """All monic polynomials of degree exactly n, constant term fastest."""
     if n < 0:
         return
-    if n == 0:
-        yield (1,)
-        return
     for code in range(q**n):
         yield monic_by_code(code, n, q)
 

@@ -97,10 +97,7 @@ def run_identity_suite(
         )
     )
 
-    Ls = [
-        LPolynomial(q=q, D=monic_by_code(int(code), d, q), coeffs=tuple(int(x) for x in row), lam=0)
-        for row, code in zip(a, codes)
-    ]
+    Ls = [LPolynomial(q=q, coeffs=tuple(int(x) for x in row), lam=0) for row in a]
     fe_details = {"curves": int(len(codes)), "mode": "exhaustive" if exhaustive else "sample"}
     fe_bad = next((i for i, L in enumerate(Ls) if not functional_equation_holds(L)), None)
     if fe_bad is not None:

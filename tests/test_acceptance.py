@@ -104,13 +104,8 @@ def test_criterion_2_functional_equation(exhaustive_sets, sampled_set):
             assert np.array_equal(lhs, coef[:, 2 * g - n].astype(object)), (q, g, n)
         checked += len(codes)
         # object-level route on a few rows for good measure
-        for code, row in zip(codes[:5], coef[:5]):
-            L = LPolynomial(
-                q=q,
-                D=monic_by_code(int(code), 2 * g + 1, q),
-                coeffs=tuple(int(c) for c in row),
-                lam=0,
-            )
+        for row in coef[:5]:
+            L = LPolynomial(q=q, coeffs=tuple(int(c) for c in row), lam=0)
             assert functional_equation_holds(L)
     print(f"PASS criterion-2 coefficient symmetry a_n = a_(2g-n) q^(n-g) exact on {checked} curves")
 
@@ -145,14 +140,8 @@ def test_criterion_4_point_count_oracle():
 def test_criterion_5_root_modulus(exhaustive_sets, sampled_set):
     worst = 0.0
     for q, g, codes, coef in all_families(exhaustive_sets, sampled_set):
-        d = 2 * g + 1
         for code, row in zip(codes, coef):
-            L = LPolynomial(
-                q=q,
-                D=monic_by_code(int(code), d, q),
-                coeffs=tuple(int(c) for c in row),
-                lam=0,
-            )
+            L = LPolynomial(q=q, coeffs=tuple(int(c) for c in row), lam=0)
             ok, dev = rh_root_check(L)
             assert ok, (q, g, int(code), dev)
             worst = max(worst, dev)
@@ -281,7 +270,7 @@ def test_criterion_8_moment_vs_main_term():
     for g in range(1, 5):
         acc, _ = moment_scan(q, g, threads=1)
         assert acc.count == (q - 1) * q ** (2 * g)
-        assert acc.consistent()
+        assert acc.total == acc.square_part + acc.nonsquare_part
         assert acc.total.b == 0
         assert acc.total.a == FROZEN_MOMENT[g], (g, acc.total.a)
         main = first_moment_main_term(q, g, ec)

@@ -8,7 +8,6 @@ from hyperell.asymptotics import euler_constants
 from hyperell.characters import jacobi
 from hyperell.ensemble import (
     EnsembleSpec,
-    MomentAccumulator,
     central_value_square_split,
     enumerate_ensemble,
     expected_value,
@@ -106,7 +105,7 @@ def test_first_moment_pin_and_split():
     assert acc.total == SqrtQRational(36, 0, 3)
     assert acc.square_part == SqrtQRational(36, 0, 3)
     assert acc.nonsquare_part == SqrtQRational(0, 0, 3)
-    assert acc.consistent()
+    assert acc.total == acc.square_part + acc.nonsquare_part
 
 
 def test_first_moment_genus_two():
@@ -116,15 +115,6 @@ def test_first_moment_genus_two():
     # independent route: plain expected value times the family size
     mean = expected_value(lambda D: afe_central_value(D, 3), 3, 2)
     assert mean.scale(Fraction(acc.count)) == acc.total
-
-
-def test_accumulator_merge():
-    a = first_moment(3, 1)
-    z = MomentAccumulator.empty(3)
-    assert z + a == a
-    both = a + a
-    assert both.count == 2 * a.count
-    assert both.total == a.total + a.total
 
 
 def test_square_split_per_curve():

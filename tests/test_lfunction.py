@@ -102,9 +102,9 @@ def test_even_degree_larger_case():
 
 
 def test_functional_equation_pins():
-    assert functional_equation_holds(LPolynomial(3, D0, (1, 0, 3), 0))
-    assert not functional_equation_holds(LPolynomial(3, D0, (1, 1, 1), 0))
-    assert functional_equation_holds(LPolynomial(3, (0, 1), (1,), 0))
+    assert functional_equation_holds(LPolynomial(3, (1, 0, 3), 0))
+    assert not functional_equation_holds(LPolynomial(3, (1, 1, 1), 0))
+    assert functional_equation_holds(LPolynomial(3, (1,), 0))
 
 
 def test_functional_equation_whole_small_ensembles():
@@ -114,7 +114,7 @@ def test_functional_equation_whole_small_ensembles():
 
 
 def test_evaluate_center_pins():
-    assert evaluate_center(LPolynomial(3, (0, 1), (1,), 0)) == SqrtQRational(1, 0, 3)
+    assert evaluate_center(LPolynomial(3, (1,), 0)) == SqrtQRational(1, 0, 3)
     assert evaluate_center(l_polynomial(D0, 3)) == SqrtQRational(2, 0, 3)
 
 
@@ -131,15 +131,15 @@ def test_two_block_equals_center_exhaustive(q, g):
 def test_rh_pins():
     ok, dev = rh_root_check(l_polynomial(D0, 3))
     assert ok and dev <= 1e-9
-    ok, dev = rh_root_check(LPolynomial(3, D0, (1, 1, 1), 0))
+    ok, dev = rh_root_check(LPolynomial(3, (1, 1, 1), 0))
     assert not ok
-    assert rh_root_deviation(LPolynomial(3, (0, 1), (1,), 0)) == 0.0
+    assert rh_root_deviation(LPolynomial(3, (1,), 0)) == 0.0
 
 
 def test_rh_repeated_root_regression():
     # (5u^2-3u+1)^2 (5u^2+2u+1): double-precision eigenvalues only localize
     # the repeated pair to ~1e-8, the exact certificate must pass it
-    L = LPolynomial(5, (0,), (1, -4, 12, -22, 60, -100, 125), 0)
+    L = LPolynomial(5, (1, -4, 12, -22, 60, -100, 125), 0)
     ok, dev = rh_root_check(L)
     assert ok and dev <= 1e-9
 
@@ -213,7 +213,7 @@ def symmetric_rows(draw):
 @given(case=symmetric_rows())
 def test_rh_certificate_agrees_with_float_roots(case):
     q, row = case
-    L = LPolynomial(q, (0,), row, 0)
+    L = LPolynomial(q, row, 0)
     dev = rh_root_deviation(L)
     if dev < 1e-6 or dev > 1e-3:  # away from the float tolerance
         assert rh_certified(L) == (dev < 1e-6), (q, row, dev)
@@ -221,13 +221,13 @@ def test_rh_certificate_agrees_with_float_roots(case):
 
 def test_rh_certificate_negative_controls():
     # both satisfy the functional equation; their roots sit at |u| = 1 and 1/3
-    assert not rh_certified(LPolynomial(3, D0, (1, 4, 3), 0))
-    assert not rh_certified(LPolynomial(3, D0, (1, -4, 3), 0))
+    assert not rh_certified(LPolynomial(3, (1, 4, 3), 0))
+    assert not rh_certified(LPolynomial(3, (1, -4, 3), 0))
     # roots on the circle, but a_0 q != a_2: only the functional equation fails it
-    assert not rh_certified(LPolynomial(3, D0, (1, 1, 1), 0))
+    assert not rh_certified(LPolynomial(3, (1, 1, 1), 0))
     # x^2 - 12 twice: a double root of h at 2 sqrt 3, on the edge of the interval
-    assert rh_certified(LPolynomial(3, D0, row_of_h(poly_product([[-12, 0, 1]] * 2), 3), 0))
-    assert not rh_certified(LPolynomial(3, D0, row_of_h([-13, 0, 1], 3), 0))
+    assert rh_certified(LPolynomial(3, row_of_h(poly_product([[-12, 0, 1]] * 2), 3), 0))
+    assert not rh_certified(LPolynomial(3, row_of_h([-13, 0, 1], 3), 0))
 
 
 def test_rh_certificate_even_degree():
