@@ -17,11 +17,28 @@ against the sieve in the tests.
 
 Truncation at degree N leaves a relative error below 2 q^(-N) / N, and that
 bound is what the cutoff-stability tests assert.  The product is evaluated
-in fixed-point integer arithmetic with 192 fractional bits: deterministic,
+in fixed-point integer arithmetic with B fractional bits: deterministic,
 no floats, and no million-digit exact fractions (the factor for degree 10
 at q = 5 is raised to the 976248th power; a fully reduced rational there is
 an enormous gcd for no gain in the asserted digits).  The per-degree factor
 itself is exposed as an exact Fraction for the tests.
+
+The width B = max(192, bit_length(q^(2N)) + 8), where bit_length(q^(2N))
+= ceil(2N log2 q) for odd q, keeps the rounding error under half the
+truncation certificate.  With u = 2^(-B), every fixed-point value is
+floored and lies in [0, 1], so no error changes sign, and a product of
+values off by a and b is off by at most a + b + u.  By squaring, x^e comes
+out within 2e u of the exact factor's power (the k-th square is within
+(2^(k+1) - 1) u), so the product over n <= N is within sum_n (2 I_n + 1) u
+of the truncated product C_N, where I_n <= q^n / n counts the primes of
+degree n.  For q >= 3, sum_{n<=N} q^n / n <= 3 q^N / N (by induction on
+N), and C_N > exp(-(12/11) log(q/(q-1))) > 1/2, since log(1 - x) >=
+-(12/11) x for the factors' x = 1/((|P|+1)|P|) <= 1/12.  So the relative
+error is below 2u (6 q^N / N + N) <= 14 u q^N / N (as N^2 <= q^N), and
+2^B > 256 q^(2N) puts it below q^(-N) / N, half of tail_bound.  Where
+bit_length(q^(2N)) + 8 <= 192, B is 192, so the default cutoffs' values do
+not move; a fixed 192 bits past that point leaves an error that grows like
+q^N 2^(-192) while the certificate shrinks like q^(-N).
 """
 
 from __future__ import annotations
@@ -33,26 +50,18 @@ from fractions import Fraction
 from .field import check_odd_prime
 from .polyring import irreducible_count
 
-_FP_BITS = 192
-_FP_ONE = 1 << _FP_BITS
+_FP_BITS = 192  # the least fixed-point width; euler_constants widens it with the cutoff
 
 _DEFAULT_CUTOFF = {5: 10}
 
 
-def _fp(x: Fraction) -> int:
-    return (x.numerator << _FP_BITS) // x.denominator
-
-
-def _fp_mul(u: int, v: int) -> int:
-    return (u * v) >> _FP_BITS
-
-
-def _fp_pow(u: int, e: int) -> int:
-    out = _FP_ONE
+def _fp_pow(u: int, e: int, bits: int) -> int:
+    """u^e in fixed point with the given fractional bits, each product floored."""
+    out = 1 << bits
     while e:
         if e & 1:
-            out = _fp_mul(out, u)
-        u = _fp_mul(u, u)
+            out = (out * u) >> bits
+        u = (u * u) >> bits
         e >>= 1
     return out
 
@@ -101,17 +110,19 @@ def euler_constants(q: int, cutoff: int | None = None) -> EulerConstants:
         cutoff = default_cutoff(q)
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    prod_fp = _FP_ONE
+    bits = max(_FP_BITS, ((q * q) ** cutoff).bit_length() + 8)
+    prod_fp = 1 << bits
     lsum = Fraction(0)
     for n in range(1, cutoff + 1):
         cnt = irreducible_count(q, n)
-        prod_fp = _fp_mul(prod_fp, _fp_pow(_fp(euler_factor(q, n)), cnt))
+        f = euler_factor(q, n)
+        prod_fp = (prod_fp * _fp_pow((f.numerator << bits) // f.denominator, cnt, bits)) >> bits
         qn = q**n
         lsum += Fraction(cnt * n, qn * (qn + 1) - 1)
     return EulerConstants(
         q=q,
         cutoff=cutoff,
-        p_one=Fraction(prod_fp, _FP_ONE),
+        p_one=Fraction(prod_fp, 1 << bits),
         log_deriv=lsum,
         tail_bound=Fraction(2, cutoff * q**cutoff),
         zeta_a2=zeta_ring(q, 2),

@@ -1,6 +1,7 @@
 """Tests for the ring zeta value, Euler constants, main terms, and the
 random-matrix moment formula."""
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from hyperell.asymptotics import (
     log_deriv_numeric,
     zeta_ring,
 )
-from hyperell.polyring import monic_polys, mul, shared_table
+from hyperell.polyring import irreducible_count, monic_polys, mul, shared_table
 from support import (
     aggregated_density_identity_holds,
     average_leading_term,
@@ -66,14 +67,40 @@ def test_constants_fields():
     assert ec.log_deriv > 0
 
 
-@pytest.mark.parametrize("q", [3, 5])
+@pytest.mark.parametrize("q", [3, 5, 7])
 def test_cutoff_stability(q):
-    # drift of the truncated product is controlled by the recorded tail bound
-    for n in range(6, 13):
-        a = euler_constants(q, n)
-        b = euler_constants(q, n + 1)
-        assert abs(a.p_one - b.p_one) <= a.tail_bound
+    # drift of the truncated product is controlled by the recorded tail bound,
+    # also at cutoffs whose fixed-point width is past 192 bits
+    ecs = [euler_constants(q, n) for n in range(6, 64)]
+    for a, b in zip(ecs, ecs[1:]):
+        assert abs(a.p_one - b.p_one) <= a.tail_bound, a.cutoff
         assert b.tail_bound < a.tail_bound
+
+
+def decimal_euler_product(q: int, cutoff: int) -> Decimal:
+    """The truncated product to 500 digits in stdlib decimal: an oracle apart from the fixed point."""
+    with localcontext() as ctx:
+        ctx.prec = 500
+        out = Decimal(1)
+        for n in range(1, cutoff + 1):
+            qn = Decimal(q) ** n
+            out *= (1 - 1 / (qn * (qn + 1))) ** irreducible_count(q, n)
+        return out
+
+
+@pytest.mark.parametrize(
+    "q,cutoff", [(5, 42), (7, 40), (13, 34), (5, 70), (5, 60), (5, 78), (3, 61), (3, 94)]
+)
+def test_euler_product_rounding_stays_under_half_the_tail_bound(q, cutoff):
+    # a fixed 192-bit width broke the bound at each shape: at (5, 42) its error
+    # was 9.4e-31 against a tail_bound of 2.1e-31, at (5, 70) 2.4e-11 against 3.4e-51
+    ec = euler_constants(q, cutoff)
+    exact = decimal_euler_product(q, cutoff)
+    with localcontext() as ctx:
+        ctx.prec = 500
+        p_one = Decimal(ec.p_one.numerator) / Decimal(ec.p_one.denominator)
+        half_tail = Decimal(ec.tail_bound.numerator) / Decimal(2 * ec.tail_bound.denominator)
+        assert abs(p_one - exact) / exact < half_tail
 
 
 def test_log_deriv_exact_matches_prime_sum():
