@@ -47,7 +47,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import check_odd_prime
+from .field import check_at_least, check_odd_prime
 from .polyring import irreducible_count
 
 _FP_BITS = 192  # the least fixed-point width; euler_constants widens it with the cutoff
@@ -108,8 +108,7 @@ def euler_constants(q: int, cutoff: int | None = None) -> EulerConstants:
     check_odd_prime(q)
     if cutoff is None:
         cutoff = default_cutoff(q)
-    if cutoff < 1:
-        raise ValueError("cutoff must be >= 1")
+    check_at_least("cutoff", cutoff, 1)
     bits = max(_FP_BITS, ((q * q) ** cutoff).bit_length() + 8)
     prod_fp = 1 << bits
     lsum = Fraction(0)
@@ -157,5 +156,6 @@ def first_moment_main_term(q: int, g: int, ec: EulerConstants) -> Fraction:
     """
     if ec.q != q:
         raise ValueError("constants were built for a different q")
+    check_at_least("genus", g, 1)
     bracket = Fraction(2 * g + 2) + 4 * ec.log_deriv
     return ec.p_one / (2 * ec.zeta_a2) * Fraction(q) ** (2 * g + 1) * bracket

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import extfield
+from .field import check_at_least
 from .lfunction import LPolynomial, l_polynomial
 from .polyring import Poly, degree, is_monic, squarefree
 
@@ -37,8 +38,7 @@ class PowerSums:
 
 def count_points(D: Poly, q: int, n: int) -> int:
     """N_n = #{(x, y) in F_{q^n}^2 : y^2 = D(x)} + 1 (the point at infinity)."""
-    if n < 1:
-        raise ValueError("extension degree must be >= 1")
+    check_at_least("extension degree", n, 1)
     F = extfield.get_field(q, n)
     total = 0
     for x in F.elements():

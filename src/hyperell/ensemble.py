@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import check_odd_prime
+from .field import check_at_least, check_odd_prime
 from .lfunction import afe_central_value, center_value, two_block_weights
 from .polyring import (
     Poly,
@@ -37,8 +37,7 @@ class EnsembleSpec:
     g: int
 
     def __post_init__(self):
-        if self.g < 1:
-            raise ValueError("genus must be >= 1")
+        check_at_least("genus", self.g, 1)
         check_odd_prime(self.q)
 
     @property

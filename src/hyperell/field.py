@@ -4,13 +4,15 @@ Elements of F_q are plain integers, reduced mod q by the code that uses them
 (`polyring` for F_q[x], `extfield` for F_{q^n}).  This module holds the two
 facts about q that the rest of the package shares: `check_odd_prime`, the
 one primality check at the library boundary, and `legendre_scalar`, the one
-quadratic character of F_q.  `prime_divisors` is the one factorization of
+quadratic character of F_q.  `check_at_least` is the boundary check on the
+other integer arguments: degrees, genera, cutoffs, counts and seeds.  `prime_divisors` is the one factorization of
 plain integers, shared with `polyring`'s Rabin test and Moebius function.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from numbers import Integral
 
 
 def prime_divisors(n: int) -> list:
@@ -44,6 +46,17 @@ def check_odd_prime(q: int) -> None:
     """
     if q < 3 or not is_prime(q):
         raise ValueError(f"q must be an odd prime, got {q}")
+
+
+def check_at_least(name: str, value, low: int) -> None:
+    """ValueError naming the argument unless value is an integer (not a bool or float) >= low.
+
+    numpy integers pass; numpy registers them as `numbers.Integral`.
+    """
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 def legendre_scalar(a: int, q: int) -> int:

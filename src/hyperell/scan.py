@@ -77,7 +77,7 @@ from fractions import Fraction
 import numpy as np
 
 from .ensemble import EnsembleSpec, MomentAccumulator
-from .field import check_odd_prime
+from .field import check_at_least, check_odd_prime
 from .lfunction import center_value, two_block_weights
 from .polyring import (
     _ROW_DTYPES,
@@ -145,6 +145,7 @@ def squarefree_mask(q: int, d: int) -> np.ndarray:
     Non-square-free codes are marked as the multiples P^2 * M of each prime
     square, by polyring's `mark_multiples`, which marks them by residues.
     """
+    check_at_least("d", d, 0)
     marked = np.zeros(q**d, dtype=bool)
     for dp in range(1, d // 2 + 1):
         mark_multiples(marked, [mul(p, p, q) for p in shared_table(q).irreducibles(dp)], d, q)
@@ -307,8 +308,7 @@ def moment_scan(
     """
     spec = EnsembleSpec(q, g)
     d = spec.poly_degree
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    check_at_least("threads", threads, 1)
     _check_table_budget(q, g)
     if checkpoint_path:  # written after every chunk, so an unwritable path is refused before any work
         folder = os.path.dirname(checkpoint_path) or "."
@@ -499,28 +499,18 @@ def _batch_sums(q: int, d: int, codes: np.ndarray, n_max: int, signed: bool) -> 
 
 def batch_coefficients(q: int, d: int, codes: np.ndarray, n_max: int) -> np.ndarray:
     """A_D(n) for n = 0..n_max for each monic degree-d code, as int64 (len, n_max+1)."""
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    check_at_least("n_max", n_max, 0)
     return _batch_sums(q, d, codes, n_max, signed=True)
 
 
 def batch_coprime_counts(q: int, d: int, codes: np.ndarray, half_deg: int) -> np.ndarray:
     """#{monic l of degree h coprime to D} for h = 0..half_deg, per code: (len, half_deg+1)."""
-    if half_deg < 0:
-        raise ValueError(f"half_deg must be >= 0, got {half_deg}")
+    check_at_least("half_deg", half_deg, 0)
     return _batch_sums(q, d, codes, half_deg, signed=False)
 
 
 # ---------------------------------------------------------------------------
 # sampling
-
-
-def _check_at_least(name: str, value, low: int) -> None:
-    """ValueError naming the argument unless value is an integer (not a bool or float) >= low."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an int, got {value!r}")
-    if value < low:
-        raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 def _survivors(batch: np.ndarray, q: int, d: int):
@@ -587,8 +577,8 @@ def sample_codes(q: int, d: int, count: int, seed: int) -> np.ndarray:
     (d + 1) x count digit bytes.
     """
     check_odd_prime(q)
-    _check_at_least("count", count, 1)
-    _check_at_least("seed", seed, 0)
+    check_at_least("count", count, 1)
+    check_at_least("seed", seed, 0)
     if count > _TABLE_BUDGET:
         raise ResourceCapError(f"a sample of {count} codes is past the cap of {_TABLE_BUDGET}")
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -630,11 +620,11 @@ def sampled_moment(q: int, g: int, sample_size: int, seed: int) -> SampleMoment:
     Before any draw it checks the prime tables to degree g and the batch
     sums, sample_size x (g + 1) int64 entries, against the budget.
     """
-    _check_at_least("sample_size", sample_size, 1)
+    check_at_least("sample_size", sample_size, 1)
     spec = EnsembleSpec(q, g)
     d = spec.poly_degree
     _check_table_budget(q, g)
-    _check_at_least("seed", seed, 0)  # a bad seed is reported before a sample too large
+    check_at_least("seed", seed, 0)  # a bad seed is reported before a sample too large
     _check_sample_budget(sample_size, g)
     codes = sample_codes(q, d, sample_size, seed)
     a = batch_coefficients(q, d, codes, g)

@@ -20,6 +20,7 @@ import numpy as np
 from . import curve, scan
 from .characters import reciprocity_holds
 from .ensemble import EnsembleSpec, expected_value, expected_value_sieved
+from .field import check_at_least
 from .lfunction import (
     RH_TOL,
     LPolynomial,
@@ -60,8 +61,8 @@ def run_identity_suite(
     enumerated, whatever sample_size is.
     """
     spec = EnsembleSpec(q, g)
-    scan._check_at_least("sample_size", sample_size, 1)
-    scan._check_at_least("seed", seed, 0)
+    check_at_least("sample_size", sample_size, 1)
+    check_at_least("seed", seed, 0)
     scan._check_table_budget(q, 2 * g)  # the batch coefficients reach degree 2g
     exhaustive = spec.size <= EXHAUSTIVE_LIMIT
     if not exhaustive:

@@ -6,7 +6,20 @@ import io
 import re
 from pathlib import Path
 
+import pytest
+
 import hyperell
+from hyperell.asymptotics import euler_constants, first_moment_main_term
+from hyperell.curve import count_points
+from hyperell.ensemble import EnsembleSpec
+from hyperell.scan import (
+    batch_coefficients,
+    batch_coprime_counts,
+    moment_scan,
+    sampled_moment,
+    squarefree_mask,
+)
+from hyperell.verify import run_identity_suite
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 PACKAGE = Path(hyperell.__file__).resolve().parent
@@ -31,6 +44,45 @@ def test_all_names_resolve():
     assert len(set(hyperell.__all__)) == 16
     for name in hyperell.__all__:
         assert getattr(hyperell, name) is not None, name
+
+
+# (entry point, argument name in its message, call with the value in the argument's place)
+INT_ARGUMENTS = [
+    ("EnsembleSpec", "genus", lambda v: EnsembleSpec(5, v)),
+    ("moment_scan", "genus", lambda v: moment_scan(5, v)),
+    ("moment_scan", "threads", lambda v: moment_scan(5, 2, threads=v)),
+    ("sampled_moment", "genus", lambda v: sampled_moment(5, v, 10, 1)),
+    ("run_identity_suite", "genus", lambda v: run_identity_suite(3, v)),
+    ("euler_constants", "cutoff", lambda v: euler_constants(5, v)),
+    ("first_moment_main_term", "genus", lambda v: first_moment_main_term(5, v, euler_constants(5, 4))),
+    ("batch_coefficients", "n_max", lambda v: batch_coefficients(5, 3, [1], v)),
+    ("batch_coprime_counts", "half_deg", lambda v: batch_coprime_counts(5, 3, [1], v)),
+    ("squarefree_mask", "d", lambda v: squarefree_mask(5, v)),
+    ("count_points", "extension degree", lambda v: count_points((1, 0, 0, 1), 5, v)),
+]
+
+
+@pytest.mark.parametrize(
+    "name,call,value",
+    [
+        pytest.param(name, call, value, id=f"{entry}-{name}-{value!r}")
+        for entry, name, call in INT_ARGUMENTS
+        for value in (1.5, True, "2", None)
+        if (name, value) != ("cutoff", None)  # cutoff=None asks for the default cutoff
+    ],
+)
+def test_integer_arguments_refuse_what_is_no_int(name, call, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be an int, got {re.escape(repr(value))}$"):
+        call(value)
+
+
+@pytest.mark.parametrize(
+    "name,call", [pytest.param(name, call, id=f"{entry}-{name}") for entry, name, call in INT_ARGUMENTS]
+)
+def test_integer_arguments_refuse_minus_one(name, call):
+    # squarefree_mask(5, -1) failed inside numpy; first_moment_main_term gave a negative main term
+    with pytest.raises(ValueError, match=rf"^{name} must be >= [01], got -1$"):
+        call(-1)
 
 
 def test_no_library_code_is_called_only_by_tests():

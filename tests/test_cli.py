@@ -391,7 +391,7 @@ def test_genus_range_checks_the_cap_for_its_largest_genus_first(capsys, monkeypa
 def test_a_bad_smallest_genus_is_refused_before_any_genus(capsys, monkeypatch, mode):
     attempted = record_genera(monkeypatch)
     code, out, err = run_cli(capsys, "moment", "--q", "3", "--g", "0", "--g-max", "2", *mode)
-    assert (code, out, err) == (2, "", "error: genus must be >= 1\n")
+    assert (code, out, err) == (2, "", "error: genus must be >= 1, got 0\n")
     assert attempted == []
 
 
