@@ -536,6 +536,40 @@ def test_moment_scan_odd_degrees_vanish(q, g):
     assert acc.total.b == 0
 
 
+# The per-degree S-sums as integer polynomials in q at fixed g, from ROADMAP's
+# table: (g, "sq" or "ns", n) -> (coefficients of q^0, q^1, ..., the odd primes
+# they were fitted on).  A fit of degree k is pinned by its k + 1 primes; every
+# held-out prime tried matched, up to q = 61.  Why the sums are polynomials is
+# not proved here; the fits are an oracle across q, for faults that depend on q.
+Q_POLYNOMIALS = {
+    (2, "ns", 2): ((0, 2, -3, 1), (3, 5, 7, 11)),
+    (3, "ns", 2): ((0, 2, -4, 2), (3, 5, 7, 11)),
+    (4, "ns", 2): ((0, 3, -5, 2), (3, 5, 7, 11)),
+    (4, "ns", 4): ((0, -3, 14, -20, 15, -8, 2), (3, 5, 7, 11, 13, 17, 19)),
+    (4, "sq", 4): (
+        (0, 4, -12, 14, -11, 10, -9, 6, -3, 2, -2, 1),
+        (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41),
+    ),
+    (5, "ns", 4): ((0, -3, 16, -30, 27, -13, 3), (3, 5, 7, 11, 13, 17, 19)),
+    (6, "ns", 2): ((0, 4, -7, 3), (3, 5, 7, 11)),
+}
+
+
+@pytest.mark.parametrize(
+    "g,q",
+    [(2, q) for q in (3, 5, 7, 11, 13, 17, 19, 23)] + [(3, q) for q in (3, 5, 7, 11)]
+    + [(4, q) for q in (3, 5, 7)] + [(5, 3), (5, 5), (6, 3)],
+)
+def test_per_degree_sums_are_the_polynomials_in_q(g, q):
+    _, meta = moment_scan(q, g)
+    sums = {"sq": meta.square_sums, "ns": meta.nonsquare_sums}
+    rows = [(key, coeffs, primes) for key, (coeffs, primes) in Q_POLYNOMIALS.items() if key[0] == g]
+    assert rows
+    for (_, kind, n), coeffs, primes in rows:
+        assert len(primes) == len(coeffs)
+        assert sums[kind][n] == sum(c * q**i for i, c in enumerate(coeffs)), (kind, n)
+
+
 def test_moment_scan_thread_determinism(monkeypatch):
     a1, m1 = moment_scan(3, 2, threads=1)
     a2, m2 = moment_scan(3, 2, threads=2)
