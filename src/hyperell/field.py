@@ -1,12 +1,13 @@
-"""The prime field F_q, q an odd prime: its boundary check and its Legendre symbol.
+"""The prime field F_q, q an odd prime: its boundary checks and its Legendre symbol.
 
 Elements of F_q are plain integers, reduced mod q by the code that uses them
 (`polyring` for F_q[x], `extfield` for F_{q^n}).  This module holds the two
 facts about q that the rest of the package shares: `check_odd_prime`, the
 one primality check at the library boundary, and `legendre_scalar`, the one
 quadratic character of F_q.  `check_at_least` is the boundary check on the
-other integer arguments: degrees, genera, cutoffs, counts and seeds.  `prime_divisors` is the one factorization of
-plain integers, shared with `polyring`'s Rabin test and Moebius function.
+other integer arguments: degrees, genera, cutoffs, counts and seeds.
+`prime_divisors` is the one factorization of plain integers, shared with
+`polyring`'s Rabin test and Moebius function.
 """
 
 from __future__ import annotations

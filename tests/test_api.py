@@ -54,7 +54,7 @@ INT_ARGUMENTS = [
     ("sampled_moment", "genus", lambda v: sampled_moment(5, v, 10, 1)),
     ("run_identity_suite", "genus", lambda v: run_identity_suite(3, v)),
     ("euler_constants", "cutoff", lambda v: euler_constants(5, v)),
-    ("first_moment_main_term", "genus", lambda v: first_moment_main_term(5, v, euler_constants(5, 4))),
+    ("first_moment_main_term", "genus", lambda v: first_moment_main_term(5, v, euler_constants(5))),
     ("batch_coefficients", "n_max", lambda v: batch_coefficients(5, 3, [1], v)),
     ("batch_coprime_counts", "half_deg", lambda v: batch_coprime_counts(5, 3, [1], v)),
     ("squarefree_mask", "d", lambda v: squarefree_mask(5, v)),
@@ -77,7 +77,8 @@ def test_integer_arguments_refuse_what_is_no_int(name, call, value):
 
 
 @pytest.mark.parametrize(
-    "name,call", [pytest.param(name, call, id=f"{entry}-{name}") for entry, name, call in INT_ARGUMENTS]
+    "name,call",
+    [pytest.param(name, call, id=f"{entry}-{name}") for entry, name, call in INT_ARGUMENTS],
 )
 def test_integer_arguments_refuse_minus_one(name, call):
     # squarefree_mask(5, -1) failed inside numpy; first_moment_main_term gave a negative main term
@@ -86,30 +87,40 @@ def test_integer_arguments_refuse_minus_one(name, call):
 
 
 def test_no_library_code_is_called_only_by_tests():
-    """Every top-level function and class in the package earns its place.
+    """Every function, class, method and property in the package earns its place.
 
-    It is referred to, by name or attribute, from other code in the package;
-    or it is in `hyperell.__all__`; or its docstring says it is an oracle.
-    Code that only tests call belongs in tests/support.py.
+    It is referred to, by name or attribute, from other code in the package
+    (a method or property also from another member of its class); or it is
+    a top-level name in `hyperell.__all__`, or a dunder; or its docstring
+    says it is an oracle.  Code that only tests call belongs in
+    tests/support.py.
     """
-    defs = []
-    users: dict[str, set] = {}  # name -> {(module, enclosing top-level name)}
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    defs = []  # (qualified name, node, the (module, top-level, member) prefix of its own uses)
+    users: dict[str, set] = {}  # name -> {(module, enclosing top-level name, enclosing member)}
     for path in sorted(PACKAGE.glob("*.py")):
+        module = path.stem
         for top in ast.parse(path.read_text()).body:
             owner = getattr(top, "name", None)
-            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defs.append((path.stem, top))
+            if isinstance(top, (*functions, ast.ClassDef)):
+                defs.append((f"{module}.{owner}", top, (module, owner)))
+            member_of = {}  # id(node) -> the method or property of top that holds it
+            for member in top.body if isinstance(top, ast.ClassDef) else []:
+                if isinstance(member, functions):
+                    member_of.update((id(node), member.name) for node in ast.walk(member))
+                    if not (member.name.startswith("__") and member.name.endswith("__")):
+                        own = (module, owner, member.name)
+                        defs.append((f"{module}.{owner}.{member.name}", member, own))
             for node in ast.walk(top):
-                if isinstance(node, ast.Name):
-                    users.setdefault(node.id, set()).add((path.stem, owner))
-                elif isinstance(node, ast.Attribute):
-                    users.setdefault(node.attr, set()).add((path.stem, owner))
-    assert defs
+                if isinstance(node, (ast.Name, ast.Attribute)):
+                    use = (module, owner, member_of.get(id(node)))
+                    users.setdefault(_name(node), set()).add(use)
+    assert any(len(own) == 3 for _, _, own in defs)
     unused = [
-        f"{module}.{node.name}"
-        for module, node in defs
-        if not users.get(node.name, set()) - {(module, node.name)}
-        and node.name not in hyperell.__all__
+        qualname
+        for qualname, node, own in defs
+        if all(use[: len(own)] == own for use in users.get(node.name, ()))
+        and not (len(own) == 2 and node.name in hyperell.__all__)
         and "oracle" not in (ast.get_docstring(node) or "")
     ]
     assert not unused, f"no caller in the package: {unused}"
