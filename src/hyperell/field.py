@@ -38,15 +38,16 @@ def is_prime(n: int) -> bool:
     return prime_divisors(n) == [n]
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)
 def check_odd_prime(q: int) -> None:
-    """Raise ValueError unless q is an odd prime.
+    """Raise ValueError unless q is an odd prime integer (not a bool or float).
 
     The one boundary check on field sizes; cached because every exact value
-    in Q(sqrt q) runs it.
+    in Q(sqrt q) runs it.  The cache is typed, so 5.0 or True is never a
+    hit for the int 5 or 1.
     """
-    if q < 3 or not is_prime(q):
-        raise ValueError(f"q must be an odd prime, got {q}")
+    if isinstance(q, bool) or not isinstance(q, Integral) or q < 3 or not is_prime(q):
+        raise ValueError(f"q must be an odd prime, got {q!r}")
 
 
 def check_at_least(name: str, value, low: int) -> None:

@@ -109,9 +109,8 @@ TUPLE_BLOCK = 1024  # draws whose tuples sample_codes reads from the digit matri
 
 
 def _code_space(q: int, d: int) -> int:
-    """q^d, the number of degree-d codes; ValueError if d < 0 or q^d >= 2^63, where int64 codes wrap."""
-    if d < 0:
-        raise ValueError(f"d must be >= 0, got {d}")
+    """q^d, the number of degree-d codes; ValueError unless d is an int >= 0 and q^d < 2^63 (int64 codes)."""
+    check_at_least("d", d, 0)
     if q**d >= 2**63:
         raise ValueError(f"codes of degree {d} at q={q} do not fit in int64 (q^d >= 2^63)")
     return q**d

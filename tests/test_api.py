@@ -12,10 +12,12 @@ import hyperell
 from hyperell.asymptotics import euler_constants, first_moment_main_term
 from hyperell.curve import count_points
 from hyperell.ensemble import EnsembleSpec
+from hyperell.field import check_odd_prime
 from hyperell.scan import (
     batch_coefficients,
     batch_coprime_counts,
     moment_scan,
+    sample_codes,
     sampled_moment,
     squarefree_mask,
 )
@@ -58,6 +60,8 @@ INT_ARGUMENTS = [
     ("batch_coefficients", "n_max", lambda v: batch_coefficients(5, 3, [1], v)),
     ("batch_coprime_counts", "half_deg", lambda v: batch_coprime_counts(5, 3, [1], v)),
     ("squarefree_mask", "d", lambda v: squarefree_mask(5, v)),
+    ("sample_codes", "d", lambda v: sample_codes(5, v, 10, 1)),
+    ("batch_coefficients", "d", lambda v: batch_coefficients(5, v, [1], 2)),
     ("count_points", "extension degree", lambda v: count_points((1, 0, 0, 1), 5, v)),
 ]
 
@@ -84,6 +88,20 @@ def test_integer_arguments_refuse_minus_one(name, call):
     # squarefree_mask(5, -1) failed inside numpy; first_moment_main_term gave a negative main term
     with pytest.raises(ValueError, match=rf"^{name} must be >= [01], got -1$"):
         call(-1)
+
+
+@pytest.mark.parametrize("value", [5.0, True, "5", None])
+def test_q_refuses_what_is_no_int(value):
+    check_odd_prime(5)  # the cached check of the int 5 is no hit for 5.0
+    calls = [
+        lambda: moment_scan(value, 2),
+        lambda: sampled_moment(value, 2, 10, 1),
+        lambda: run_identity_suite(value, 1),
+        lambda: euler_constants(value),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=rf"^q must be an odd prime, got {re.escape(repr(value))}$"):
+            call()
 
 
 def test_no_library_code_is_called_only_by_tests():
