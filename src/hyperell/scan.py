@@ -144,6 +144,7 @@ def squarefree_mask(q: int, d: int) -> np.ndarray:
     Non-square-free codes are marked as the multiples P^2 * M of each prime
     square, by polyring's `mark_multiples`, which marks them by residues.
     """
+    check_odd_prime(q)
     check_at_least("d", d, 0)
     marked = np.zeros(q**d, dtype=bool)
     for dp in range(1, d // 2 + 1):

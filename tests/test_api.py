@@ -98,6 +98,7 @@ def test_q_refuses_what_is_no_int(value):
         lambda: sampled_moment(value, 2, 10, 1),
         lambda: run_identity_suite(value, 1),
         lambda: euler_constants(value),
+        lambda: squarefree_mask(value, 3),
     ]
     for call in calls:
         with pytest.raises(ValueError, match=rf"^q must be an odd prime, got {re.escape(repr(value))}$"):
