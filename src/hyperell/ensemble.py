@@ -5,11 +5,12 @@ the ensemble and per-curve central values.  The vectorized engine in `scan`
 must reproduce these numbers exactly; the slow honest loop is the yardstick,
 so it stays simple.
 
-The first-moment record `MomentAccumulator` holds three exact totals: the full sum of
-central values, the contribution of square summands f = l^2 (these carry
-the main term) and the contribution of the non-square summands (these are
-oscillatory and should stay small).  total = square + nonsquare always, and
-both splits cover the full two-block central-value formula.
+The first-moment record, `MomentAccumulator`, holds three exact totals:
+the full sum of central values, the contribution of square summands
+f = l^2 (these carry the main term) and the contribution of the non-square
+summands (these are oscillatory and should stay small).  total = square +
+nonsquare always, and both splits cover the full two-block central-value
+formula.
 """
 
 from __future__ import annotations
