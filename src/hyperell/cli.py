@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -52,6 +53,9 @@ CSV_CELLS = {
 }
 
 
+_TERM = re.compile(r"([+-]?)\s*([0-9]*)\s*(x(?:\^([0-9]*))?)?\s*")  # one [sign][c][x[^e]] term
+
+
 class PolyParseError(ValueError):
     def __init__(self, message: str, pos: int):
         super().__init__(message)
@@ -61,60 +65,28 @@ class PolyParseError(ValueError):
 def parse_poly(text: str, q: int) -> Poly:
     """Parse 'x^3+2x+1' style input, coefficients reduced mod q.
 
-    Each term is [int][x[^int]]; terms join with + or -.  Errors carry the
+    Each term is [c][x[^e]] with c and e in ASCII digits; terms join with +
+    or -, and whitespace may stand between tokens.  Errors carry the
     offending position.
     """
     s = text.strip()
     if not s:
         raise PolyParseError("empty polynomial", 0)
     coeffs: dict = {}
-    i = 0
-    n = len(s)
-    first = True
-    while i < n:
-        while i < n and s[i].isspace():
-            i += 1
-        if i >= n:
-            break
-        sign = 1
-        if s[i] in "+-":
-            sign = -1 if s[i] == "-" else 1
-            i += 1
-            while i < n and s[i].isspace():
-                i += 1
-        elif not first:
-            raise PolyParseError(f"expected '+' or '-' before {s[i]!r}", i)
-        first = False
-        start = i
-        num = None
-        while i < n and s[i].isdigit():
-            i += 1
-        if i > start:
-            num = int(s[start:i])
-        while i < n and s[i].isspace():
-            i += 1
-        if i < n and s[i] == "x":
-            i += 1
-            exp = 1
-            if i < n and s[i] == "^":
-                i += 1
-                estart = i
-                while i < n and s[i].isdigit():
-                    i += 1
-                if i == estart:
-                    raise PolyParseError("missing exponent after '^'", i)
-                exp = int(s[estart:i])
-            c = 1 if num is None else num
-        else:
-            if num is None:
-                raise PolyParseError(
-                    f"expected a term at {s[i] if i < n else 'end of input'!r}", i
-                )
-            exp = 0
-            c = num
-        coeffs[exp] = (coeffs.get(exp, 0) + sign * c) % q
-    if not coeffs:
-        raise PolyParseError("empty polynomial", 0)
+    pos = 0
+    while pos < len(s):  # each term read ends where the next begins
+        m = _TERM.match(s, pos)
+        sign, num, x, exp = m.groups()
+        if pos and not sign:
+            raise PolyParseError(f"expected '+' or '-' before {s[pos]!r}", pos)
+        if exp == "":
+            raise PolyParseError("missing exponent after '^'", m.end(3))
+        if not (num or x):
+            at = s[m.end()] if m.end() < len(s) else "end of input"
+            raise PolyParseError(f"expected a term at {at!r}", m.end())
+        e = int(exp) if exp else (1 if x else 0)
+        coeffs[e] = (coeffs.get(e, 0) + int(sign + (num or "1"))) % q
+        pos = m.end()
     top = max(coeffs)
     return polyring.normalize([coeffs.get(k, 0) for k in range(top + 1)])
 
@@ -384,7 +356,7 @@ def main(argv=None) -> int:
     except scan.ResourceCapError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (ValueError, ZeroDivisionError, ArithmeticError, OSError) as e:
+    except (ValueError, ArithmeticError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

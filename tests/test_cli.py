@@ -2,11 +2,13 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperell import scan
 from hyperell.cli import PolyParseError, main, parse_poly
@@ -29,6 +31,8 @@ def test_parse_poly_basic():
     assert parse_poly("x^2 - 1", 3) == (2, 0, 1)
     assert parse_poly("2x^3", 5) == (0, 0, 0, 2)
     assert parse_poly(" x^2+ x ", 5) == (0, 1, 1)
+    assert parse_poly("2 x", 5) == (0, 2)
+    assert parse_poly("x^2\t+ 1", 5) == (1, 0, 1)
 
 
 def test_parse_poly_reduces_mod_q():
@@ -51,6 +55,51 @@ def test_parse_poly_errors_carry_position():
         parse_poly("y+1", 3)
     with pytest.raises(PolyParseError):
         parse_poly("x**2", 3)
+
+
+@pytest.mark.parametrize(
+    "text,pos,message",
+    [
+        ("x**2", 1, "expected '+' or '-' before '*'"),
+        ("x^\u00b2", 2, "missing exponent after '^'"),  # a superscript two: isdigit, yet no int
+        ("\u0663x", 0, "expected a term at '\u0663'"),  # an Arabic-Indic three
+        ("x+", 2, "expected a term at 'end of input'"),
+    ],
+)
+def test_parse_poly_reads_ascii_digits_only(text, pos, message):
+    with pytest.raises(PolyParseError, match=f"^{re.escape(message)}$") as e:
+        parse_poly(text, 5)
+    assert e.value.pos == pos
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    q=st.sampled_from([3, 5, 7, 11]),
+    # (negative, coefficient or None for an omitted 1, exponent or None for a constant)
+    terms=st.lists(
+        st.tuples(st.booleans(), st.none() | st.integers(0, 40), st.none() | st.integers(0, 9)),
+        min_size=1,
+        max_size=8,
+    ),
+    data=st.data(),
+)
+def test_parse_poly_reads_random_polynomials_in_the_grammar(q, terms, data):
+    def space():
+        return data.draw(st.text(" \t", max_size=2))
+
+    text, coeffs = space(), [0] * 10
+    for i, (negative, c, e) in enumerate(terms):
+        if e is None and c is None:
+            c = 1  # a constant term writes its coefficient
+        sign = "-" if negative else "+" if i or data.draw(st.booleans()) else ""
+        digits = "" if c is None else str(c).zfill(data.draw(st.integers(1, 3)))
+        power = "" if e is None else "x" if e == 1 and data.draw(st.booleans()) else f"x^{e}"
+        text += sign + space() + digits + space() + power + space()
+        coeffs[e or 0] += (-1 if negative else 1) * (1 if c is None else c)
+    reduced = [c % q for c in coeffs]
+    while reduced and not reduced[-1]:
+        reduced.pop()
+    assert parse_poly(text, q) == tuple(reduced), text
 
 
 # ---------------------------------------------------------------------------
