@@ -3,13 +3,14 @@
 Subcommands: verify, moment, constants, lpoly, symbol, oracle.  Exit codes:
 0 success, 1 verification failure, 2 usage, domain or I/O error (a bad
 checkpoint or one of another configuration, an unwritable --out or
---checkpoint path), 3 resource cap refused.  The library makes every
-refusal: a genus range calls it for its largest, costliest genus first, so
-its checks refuse before any genus is computed.  All file output is
-canonical (sorted keys, fixed separators, one trailing newline): a rerun
-with the same configuration must be byte identical, which is also what the
-determinism acceptance check asserts.  Wall-clock timings are therefore
-opt-in (--timings) and never part of the canonical payload in CSV mode.
+--checkpoint path, refused before any work), 3 resource cap refused.  The
+library makes every refusal: a genus range calls it for its largest,
+costliest genus first, so its checks refuse before any genus is computed.
+All file output is canonical (sorted keys, fixed separators, one trailing
+newline): a rerun with the same configuration must be byte identical, which
+is also what the determinism acceptance check asserts.  Wall-clock timings
+are therefore opt-in (--timings) and never part of the canonical payload in
+CSV mode.
 """
 
 from __future__ import annotations
@@ -349,7 +350,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         check_odd_prime(args.q)
-        return args.func(args)
+        if args.out:
+            scan.check_writable_path(args.out, "--out")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)  # an exact fraction in a report may pass the 4300-digit default
+        try:
+            return args.func(args)
+        finally:
+            sys.set_int_max_str_digits(limit)
     except PolyParseError as e:
         print(f"error: parse error at position {e.pos}: {e}", file=sys.stderr)
         return 2

@@ -288,6 +288,17 @@ class ScanMeta:
     chunks: int
 
 
+def check_writable_path(path: str, what: str) -> None:
+    """OSError unless path can be written as a file: no directory, in a writable folder.
+
+    A file written after the work, a checkpoint or a report, has its path
+    checked by this before the work starts.
+    """
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path) or not os.access(folder, os.W_OK | os.X_OK):
+        raise OSError(f"{what} {path} is not a writable file path")
+
+
 def moment_scan(
     q: int,
     g: int,
@@ -311,9 +322,7 @@ def moment_scan(
     check_at_least("threads", threads, 1)
     _check_table_budget(q, g)
     if checkpoint_path:  # written after every chunk, so an unwritable path is refused before any work
-        folder = os.path.dirname(checkpoint_path) or "."
-        if os.path.isdir(checkpoint_path) or not os.access(folder, os.W_OK | os.X_OK):
-            raise OSError(f"checkpoint {checkpoint_path} is not a writable file path")
+        check_writable_path(checkpoint_path, "checkpoint")
     count = spec.size
     if spec.monic_count <= MASK_CHECK_LIMIT:
         enumerated = ensemble_count(q, g)

@@ -7,10 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperell import scan
+from hyperell import asymptotics, curve, lfunction, scan, verify
 from hyperell.cli import PolyParseError, main, parse_poly
 
 
@@ -139,6 +141,32 @@ def test_oracle_match(capsys):
     data = json.loads(out)
     assert data["match"] is True
     assert data["zeta_coeffs"] == data["charsum_coeffs"]
+
+
+def test_constants_print_exact_values_past_the_int_digit_limit(capsys):
+    # the exact log-derivative at (5, 80) has more digits than Python converts by default
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(capsys, "constants", "--q", "5", "--cutoff", "80")
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit  # main restores the limit it lifted
+    data = json.loads(out)
+    ec = asymptotics.euler_constants(5, 80)
+    sys.set_int_max_str_digits(0)
+    try:
+        assert max(len(part) for part in data["logderiv_exact"].split("/")) > limit
+        assert Fraction(data["P1_exact"]) == ec.p_one
+        assert Fraction(data["logderiv_exact"]) == ec.log_deriv
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_oracle_mismatch_exit_1(capsys, monkeypatch):
+    wrong = lfunction.LPolynomial(3, (1, 0, 4), 0)  # x^3+x has (1, 0, 3)
+    monkeypatch.setattr(curve, "zeta_numerator", lambda D, q: wrong)
+    code, out, err = run_cli(capsys, "oracle", "--q", "3", "x^3+x")
+    assert code == 1
+    assert json.loads(out)["match"] is False
+    assert "MISMATCH" in err
 
 
 def test_verify_pass_and_fault(capsys):
@@ -566,6 +594,24 @@ def test_unwritable_checkpoint_refused_before_any_scan(tmp_path, capsys, monkeyp
         assert err == f"error: checkpoint {ck} is not a writable file path\n"
         assert attempted == [9]
         attempted.clear()
+
+
+@pytest.mark.parametrize(
+    "argv,module,work",
+    [
+        (("verify", "--q", "3", "--g", "3"), verify, "run_identity_suite"),
+        (("moment", "--q", "3", "--g", "1"), asymptotics, "euler_constants"),
+        (("constants", "--q", "3"), asymptotics, "euler_constants"),
+    ],
+    ids=["verify", "moment", "constants"],
+)
+def test_unwritable_out_refused_before_any_work(tmp_path, capsys, monkeypatch, argv, module, work):
+    # verify printed its PASS lines and ran for seconds before the write failed
+    monkeypatch.setattr(module, work, lambda *a, **k: pytest.fail(f"{work} called"))
+    for path in (tmp_path / "no-such-dir" / "v.json", tmp_path):  # a missing directory, and a directory
+        code, out, err = run_cli(capsys, *argv, "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: --out {path} is not a writable file path\n"
 
 
 @pytest.mark.parametrize(
