@@ -3,16 +3,22 @@
 import ast
 import contextlib
 import io
+import json
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import hyperell
-from hyperell.asymptotics import euler_constants, first_moment_main_term
-from hyperell.curve import count_points
+from hyperell import polyring
+from hyperell.asymptotics import euler_constants, first_moment_main_term, zeta_ring
+from hyperell.characters import jacobi_factorization, reciprocity_holds, residue_symbol_prime
+from hyperell.curve import count_points, power_sums, zeta_numerator
 from hyperell.ensemble import EnsembleSpec
+from hyperell.extfield import find_irreducible
 from hyperell.field import check_odd_prime
+from hyperell.lfunction import LPolynomial, afe_central_value, dirichlet_coefficient, l_polynomial
 from hyperell.scan import (
     batch_coefficients,
     batch_coprime_counts,
@@ -103,6 +109,92 @@ def test_q_refuses_what_is_no_int(value):
     for call in calls:
         with pytest.raises(ValueError, match=rf"^q must be an odd prime, got {re.escape(repr(value))}$"):
             call()
+
+
+def _checkpoint_with_short_sums(path):
+    state = {"version": 1, "q": 3, "g": 1, "chunk_size": 64, "done": []}
+    path.write_text(json.dumps({**state, "square_sums": [6], "nonsquare_sums": [0]}))
+    moment_scan(3, 1, checkpoint_path=str(path))
+
+
+# (call given a scratch directory, exception type, message prefix)
+BOUNDARY_REFUSALS = {
+    "zeta_ring-half": (lambda _: zeta_ring(5, Fraction(1, 2)), ValueError, "only integer s"),
+    "main_term-other-q": (
+        lambda _: first_moment_main_term(5, 2, euler_constants(3)),
+        ValueError,
+        "constants were built for a different q",
+    ),
+    "residue_symbol_prime-non-monic": (
+        lambda _: residue_symbol_prime((1,), (1, 2), 3),
+        ValueError,
+        "denominator must be monic",
+    ),
+    "jacobi_factorization-non-monic": (
+        lambda _: jacobi_factorization((1,), (1, 2), 3),
+        ValueError,
+        "denominator must be monic",
+    ),
+    "reciprocity-non-monic": (
+        lambda _: reciprocity_holds((1, 2), (1, 1), 3),
+        ValueError,
+        "reciprocity applies to monic polynomials",
+    ),
+    "reciprocity-not-coprime": (
+        lambda _: reciprocity_holds((0, 1), (0, 0, 1), 3),
+        ValueError,
+        "reciprocity check needs a coprime pair",
+    ),
+    "power_sums-even": (lambda _: power_sums((1, 0, 1), 3), ValueError, "D must be monic of odd"),
+    "zeta_numerator-square": (
+        lambda _: zeta_numerator((0, 0, 0, 1), 3),
+        ValueError,
+        "D must be square-free",
+    ),
+    "find_irreducible-0": (lambda _: find_irreducible(3, 0), ValueError, "degree must be >= 1"),
+    "LPolynomial-lam": (lambda _: LPolynomial(3, (1,), 2), ValueError, "lam must be 0 or 1"),
+    "LPolynomial-even-length": (
+        lambda _: LPolynomial(3, (1, 0), 0),
+        ValueError,
+        "completed coefficients must have odd length",
+    ),
+    "dirichlet_coefficient-negative": (
+        lambda _: dirichlet_coefficient((0, 1), -1, 3),
+        ValueError,
+        "coefficient index must be >= 0",
+    ),
+    "l_polynomial-non-monic": (
+        lambda _: l_polynomial((1, 2), 3),
+        ValueError,
+        "D must be monic of positive degree",
+    ),
+    "afe_central_value-even": (
+        lambda _: afe_central_value((1, 0, 1), 3),
+        ValueError,
+        "D must be monic of odd",
+    ),
+    "monic_by_code-range": (lambda _: polyring.monic_by_code(9, 2, 3), ValueError, "code out of range"),
+    "monic_code-non-monic": (
+        lambda _: polyring.monic_code((1, 2), 3),
+        ValueError,
+        "monic polynomial required",
+    ),
+    "squarefree-zero": (lambda _: polyring.squarefree((), 3), ValueError, "square-free test undefined"),
+    "factorize-zero": (lambda _: polyring.factorize((), 3), ValueError, "cannot factor the zero"),
+    "mobius-zero": (lambda _: polyring.mobius((), 3), ValueError, "mobius undefined at zero"),
+    "irreducible_count-0": (lambda _: polyring.irreducible_count(3, 0), ValueError, "degree must be >= 1"),
+    "checkpoint-short-sums": (
+        lambda tmp: _checkpoint_with_short_sums(tmp / "ck.json"),
+        ValueError,
+        "checkpoint sum vectors have the wrong length",
+    ),
+}
+
+
+@pytest.mark.parametrize("call,error,prefix", BOUNDARY_REFUSALS.values(), ids=BOUNDARY_REFUSALS)
+def test_boundary_refusals(tmp_path, call, error, prefix):
+    with pytest.raises(error, match=f"^{re.escape(prefix)}"):
+        call(tmp_path)
 
 
 def test_no_library_code_is_called_only_by_tests():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from hyperell import scan
+from hyperell import scan, verify
 from hyperell.scan import ResourceCapError, squarefree_mask
 from hyperell.verify import run_identity_suite
 from support import suite_passed
@@ -54,6 +54,13 @@ def test_failing_checks_name_their_first_curve():
     # a passing check carries neither key, so passing reports keep their bytes
     for r in run_identity_suite(3, 2):
         assert not {"first_failing_code", "coefficient_index"} & set(r.details)
+
+
+def test_reciprocity_check_fails_when_the_law_fails(monkeypatch):
+    monkeypatch.setattr(verify, "reciprocity_holds", lambda A, B, q: False)
+    check = next(r for r in run_identity_suite(3, 1) if r.name == "reciprocity")
+    assert not check.passed
+    assert check.details["failed"] == check.details["pairs"] == 200
 
 
 def test_sampled_path_runs():
