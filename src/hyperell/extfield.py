@@ -19,7 +19,6 @@ from .field import check_odd_prime
 from .polyring import Poly
 
 
-@lru_cache(maxsize=None)
 def find_irreducible(q: int, n: int) -> Poly:
     """First monic irreducible of degree n in code order (constant term fastest)."""
     check_odd_prime(q)
@@ -65,9 +64,6 @@ class ExtField:
         q, n = self.q, self.n
         for code in range(self.order):
             yield polyring.normalize(polyring.monic_by_code(code, n, q)[:-1])
-
-    def add(self, a: tuple, b: tuple) -> tuple:
-        return polyring.add(a, b, self.q)
 
     def mul(self, a: tuple, b: tuple) -> tuple:
         return polyring.mul_mod(a, b, self.modulus, self.q)

@@ -201,14 +201,16 @@ def test_no_library_code_is_called_only_by_tests():
     """Every function, class, method and property in the package earns its place.
 
     It is referred to, by name or attribute, from other code in the package
-    (a method or property also from another member of its class); or it is
-    a top-level name in `hyperell.__all__`, or a dunder; or its docstring
-    says it is an oracle.  Code that only tests call belongs in
+    (a method or property by attribute only, as in `F.add`, also from
+    another member of its class: a bare name `add` is a module function);
+    or it is a top-level name in `hyperell.__all__`, or a dunder; or its
+    docstring says it is an oracle.  Code that only tests call belongs in
     tests/support.py.
     """
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     defs = []  # (qualified name, node, the (module, top-level, member) prefix of its own uses)
     users: dict[str, set] = {}  # name -> {(module, enclosing top-level name, enclosing member)}
+    attribute_users: dict[str, set] = {}  # the same, for the uses as an attribute alone
     for path in sorted(PACKAGE.glob("*.py")):
         module = path.stem
         for top in ast.parse(path.read_text()).body:
@@ -226,11 +228,16 @@ def test_no_library_code_is_called_only_by_tests():
                 if isinstance(node, (ast.Name, ast.Attribute)):
                     use = (module, owner, member_of.get(id(node)))
                     users.setdefault(_name(node), set()).add(use)
+                    if isinstance(node, ast.Attribute):
+                        attribute_users.setdefault(node.attr, set()).add(use)
     assert any(len(own) == 3 for _, _, own in defs)
     unused = [
         qualname
         for qualname, node, own in defs
-        if all(use[: len(own)] == own for use in users.get(node.name, ()))
+        if all(
+            use[: len(own)] == own
+            for use in (attribute_users if len(own) == 3 else users).get(node.name, ())
+        )
         and not (len(own) == 2 and node.name in hyperell.__all__)
         and "oracle" not in (ast.get_docstring(node) or "")
     ]
@@ -241,7 +248,6 @@ def test_no_library_code_is_called_only_by_tests():
 MODULE_CACHES = {
     "field.check_odd_prime": "at most 64 None results; every exact value in Q(sqrt q) checks its q",
     "polyring._int_mobius": "one small int per integer up to the largest degree whose primes are counted",
-    "extfield.find_irreducible": "one modulus of n+1 digits per (q, n) of the oracle's fields",
     "extfield.get_field": "the oracle's F_{q^r}, r <= g, shared by every curve whose points it counts",
 }
 CACHE_DECORATORS = {"cache", "lru_cache", "cached_property"}
