@@ -5,9 +5,8 @@ import os
 import re
 import subprocess
 import sys
-from pathlib import Path
-
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
