@@ -25,7 +25,7 @@ from fractions import Fraction
 from . import asymptotics, curve, lfunction, polyring, scan, verify
 from .characters import jacobi
 from .ensemble import EnsembleSpec
-from .field import check_odd_prime
+from .field import check_at_least, check_odd_prime
 from .polyring import Poly
 from .sqrtq import SqrtQRational
 
@@ -169,6 +169,7 @@ def cmd_moment(args) -> int:
     sample_size = DEFAULT_SAMPLE_SIZE if args.sample_size is None else args.sample_size
     ec = asymptotics.euler_constants(args.q, args.cutoff)
     EnsembleSpec(args.q, args.g)  # a bad smallest genus is refused before the largest is computed
+    check_at_least("threads", args.threads, 1)  # after the genus checks, before moment_scan's cap
     rows = []
     for g in range(g_max, args.g - 1, -1):  # the costliest genus first; rows stay in ascending g
         main = asymptotics.first_moment_main_term(args.q, g, ec)
@@ -180,12 +181,7 @@ def cmd_moment(args) -> int:
             square = sm.square_mean.scale(size)
         else:
             # a checkpoint file holds one genus: the largest, computed first
-            acc, _ = scan.moment_scan(
-                args.q,
-                g,
-                threads=args.threads,
-                checkpoint_path=args.checkpoint if g == g_max else None,
-            )
+            acc, _ = scan.moment_scan(args.q, g, checkpoint_path=args.checkpoint if g == g_max else None)
             size, total, square, stderr = acc.count, acc.total, acc.square_part, None
         row = {
             "q": args.q,
@@ -313,7 +309,10 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--mode", choices=("exhaustive", "sample"), default="exhaustive")
     m.add_argument("--sample-size", type=int, default=None, help=f"default {DEFAULT_SAMPLE_SIZE}")
     m.add_argument("--seed", type=int, default=None)
-    m.add_argument("--threads", type=int, default=1)
+    m.add_argument(
+        "--threads", type=int, default=1,
+        help="accepted and ignored (the scan runs in one thread) until the exhaustive workload drops it",
+    )
     m.add_argument("--cutoff", type=int, default=None, help="Euler-product truncation degree")
     m.add_argument("--format", choices=("json", "csv"), default="json")
     m.add_argument("--checkpoint", type=str, default=None, help="progress file, resumed if present")

@@ -3,9 +3,8 @@
 The moment over the whole ensemble is assembled from the per-summand
 aggregates S(f) = sum over square-free monic D of degree d of chi_D(f), so
 the scan inverts the loops: for each monic f up to degree g it computes S(f)
-in one short sum, and accumulates plain (thread-count independent) integer
-sums.  The naive per-curve loop in `ensemble` stays the reference; equality
-of the two routes is tested.
+in one short sum, and accumulates plain integer sums.  The naive per-curve
+loop in `ensemble` stays the reference; equality of the two routes is tested.
 
 S(f) comes from the square-free sieve of the approximate functional
 equation.  Write the indicator of square-free D as sum_{A^2 | D} mu(A), so
@@ -25,7 +24,7 @@ Every symbol is one product, chi_D being completely multiplicative:
 (x/f) = prod over P^e || f of (x/P)^e, taken by `_symbol_product` over one
 signed int8 row (x/P) per prime, read once for odd e and twice for even e,
 since (x/P)^2 = |(x/P)|.  `moment_scan` builds (x/P) once, before its
-worker threads start, for every residue code x < q^g and every prime P of
+first summand, for every residue code x < q^g and every prime P of
 degree < g; each x is its own residue mod a prime of degree g, whose row is
 its table.  The residues mod an f of degree n are the codes
 [0, q^n), so f's Jacobi table is the product of the prefix slices of its
@@ -70,7 +69,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -213,7 +211,7 @@ def prime_residue_table(P: Poly, q: int, squares: np.ndarray) -> np.ndarray:
     out = np.full(q**m, -1, dtype=np.int8)
     out[codes] = 1
     out[0] = 0
-    out.setflags(write=False)  # read by moment_scan's workers
+    out.setflags(write=False)  # moment_scan reads a degree-g table in place as its row (x/P)
     return out
 
 
@@ -303,23 +301,21 @@ def moment_scan(
     q: int,
     g: int,
     *,
-    threads: int = 1,
     checkpoint_path: str | None = None,
 ):
     """Exhaustive first moment by the S(f) sieve.  Returns (accumulator, meta).
 
-    Work is split into fixed chunks of summands f; chunks are merged in
-    index order, so the result is bit-identical for any thread count and the
-    finished chunks are the first k.  With a checkpoint path the integer
-    sums and k are persisted after every chunk; a file already there is
-    validated, left as it is if refused (ValueError), and resumed after its
-    k chunks.  Before anything is built it checks the table budget for
-    degree g, which bounds the (x/P) rows of the primes of degree < g, then
-    that the checkpoint path is a writable file path (OSError).
+    The summands f run in (degree, code) order in the calling thread, in
+    fixed chunks of CHUNK_SIZE, so the finished chunks are the first k.
+    With a checkpoint path the integer sums and k are persisted after every
+    chunk; a file already there is validated, left as it is if refused
+    (ValueError), and resumed after its k chunks.  Before anything is built
+    it checks the table budget for degree g, which bounds the (x/P) rows of
+    the primes of degree < g, then that the checkpoint path is a writable
+    file path (OSError).
     """
     spec = EnsembleSpec(q, g)
     d = spec.poly_degree
-    check_at_least("threads", threads, 1)
     _check_table_budget(q, g)
     if checkpoint_path:  # written after every chunk, so an unwritable path is refused before any work
         check_writable_path(checkpoint_path, "checkpoint")
@@ -340,33 +336,22 @@ def moment_scan(
         finished, sq, nonsq = _read_checkpoint(checkpoint_path, q, g, len(chunks), count)
 
     # (x/P) for every residue code x < q^g and prime P of degree <= g, built
-    # once: f of degree n reads the prefix [0, q^n), and the worker threads
-    # read only these arrays; each x is its own residue mod a degree-g prime
+    # once: f of degree n reads the prefix [0, q^n); each x is its own
+    # residue mod a degree-g prime
     dig = _digit_matrix(np.arange(q**g), q, g)
     symbols = {P: t.take(_residue_codes(dig, P, q)) for m in range(1, g) for P, t in _prime_tables(q, m)}
     symbols.update(_prime_tables(q, g))
 
-    def work(chunk):
-        c_sq = [0] * (g + 1)
-        c_ns = [0] * (g + 1)
+    for done, chunk in enumerate(chunks[finished:], start=finished + 1):
         for n, code in chunk:
             factors = factorize(monic_by_code(code, n, q), q)[1]
             s = char_sum_table_scan(factors, symbols, q, d)
             if all(e % 2 == 0 for _, e in factors):  # monic f is a square
-                c_sq[n] += s
+                sq[n] += s
             else:
-                c_ns[n] += s
-        return c_sq, c_ns
-
-    # pool.map yields in chunk order, so the finished chunks stay a prefix
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for c_sq, c_ns in pool.map(work, chunks[finished:]):
-            for n in range(g + 1):
-                sq[n] += c_sq[n]
-                nonsq[n] += c_ns[n]
-            finished += 1
-            if checkpoint_path:
-                _write_checkpoint(checkpoint_path, q, g, finished, sq, nonsq)
+                nonsq[n] += s
+        if checkpoint_path:
+            _write_checkpoint(checkpoint_path, q, g, done, sq, nonsq)
 
     weights = two_block_weights(g)
     square = center_value(sq, q, weights)

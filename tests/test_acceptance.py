@@ -268,7 +268,7 @@ def test_criterion_8_moment_vs_main_term():
     log_sizes = []
     log_deltas = []
     for g in range(1, 5):
-        acc, _ = moment_scan(q, g, threads=1)
+        acc, _ = moment_scan(q, g)
         assert acc.count == (q - 1) * q ** (2 * g)
         assert acc.total == acc.square_part + acc.nonsquare_part
         assert acc.total.b == 0

@@ -58,7 +58,6 @@ def test_all_names_resolve():
 INT_ARGUMENTS = [
     ("EnsembleSpec", "genus", lambda v: EnsembleSpec(5, v)),
     ("moment_scan", "genus", lambda v: moment_scan(5, v)),
-    ("moment_scan", "threads", lambda v: moment_scan(5, 2, threads=v)),
     ("sampled_moment", "genus", lambda v: sampled_moment(5, v, 10, 1)),
     ("run_identity_suite", "genus", lambda v: run_identity_suite(3, v)),
     ("euler_constants", "cutoff", lambda v: euler_constants(5, v)),
@@ -274,6 +273,27 @@ def test_module_caches_are_listed():
     assert sorted(decorated) == sorted(MODULE_CACHES)
     assert uses == len(decorated)  # no cache is made other than by decorating a function
     assert not any(name.startswith("scan.") for name in decorated)
+
+
+def test_the_package_starts_no_thread():
+    """No module imports concurrent.futures or names threading.Thread; one lock is all of threading.
+
+    The scans run in the calling thread.  `IrreducibleTable`'s lock stays,
+    for callers that share `shared_table` across threads of their own.  A
+    worker pool of any kind comes with a measured gain and edits this lint.
+    """
+    from_modules = ("concurrent", "concurrent.futures", "threading")  # a name imported from one hides from `uses`
+    imports, uses = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imports += [f"{path.stem}: {a.name}" for a in node.names if a.name == "concurrent.futures"]
+            elif isinstance(node, ast.ImportFrom) and node.module in from_modules:
+                imports.append(f"{path.stem}: from {node.module}")
+            elif isinstance(node, ast.Attribute) and _name(node.value) == "threading":
+                uses.append(f"{path.stem}: threading.{node.attr}")
+    assert not imports, f"the package imports a pool or names threading's members: {imports}"
+    assert uses == ["polyring: threading.Lock"]
 
 
 def test_cli_names_no_private_attribute_of_a_package_module():

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -502,6 +503,27 @@ def test_reports_byte_identical_across_threads(tmp_path, capsys):
         assert code == 0
         paths.append(p)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_threads_start_no_thread(tmp_path, capsys, monkeypatch):
+    # --threads is accepted and ignored: the scan runs in the calling thread
+    started = []
+    real_start = threading.Thread.start
+
+    def recording(self):
+        started.append(self.name)
+        return real_start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", recording)
+    runs = []
+    for threads in ("2", "1"):
+        ck = tmp_path / f"ck{threads}.json"
+        argv = ("moment", "--q", "5", "--g", "3", "--threads", threads, "--checkpoint", str(ck))
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        runs.append((out, ck.read_bytes()))
+    assert started == []
+    assert runs[0] == runs[1]
 
 
 def test_sample_mode_deterministic(tmp_path, capsys):

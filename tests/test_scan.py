@@ -502,7 +502,7 @@ def test_char_sum_table_scan_matches_brute_force():
 
 
 def test_moment_scan_builds_prime_tables_on_the_main_thread(monkeypatch):
-    # the workers read only the symbol vectors built before they start
+    # the scan runs in the calling thread, tables and summands alike
     callers = []
     table = scan.prime_residue_table
 
@@ -511,7 +511,7 @@ def test_moment_scan_builds_prime_tables_on_the_main_thread(monkeypatch):
         return table(*a)
 
     monkeypatch.setattr(scan, "prime_residue_table", traced)
-    moment_scan(3, 3, threads=2)
+    moment_scan(3, 3)
     assert callers and all(callers)
 
 
@@ -570,14 +570,13 @@ def test_per_degree_sums_are_the_polynomials_in_q(g, q):
         assert sums[kind][n] == sum(c * q**i for i, c in enumerate(coeffs)), (kind, n)
 
 
-def test_moment_scan_thread_determinism(monkeypatch):
-    a1, m1 = moment_scan(3, 2, threads=1)
-    a2, m2 = moment_scan(3, 2, threads=2)
+def test_moment_scan_chunk_invariance(monkeypatch):
+    a1, m1 = moment_scan(3, 2)
     monkeypatch.setattr(scan, "CHUNK_SIZE", 7)
-    a3, m3 = moment_scan(3, 2, threads=3)
-    assert a1 == a2 == a3
-    assert m1.square_sums == m2.square_sums
-    assert m1.nonsquare_sums == m3.nonsquare_sums
+    a2, m2 = moment_scan(3, 2)
+    assert a1 == a2
+    assert (m1.square_sums, m1.nonsquare_sums) == (m2.square_sums, m2.nonsquare_sums)
+    assert (m1.chunks, m2.chunks) == (1, 2)  # 3 + 9 summands in chunks of 64, then of 7
 
 
 def test_moment_scan_checks_table_budget_before_building(monkeypatch):
@@ -617,12 +616,6 @@ def test_moment_scan_q3_g7_without_the_mask():
     assert acc.total == acc.square_part + acc.nonsquare_part
     assert acc.total.b == 0
     assert acc.total.a == Fraction(554831200, 9)
-
-
-@pytest.mark.parametrize("threads", [0, -4])
-def test_threads_below_one_rejected(threads):
-    with pytest.raises(ValueError, match="threads"):
-        moment_scan(3, 1, threads=threads)
 
 
 def test_checkpoint_resume(tmp_path, monkeypatch):
