@@ -42,7 +42,7 @@ from fractions import Fraction
 import numpy as np
 
 from .characters import jacobi
-from .polyring import Poly, degree, is_monic, monic_polys, squarefree
+from .polyring import _TABLE_BUDGET, Poly, ResourceCapError, degree, is_monic, monic_polys, squarefree
 from .sqrtq import SqrtQRational
 
 RH_TOL = 1e-9  # bound on the reported float deviation of a certified row
@@ -85,12 +85,18 @@ def l_polynomial(D: Poly, q: int) -> LPolynomial:
     """Build the completed L-polynomial of a square-free monic D by direct summation.
 
     Cost is sum of q^n for n < deg D symbol evaluations; meant for reference
-    work and cross-checks, not bulk scans.
+    work and cross-checks, not bulk scans.  A D whose count passes the table
+    budget is refused with ResourceCapError before the first symbol.
     """
     if not is_monic(D) or degree(D) < 1:
         raise ValueError("D must be monic of positive degree")
     if not squarefree(D, q):
         raise ValueError("D must be square-free (in particular not a perfect square)")
+    symbols = sum(q**n for n in range(degree(D)))
+    if symbols > _TABLE_BUDGET:
+        raise ResourceCapError(
+            f"L-polynomial of degree {degree(D)} at q={q} needs {symbols} symbols, past the cap"
+        )
     a = [dirichlet_coefficient(D, n, q) for n in range(degree(D))]
     if degree(D) % 2 == 1:
         return LPolynomial(q=q, coeffs=tuple(a), lam=0)

@@ -43,11 +43,11 @@ from .field import check_odd_prime, prime_divisors
 
 Poly = tuple
 
-_TABLE_BUDGET = 10**8  # entries one table may hold: sieve codes here, int8 prime-table entries in scan
+_TABLE_BUDGET = 10**8  # sieve codes here, int8 prime-table entries in scan, one curve's symbols or points
 
 
 class ResourceCapError(RuntimeError):
-    """A table, a scan or a sample would exceed the table budget, `_TABLE_BUDGET`."""
+    """A table, a scan, a sample or one curve's sums would exceed the table budget, `_TABLE_BUDGET`."""
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,16 @@ BOUNDARY_REFUSALS = {
         ValueError,
         "D must be monic of positive degree",
     ),
+    "l_polynomial-cap": (  # 1 + 3 + ... + 3^20 symbols
+        lambda _: l_polynomial((1, 1) + (0,) * 19 + (1,), 3),
+        polyring.ResourceCapError,
+        "L-polynomial of degree 21 at q=3 needs 5230176601 symbols, past the cap",
+    ),
+    "power_sums-cap": (  # 3 + ... + 3^17 points, refused before F_{3^17} is built
+        lambda _: power_sums((1, 1) + (0,) * 33 + (1,), 3),
+        polyring.ResourceCapError,
+        "point counts of genus 17 at q=3 visit 193710243 points, past the cap",
+    ),
     "afe_central_value-even": (
         lambda _: afe_central_value((1, 0, 1), 3),
         ValueError,

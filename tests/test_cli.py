@@ -435,6 +435,16 @@ def test_resource_cap_exit_3(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("command", ["lpoly", "oracle"])
+def test_d_past_the_symbol_cap_exit_3_at_once(capsys, monkeypatch, command):
+    # 1 + 3 + ... + 3^20 symbols; both commands ran unbounded before the library refused it
+    monkeypatch.setattr(lfunction, "dirichlet_coefficient", lambda *a: pytest.fail("a symbol summed"))
+    monkeypatch.setattr(curve, "count_points", lambda *a: pytest.fail("a point counted"))
+    code, out, err = run_cli(capsys, command, "--q", "3", "x^21+x+1")
+    assert (code, out) == (3, "")
+    assert err == "error: L-polynomial of degree 21 at q=3 needs 5230176601 symbols, past the cap\n"
+
+
 def record_genera(monkeypatch) -> list:
     """The genus of each scan.moment_scan or scan.sampled_moment call, in order.
 
