@@ -361,7 +361,7 @@ def main(argv=None) -> int:
     except PolyParseError as e:
         print(f"error: parse error at position {e.pos}: {e}", file=sys.stderr)
         return 2
-    except scan.ResourceCapError as e:
+    except polyring.ResourceCapError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except (ValueError, ArithmeticError, OSError) as e:

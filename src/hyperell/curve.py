@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import extfield
 from .field import check_at_least
 from .lfunction import LPolynomial, l_polynomial
-from .polyring import _TABLE_BUDGET, Poly, ResourceCapError, degree, is_monic, squarefree
+from .polyring import Poly, check_budget, degree, is_monic, squarefree
 
 
 @dataclass(frozen=True)
@@ -62,14 +62,13 @@ def count_points_quadratic_recount(D: Poly, q: int) -> int:
 
 
 def power_sums(D: Poly, q: int) -> PowerSums:
-    """N_1..N_g of y^2 = D(x); ResourceCapError before any count if q + ... + q^g passes the budget."""
+    """N_1..N_g of y^2 = D(x); `check_budget` refuses q + ... + q^g points before any count."""
     d = degree(D)
     if not is_monic(D) or d < 1 or d % 2 == 0:
         raise ValueError("D must be monic of odd positive degree")
     g = (d - 1) // 2
     points = sum(q**n for n in range(1, g + 1))
-    if points > _TABLE_BUDGET:
-        raise ResourceCapError(f"point counts of genus {g} at q={q} visit {points} points, past the cap")
+    check_budget(points, f"point counts of genus {g} at q={q} visit {points} points")
     return PowerSums(q=q, g=g, counts=tuple(count_points(D, q, n) for n in range(1, g + 1)))
 
 

@@ -42,7 +42,7 @@ from fractions import Fraction
 import numpy as np
 
 from .characters import jacobi
-from .polyring import _TABLE_BUDGET, Poly, ResourceCapError, degree, is_monic, monic_polys, squarefree
+from .polyring import Poly, check_budget, degree, is_monic, monic_polys, squarefree
 from .sqrtq import SqrtQRational
 
 RH_TOL = 1e-9  # bound on the reported float deviation of a certified row
@@ -86,17 +86,14 @@ def l_polynomial(D: Poly, q: int) -> LPolynomial:
 
     Cost is sum of q^n for n < deg D symbol evaluations; meant for reference
     work and cross-checks, not bulk scans.  A D whose count passes the table
-    budget is refused with ResourceCapError before the first symbol.
+    budget is refused (`check_budget`) before the first symbol.
     """
     if not is_monic(D) or degree(D) < 1:
         raise ValueError("D must be monic of positive degree")
     if not squarefree(D, q):
         raise ValueError("D must be square-free (in particular not a perfect square)")
     symbols = sum(q**n for n in range(degree(D)))
-    if symbols > _TABLE_BUDGET:
-        raise ResourceCapError(
-            f"L-polynomial of degree {degree(D)} at q={q} needs {symbols} symbols, past the cap"
-        )
+    check_budget(symbols, f"L-polynomial of degree {degree(D)} at q={q} needs {symbols} symbols")
     a = [dirichlet_coefficient(D, n, q) for n in range(degree(D))]
     if degree(D) % 2 == 1:
         return LPolynomial(q=q, coeffs=tuple(a), lam=0)

@@ -50,6 +50,12 @@ class ResourceCapError(RuntimeError):
     """A table, a scan, a sample or one curve's sums would exceed the table budget, `_TABLE_BUDGET`."""
 
 
+def check_budget(entries: int, what: str) -> None:
+    """ResourceCapError "{what}, past the cap" when entries pass `_TABLE_BUDGET`; every guard calls this."""
+    if entries > _TABLE_BUDGET:
+        raise ResourceCapError(f"{what}, past the cap")
+
+
 # ---------------------------------------------------------------------------
 # basic ring operations
 
@@ -493,8 +499,8 @@ class IrreducibleTable:
     Any thread may grow the table: `extend` builds under a lock and
     publishes `by_degree[d]`, `factor_index[d]` and the primes of degree d
     before it advances `cutoff`, so a reader that sees `cutoff >= d` finds
-    all three.  Before it allocates, `extend` refuses with ResourceCapError
-    a degree whose q^d codes pass `_TABLE_BUDGET`.  A factor table costs two
+    all three.  Before it allocates, `extend` refuses (`check_budget`) a
+    degree whose q^d codes pass the budget.  A factor table costs two
     bytes per code, where the tuples beside it cost about (56+8d)/d.
     """
 
@@ -510,10 +516,8 @@ class IrreducibleTable:
     def extend(self, cutoff: int) -> None:
         with self._lock:
             q = self.q
-            if cutoff > self.cutoff and q**cutoff > _TABLE_BUDGET:
-                raise ResourceCapError(
-                    f"irreducibles of degree {cutoff} at q={q} need {q**cutoff} marks, past the cap"
-                )
+            if cutoff > self.cutoff:
+                check_budget(q**cutoff, f"irreducibles of degree {cutoff} at q={q} need {q**cutoff} marks")
             for d in range(self.cutoff + 1, cutoff + 1):
                 self.by_degree[d], self.factor_index[d] = self._sieve(d)
                 self.primes += self.by_degree[d]

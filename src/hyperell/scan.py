@@ -57,9 +57,9 @@ at a time.  The accepted codes fill one preallocated int64 array.
 A checkpoint path is its own resume switch: a file there is validated and
 resumed, so a rerun continues an interrupted scan; with no file it starts fresh.
 
-One guard bounds every scan: polyring's `_TABLE_BUDGET`, 10^8 int8 entries
-over the prime tables up to the degree the scan needs, checked before
-anything is built, as is `moment_scan`'s checkpoint path.  The library
+One guard bounds every scan: polyring's `check_budget`, which refuses past
+10^8 int8 entries over the prime tables up to the degree the scan needs,
+checked before anything is built, as is `moment_scan`'s checkpoint path.  The library
 makes every refusal, so a front end keeps no copy of one.  The exhaustive
 count is the closed form (q - 1) q^(2g), checked against `squarefree_mask`
 only while q^(2g+1) <= MASK_CHECK_LIMIT.
@@ -79,13 +79,12 @@ from .field import check_at_least, check_odd_prime
 from .lfunction import center_value, two_block_weights
 from .polyring import (
     _ROW_DTYPES,
-    _TABLE_BUDGET,
     Poly,
     _check_poly,
     _digit_matrix,
     _exact_dtype,
     _residue_codes,
-    ResourceCapError,
+    check_budget,
     degree,
     factorize,
     irreducible_count,
@@ -117,10 +116,7 @@ def _code_space(q: int, d: int) -> int:
 def _check_table_budget(q: int, n_max: int) -> None:
     """Refuse the prime tables up to degree n_max when their total size is past the budget."""
     entries = sum(irreducible_count(q, m) * q**m for m in range(1, n_max + 1))
-    if entries > _TABLE_BUDGET:
-        raise ResourceCapError(
-            f"prime tables to degree {n_max} at q={q} need {entries} entries, past the cap"
-        )
+    check_budget(entries, f"prime tables to degree {n_max} at q={q} need {entries} entries")
 
 
 def _check_sample_budget(sample_size: int, n_max: int) -> None:
@@ -130,10 +126,7 @@ def _check_sample_budget(sample_size: int, n_max: int) -> None:
     draws themselves, in `sample_codes`.
     """
     entries = sample_size * (n_max + 1)
-    if entries > _TABLE_BUDGET:
-        raise ResourceCapError(
-            f"a sample of {sample_size} curves to degree {n_max} needs {entries} batch entries, past the cap"
-        )
+    check_budget(entries, f"a sample of {sample_size} curves to degree {n_max} needs {entries} batch entries")
 
 
 def squarefree_mask(q: int, d: int) -> np.ndarray:
@@ -565,16 +558,15 @@ def sample_codes(q: int, d: int, count: int, seed: int) -> np.ndarray:
     of the degree-2 primes struck 835 more there and moved no wall time, so
     the pass stops at degree 1.
 
-    A count past `_TABLE_BUDGET` is refused with ResourceCapError, after
-    the seed check and before any draw: that bounds the output at
+    A count past the budget is refused (`check_budget`), after the seed
+    check and before any draw: that bounds the output at
     8 * 10^8 bytes, and each batch at count int64 draws and their
     (d + 1) x count digit bytes.
     """
     check_odd_prime(q)
     check_at_least("count", count, 1)
     check_at_least("seed", seed, 0)
-    if count > _TABLE_BUDGET:
-        raise ResourceCapError(f"a sample of {count} codes is past the cap of {_TABLE_BUDGET}")
+    check_budget(count, f"a sample of {count} codes needs {count} draws")
     rng = np.random.Generator(np.random.PCG64(seed))
     space = _code_space(q, d)
     out = np.empty(count, dtype=np.int64)

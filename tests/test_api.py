@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import hyperell
-from hyperell import polyring
+from hyperell import curve, lfunction, polyring, scan
 from hyperell.asymptotics import euler_constants, first_moment_main_term, zeta_ring
 from hyperell.characters import jacobi_factorization, reciprocity_holds, residue_symbol_prime
 from hyperell.curve import count_points, power_sums, zeta_numerator
@@ -204,6 +204,69 @@ BOUNDARY_REFUSALS = {
 def test_boundary_refusals(tmp_path, call, error, prefix):
     with pytest.raises(error, match=f"^{re.escape(prefix)}"):
         call(tmp_path)
+
+
+# each guard, a budget just below what it asks for, the call and the message before ", past the cap"
+ONE_BUDGET_GUARDS = {
+    "moment_scan": (35, lambda: moment_scan(3, 2), "prime tables to degree 2 at q=3 need 36 entries"),
+    "sampled_moment-sample": (  # its prime tables to degree 1, 25 entries, fit
+        100,
+        lambda: sampled_moment(5, 1, 51, seed=1),
+        "a sample of 51 curves to degree 1 needs 102 batch entries",
+    ),
+    "sample_codes": (100, lambda: sample_codes(5, 3, 101, 1), "a sample of 101 codes needs 101 draws"),
+    "extend": (80, lambda: polyring.IrreducibleTable(3).extend(4), "irreducibles of degree 4 at q=3 need 81 marks"),
+    "l_polynomial": (
+        120,
+        lambda: l_polynomial((1, 2, 0, 0, 0, 1), 3),
+        "L-polynomial of degree 5 at q=3 needs 121 symbols",
+    ),
+    "power_sums": (11, lambda: power_sums((1, 2, 0, 0, 0, 1), 3), "point counts of genus 2 at q=3 visit 12 points"),
+}
+# what each guard would do first past its refusal
+GUARDED_WORK = [
+    (scan, "squarefree_mask"),
+    (scan, "_prime_tables"),
+    (scan, "sample_codes"),
+    (scan, "_digit_matrix"),
+    (polyring.IrreducibleTable, "_sieve"),
+    (lfunction, "dirichlet_coefficient"),
+    (curve, "count_points"),
+]
+
+
+@pytest.mark.parametrize("budget,call,what", ONE_BUDGET_GUARDS.values(), ids=ONE_BUDGET_GUARDS)
+def test_one_budget_moves_every_guard(monkeypatch, budget, call, what):
+    """Lowering polyring's `_TABLE_BUDGET` alone makes each guard refuse before any work."""
+    monkeypatch.setattr(polyring, "_TABLE_BUDGET", budget)
+    for owner, name in GUARDED_WORK:
+        monkeypatch.setattr(owner, name, lambda *a, **k: pytest.fail("work began past the cap"))
+    with pytest.raises(polyring.ResourceCapError, match=f"^{re.escape(what)}, past the cap$"):
+        call()
+
+
+def test_only_polyring_holds_the_budget():
+    """No module but polyring names `_TABLE_BUDGET` or constructs a ResourceCapError.
+
+    Every other guard calls `polyring.check_budget`, the one comparison with
+    the budget, so a change to what the budget bounds is one edit.
+    """
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = {_name(node), getattr(node, "name", None), getattr(node, "asname", None)}
+            if isinstance(node, ast.Call) and _name(node.func) == "ResourceCapError":
+                found.append(f"{path.stem}: ResourceCapError(")
+            elif "_TABLE_BUDGET" in names:
+                found.append(f"{path.stem}: _TABLE_BUDGET")
+    assert found and all(f.startswith("polyring: ") for f in found), f"outside polyring: {found}"
+    compared = [
+        top.name
+        for top in ast.parse((PACKAGE / "polyring.py").read_text()).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Compare) and "_TABLE_BUDGET" in {_name(n) for n in ast.walk(node)}
+    ]
+    assert compared == ["check_budget"]
 
 
 def test_no_library_code_is_called_only_by_tests():

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperell import polyring as pr
-from hyperell import scan
 from hyperell.polyring import (
     IrreducibleTable,
     ResourceCapError,
@@ -402,6 +401,13 @@ def test_mark_multiples_across_blocks(monkeypatch):
     assert set(blocks) == set(factors) and min(blocks.values()) > 1, blocks
 
 
+def test_check_budget_refuses_past_the_budget_only(monkeypatch):
+    monkeypatch.setattr(pr, "_TABLE_BUDGET", 10)
+    pr.check_budget(10, "ten entries")
+    with pytest.raises(ResourceCapError, match="^eleven entries, past the cap$"):
+        pr.check_budget(11, "eleven entries")
+
+
 def test_extend_refuses_past_the_budget(monkeypatch):
     monkeypatch.setattr(pr, "_TABLE_BUDGET", 3**4)
     table = IrreducibleTable(3)
@@ -409,7 +415,7 @@ def test_extend_refuses_past_the_budget(monkeypatch):
         table.extend(5)
     assert table.cutoff == 0 and table.by_degree == {} == table.factor_index  # refused before building anything
     assert len(table.irreducibles(4)) == irreducible_count(3, 4)
-    with pytest.raises(scan.ResourceCapError):
+    with pytest.raises(ResourceCapError):
         table.irreducibles(5)
     assert table.cutoff == 4
     table.extend(4)  # nothing left to build: no refusal

@@ -21,6 +21,7 @@ from hyperell.extfield import find_irreducible
 from hyperell.field import is_prime
 from hyperell.lfunction import afe_central_value, dirichlet_coefficient, l_polynomial
 from hyperell.polyring import (
+    ResourceCapError,
     degree,
     factorize,
     gcd,
@@ -35,7 +36,6 @@ from hyperell.polyring import (
     squarefree,
 )
 from hyperell.scan import (
-    ResourceCapError,
     batch_coefficients,
     batch_coprime_counts,
     char_sum_table_scan,
@@ -306,7 +306,7 @@ def test_residue_codes_equal_polynomial_remainder(data, q, n):
 
 
 # the largest q whose degree-1 prime tables (q primes of q entries) fit the budget
-Q_MAX = next(q for q in range(math.isqrt(scan._TABLE_BUDGET), 2, -1) if is_prime(q))
+Q_MAX = next(q for q in range(math.isqrt(polyring._TABLE_BUDGET), 2, -1) if is_prime(q))
 
 
 def test_q_max_is_the_budget_edge():
@@ -584,7 +584,7 @@ def test_moment_scan_checks_table_budget_before_building(monkeypatch):
     monkeypatch.setattr(scan, "squarefree_mask", lambda *a: built.append(("mask", a)))
     monkeypatch.setattr(scan, "prime_residue_table", lambda *a: built.append(("table", a)))
     # the prime tables up to degree 2 at q=3 hold 3*3 + 3*9 = 36 entries
-    monkeypatch.setattr(scan, "_TABLE_BUDGET", 35)
+    monkeypatch.setattr(polyring, "_TABLE_BUDGET", 35)
     with pytest.raises(ResourceCapError, match="past the cap"):
         moment_scan(3, 2)
     assert built == []
@@ -765,10 +765,10 @@ def test_batch_coprime_counts_refuses_past_the_table_budget(monkeypatch):
     q, d = 3, 3
     codes = np.nonzero(squarefree_mask(q, d))[0]
     # the prime tables up to degree 2 at q=3 hold 3*3 + 3*9 = 36 entries
-    monkeypatch.setattr(scan, "_TABLE_BUDGET", 35)
+    monkeypatch.setattr(polyring, "_TABLE_BUDGET", 35)
     with pytest.raises(ResourceCapError, match="past the cap"):
         batch_coprime_counts(q, d, codes, 2)
-    monkeypatch.setattr(scan, "_TABLE_BUDGET", 36)
+    monkeypatch.setattr(polyring, "_TABLE_BUDGET", 36)
     assert batch_coprime_counts(q, d, codes, 2).shape == (len(codes), 3)
 
 
@@ -994,7 +994,7 @@ def test_batch_sums_name_their_own_degree_argument(batch, name):
 
 def test_batch_sums_refuse_sums_past_int32(monkeypatch):
     # |A_D(n)| <= q^n; only a budget past 2^31 entries could let q^n pass int32
-    monkeypatch.setattr(scan, "_TABLE_BUDGET", 10**20)
+    monkeypatch.setattr(polyring, "_TABLE_BUDGET", 10**20)
     monkeypatch.setattr(scan, "_prime_tables", lambda *a: pytest.fail("tables built"))
     with pytest.raises(ValueError, match="overflow int32"):
         batch_coefficients(3, 21, [0], 20)
@@ -1015,7 +1015,7 @@ def test_sample_codes_refuses_codes_past_int64():
 
 def test_sampled_moment_checks_table_budget_before_sampling(monkeypatch):
     drawn = []
-    monkeypatch.setattr(scan, "_TABLE_BUDGET", 1000)
+    monkeypatch.setattr(polyring, "_TABLE_BUDGET", 1000)
     monkeypatch.setattr(scan, "sample_codes", lambda *a: drawn.append(a))
     with pytest.raises(ResourceCapError, match="cap"):
         sampled_moment(5, 4, 10, seed=1)
@@ -1023,14 +1023,14 @@ def test_sampled_moment_checks_table_budget_before_sampling(monkeypatch):
 
 
 def test_sample_codes_refuses_a_count_past_the_budget(monkeypatch):
-    with pytest.raises(ResourceCapError, match=r"^a sample of 1000000000000 codes is past the cap"):
+    with pytest.raises(ResourceCapError, match=r"^a sample of 1000000000000 codes needs 1000000000000 draws, past the cap$"):
         sample_codes(5, 3, 10**12, 1)
     with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
         sample_codes(5, 3, 10**12, -1)  # the seed is checked before the cap
-    monkeypatch.setattr(scan, "_TABLE_BUDGET", 100)
+    monkeypatch.setattr(polyring, "_TABLE_BUDGET", 100)
     assert len(sample_codes(5, 3, 100, 1)) == 100
     monkeypatch.setattr(scan, "_digit_matrix", lambda *a, **k: pytest.fail("digits built"))
-    with pytest.raises(ResourceCapError, match="^a sample of 101 codes is past the cap of 100$"):
+    with pytest.raises(ResourceCapError, match="^a sample of 101 codes needs 101 draws, past the cap$"):
         sample_codes(5, 3, 101, 1)
 
 
@@ -1038,7 +1038,7 @@ def test_sampled_moment_checks_its_batch_size_before_sampling(monkeypatch):
     # sample_size x (g + 1) int64 batch sums: 51 x 2 = 102 entries pass a budget
     # of 100, which the 25 entries of the prime tables to degree 1 do not
     drawn = []
-    monkeypatch.setattr(scan, "_TABLE_BUDGET", 100)
+    monkeypatch.setattr(polyring, "_TABLE_BUDGET", 100)
     monkeypatch.setattr(scan, "sample_codes", lambda *a: drawn.append(a))
     with pytest.raises(ResourceCapError, match="^a sample of 51 curves to degree 1 needs 102 batch"):
         sampled_moment(5, 1, 51, seed=1)

@@ -3,7 +3,8 @@
 import pytest
 
 from hyperell import scan, verify
-from hyperell.scan import ResourceCapError, squarefree_mask
+from hyperell.polyring import ResourceCapError
+from hyperell.scan import squarefree_mask
 from hyperell.verify import run_identity_suite
 from support import suite_passed
 
