@@ -261,13 +261,14 @@ def cmd_oracle(args) -> int:
     D = parse_poly(args.poly, args.q)
     # character sums first: their count passes the budget at a smaller D than the point counts
     lp = lfunction.l_polynomial(D, args.q)
-    zn = curve.zeta_numerator(D, args.q)
+    ps = curve.power_sums(D, args.q)  # counted once, for both the counts and the zeta numerator
+    zn = curve.zeta_from_counts(ps)
     match = zn.coeffs == lp.coeffs
     dump_json(
         {
             "D": list(D),
             "q": args.q,
-            "point_counts": list(curve.power_sums(D, args.q).counts),
+            "point_counts": list(ps.counts),
             "zeta_coeffs": [str(c) for c in zn.coeffs],
             "charsum_coeffs": [str(c) for c in lp.coeffs],
             "match": match,

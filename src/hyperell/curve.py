@@ -73,15 +73,19 @@ def power_sums(D: Poly, q: int) -> PowerSums:
 
 
 def zeta_numerator(D: Poly, q: int) -> LPolynomial:
-    """L-polynomial from point counts alone (Newton's identities + symmetry).
+    """L-polynomial from point counts alone: `zeta_from_counts` of the counts of a square-free D."""
+    if not squarefree(D, q):
+        raise ValueError("D must be square-free")
+    return zeta_from_counts(power_sums(D, q))
+
+
+def zeta_from_counts(ps: PowerSums) -> LPolynomial:
+    """L-polynomial from the counts N_1..N_g (Newton's identities + symmetry).
 
     Every Newton step must produce an integer; a fractional intermediate
     signals a miscount and raises instead of rounding.
     """
-    if not squarefree(D, q):
-        raise ValueError("D must be square-free")
-    ps = power_sums(D, q)
-    g = ps.g
+    q, g = ps.q, ps.g
     s = ps.traces
     a = [1]
     for k in range(1, g + 1):

@@ -162,11 +162,24 @@ def test_constants_print_exact_values_past_the_int_digit_limit(capsys):
 
 def test_oracle_mismatch_exit_1(capsys, monkeypatch):
     wrong = lfunction.LPolynomial(3, (1, 0, 4), 0)  # x^3+x has (1, 0, 3)
-    monkeypatch.setattr(curve, "zeta_numerator", lambda D, q: wrong)
+    monkeypatch.setattr(curve, "zeta_from_counts", lambda ps: wrong)
     code, out, err = run_cli(capsys, "oracle", "--q", "3", "x^3+x")
     assert code == 1
     assert json.loads(out)["match"] is False
     assert "MISMATCH" in err
+
+
+def test_oracle_counts_the_points_once(capsys, monkeypatch):
+    # one count_points call per extension degree n = 1..g, read by both point_counts and zeta_coeffs
+    counted = []
+    count_points = curve.count_points
+    monkeypatch.setattr(curve, "count_points", lambda D, q, n: counted.append(n) or count_points(D, q, n))
+    code, out, _ = run_cli(capsys, "oracle", "--q", "3", "x^7+x+1")
+    assert (code, counted) == (0, [1, 2, 3])
+    assert out == (
+        '{"D": [1,1,0,0,0,0,0,1],"charsum_coeffs": ["1","0","0","6","0","0","27"],"match": true,'
+        '"point_counts": [4,10,46],"q": 3,"zeta_coeffs": ["1","0","0","6","0","0","27"]}\n'
+    )
 
 
 def test_verify_pass_and_fault(capsys):
