@@ -68,7 +68,8 @@ def parse_poly(text: str, q: int) -> Poly:
 
     Each term is [c][x[^e]] with c and e in ASCII digits; terms join with +
     or -, and whitespace may stand between tokens.  Errors carry the
-    offending position.
+    offending position.  A term x^e whose e + 1 coefficients pass the table
+    budget is refused (`check_budget`) before the coefficient list is built.
     """
     s = text.strip()
     if not s:
@@ -86,6 +87,7 @@ def parse_poly(text: str, q: int) -> Poly:
             at = s[m.end()] if m.end() < len(s) else "end of input"
             raise PolyParseError(f"expected a term at {at!r}", m.end())
         e = int(exp) if exp else (1 if x else 0)
+        polyring.check_budget(e + 1, f"a term x^{e} needs {e + 1} coefficients")
         coeffs[e] = (coeffs.get(e, 0) + int(sign + (num or "1"))) % q
         pos = m.end()
     top = max(coeffs)

@@ -134,10 +134,13 @@ def squarefree_mask(q: int, d: int) -> np.ndarray:
 
     Non-square-free codes are marked as the multiples P^2 * M of each prime
     square, by polyring's `mark_multiples`, which marks them by residues.
+    A mask of q^d bytes past the budget is refused before it is allocated.
     """
     check_odd_prime(q)
     check_at_least("d", d, 0)
-    marked = np.zeros(q**d, dtype=bool)
+    size = q**d
+    check_budget(size, f"a square-free mask of degree {d} at q={q} needs {size} entries")
+    marked = np.zeros(size, dtype=bool)
     for dp in range(1, d // 2 + 1):
         mark_multiples(marked, [mul(p, p, q) for p in shared_table(q).irreducibles(dp)], d, q)
     return ~marked

@@ -192,6 +192,11 @@ BOUNDARY_REFUSALS = {
     "factorize-zero": (lambda _: polyring.factorize((), 3), ValueError, "cannot factor the zero"),
     "mobius-zero": (lambda _: polyring.mobius((), 3), ValueError, "mobius undefined at zero"),
     "irreducible_count-0": (lambda _: polyring.irreducible_count(3, 0), ValueError, "degree must be >= 1"),
+    "squarefree_mask-cap": (  # 5^20 bytes, refused before numpy is asked for them
+        lambda _: squarefree_mask(5, 20),
+        polyring.ResourceCapError,
+        "a square-free mask of degree 20 at q=5 needs 95367431640625 entries, past the cap",
+    ),
     "checkpoint-short-sums": (
         lambda tmp: _checkpoint_with_short_sums(tmp / "ck.json"),
         ValueError,
