@@ -33,7 +33,8 @@ def find_irreducible(q: int, n: int) -> Poly:
 class ExtField:
     """Arithmetic in F_{q^n}; elements are polyring residues mod the modulus.
 
-    The nonzero squares are tabulated once, at construction, so the
+    The q^n elements, in code order, and the nonzero squares are tabulated
+    once, at construction, so `elements` is a read of one tuple and the
     quadratic character is a set lookup.  The powers 1, x, x^2, ... of each
     element that `eval_poly` meets are cached as a list, lengthened on
     demand to the longest polynomial seen.  The cache is keyed by checked
@@ -48,7 +49,10 @@ class ExtField:
         self.order = q**n
         self.zero = ()
         self.one = (1,)
-        self._squares = frozenset(self.mul(a, a) for a in self.elements() if a)
+        self._elements = tuple(
+            polyring.normalize(polyring.monic_by_code(code, n, q)[:-1]) for code in range(self.order)
+        )
+        self._squares = frozenset(self.mul(a, a) for a in self._elements if a)
         self._powers: dict[tuple, list] = {}
 
     def _check(self, a: tuple) -> None:
@@ -59,11 +63,9 @@ class ExtField:
             if len(a) > self.n:
                 raise ValueError(f"{what} has degree below {self.n}, got {a}")
 
-    def elements(self):
+    def elements(self) -> tuple:
         """All q^n elements in code order, constant coordinate fastest."""
-        q, n = self.q, self.n
-        for code in range(self.order):
-            yield polyring.normalize(polyring.monic_by_code(code, n, q)[:-1])
+        return self._elements
 
     def mul(self, a: tuple, b: tuple) -> tuple:
         return polyring.mul_mod(a, b, self.modulus, self.q)
