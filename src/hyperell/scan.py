@@ -59,10 +59,10 @@ resumed, so a rerun continues an interrupted scan; with no file it starts fresh.
 
 One guard bounds every scan: polyring's `check_budget`, which refuses past
 10^8 int8 entries over the prime tables up to the degree the scan needs,
-checked before anything is built, as is `moment_scan`'s checkpoint path.  The library
-makes every refusal, so a front end keeps no copy of one.  The exhaustive
-count is the closed form (q - 1) q^(2g), checked against `squarefree_mask`
-only while q^(2g+1) <= MASK_CHECK_LIMIT.
+checked before anything is built, as is `moment_scan`'s checkpoint path.
+The library makes every refusal, so a front end keeps no copy of one.  The
+exhaustive count is the closed form (q - 1) q^(2g), checked against
+`squarefree_mask` only while q^(2g+1) <= MASK_CHECK_LIMIT.
 """
 
 from __future__ import annotations

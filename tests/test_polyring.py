@@ -401,13 +401,6 @@ def test_mark_multiples_across_blocks(monkeypatch):
     assert set(blocks) == set(factors) and min(blocks.values()) > 1, blocks
 
 
-def test_check_budget_refuses_past_the_budget_only(monkeypatch):
-    monkeypatch.setattr(pr, "_TABLE_BUDGET", 10)
-    pr.check_budget(10, "ten entries")
-    with pytest.raises(ResourceCapError, match="^eleven entries, past the cap$"):
-        pr.check_budget(11, "eleven entries")
-
-
 def test_extend_refuses_past_the_budget(monkeypatch):
     monkeypatch.setattr(pr, "_TABLE_BUDGET", 3**4)
     table = IrreducibleTable(3)
